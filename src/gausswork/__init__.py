@@ -11,11 +11,6 @@ __version__ = "0.1.0"
 
 from .activity import (
     ActivityReport,
-    OptimizerConfig,
-    UnphysicalOptimizerError,
-    activity_numeric,
-    activity_single_mode,
-    activity_two_mode,
     gaussian_coherence,
     local_activity,
     photon_overlap_matrix,

@@ -1,14 +1,18 @@
 """Relative entropy of local activity for Gaussian states.
 
 The monotone is the minimum relative entropy from a state to the free set
-(thermal products under linear interferometers).  The minimisation over
-thermal occupancies is analytic -- the optimum matches the per-mode photon
-numbers of the interferometer-conjugated state -- so only the passive
-unitary is searched.  Closed forms cover one and two modes; the N-mode
-route runs a multi-start derivative-free descent over a Givens/phase
-parametrisation of U(N) and certifies its result against a majorisation
-lower bound (the spectrum of the mode-overlap matrix majorises every
-achievable occupancy vector, and the objective is Schur-concave).
+(thermal products under linear interferometers).  For a fixed passive
+unitary U the optimal thermal occupancies are the photon numbers of the
+interferometer-conjugated state, the diagonal of U^T M U^* with M the
+mode-overlap matrix plus I/2, so A = -S(rho) + min_U sum_i g(diag_i).
+The diagonal of a Hermitian matrix is majorised by its spectrum
+(Schur-Horn) and g is concave, so the sum is Schur-concave and is
+minimised at the eigenbasis of M:
+
+    A(rho) = -S(rho) + sum_i g(lambda_i(M)).
+
+One eigendecomposition gives the value and the closest free state for
+every mode count; the eigen-residual certifies it.
 """
 
 import math
@@ -16,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .free import FreeCovariance
+from .free import FreeCovariance, free_cm
 from .states import (
     GaussianState,
     mean_photon_numbers,
@@ -30,24 +33,12 @@ from .states import (
 from .symplectic import TOL_PHYS, symplectic_eigenvalues, unitary_to_orthosymplectic
 
 
-class UnphysicalOptimizerError(ValueError):
-    """The unconstrained two-mode optimum fell below the vacuum floor."""
-
-
 @dataclass(frozen=True, eq=False)
 class ActivityReport:
     value: float
     closest_free: Optional[FreeCovariance] = None
     params: dict = field(default_factory=dict)
     certified: bool = True
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 16
-    seed: int = 0
-    max_iter: int = 400
-    ftol: float = 1e-12
 
 
 def photon_overlap_matrix(state: GaussianState) -> np.ndarray:
@@ -62,158 +53,40 @@ def photon_overlap_matrix(state: GaussianState) -> np.ndarray:
     return 0.5 * (qq + pp + 1j * (qp - pq)) - 0.5 * np.eye(n) + np.outer(np.conj(amp), amp)
 
 
-def activity_single_mode(state: GaussianState) -> ActivityReport:
-    """Closed form for one mode: distance to the thermal state of equal energy."""
-    if state.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
-    nbar = float(mean_photon_numbers(state)[0])
-    value = -von_neumann_entropy(state) + thermal_entropy(nbar + 0.5)
-    witness = FreeCovariance(cm=(nbar + 0.5) * np.eye(2), passive=np.eye(2), nu=np.array([nbar + 0.5]))
-    return ActivityReport(value=value, closest_free=witness, params={"nbar": nbar})
+def local_activity(state: GaussianState) -> ActivityReport:
+    """Activity -S + sum_i g(lambda_i) from the spectrum of M = overlap + I/2.
 
-
-def _two_mode_witness(b1: float, b2: float, theta: float, delta_phi: float) -> FreeCovariance:
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[np.cos(delta_phi), np.sin(delta_phi)], [-np.sin(delta_phi), np.cos(delta_phi)]])
-    passive = np.zeros((4, 4))
-    passive[0:2, 0:2] = c * rot
-    passive[0:2, 2:4] = s * rot
-    passive[2:4, 0:2] = -s * np.eye(2)
-    passive[2:4, 2:4] = c * np.eye(2)
-    nu = np.array([b1, max(b2, 0.5)])
-    cm = passive @ np.diag(np.repeat(nu, 2)) @ passive.T
-    return FreeCovariance(cm=0.5 * (cm + cm.T), passive=passive, nu=nu)
-
-
-def activity_two_mode(state: GaussianState, tol_phys: float = TOL_PHYS) -> ActivityReport:
-    """Closed form for two modes.
-
-    The optimal thermal occupancies b1 >= b2, beam-splitter angle theta and
-    relative phase delta_phi are algebraic in the block traces of the
-    covariance matrix and the displacement quadratics; the activity is then
-    sum_i [g(b_i) - g(nu_i)].
+    ``params`` holds the occupancies ``b`` (eigenvalues of M, descending),
+    the optimal ``unitary`` (the witness is its orthosymplectic image) and
+    ``eig_residual`` = ||M V - V diag(b)||; two-mode states also report the
+    beam-splitter angle ``theta`` and relative phase ``delta_phi``.  The
+    report is certified when the residual is within 1e3 n eps max(1, ||M||).
 
     Raises:
-        UnphysicalOptimizerError: if b2 < 1/2 - tol_phys, which cannot occur
-            for a physical input (the mode-overlap matrix is positive
-            semidefinite) and is reported rather than clamped.
+        ValueError: if an eigenvalue of M lies below 1/2 - TOL_PHYS, which
+            no physical state allows (the overlap matrix is positive
+            semidefinite); eigenvalues within tolerance are set to 1/2.
     """
-    if state.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    cm, d = state.cm, state.displacement
-    a_tr = float(cm[0, 0] + cm[1, 1])
-    b_tr = float(cm[2, 2] + cm[3, 3])
-    c_tr = float(cm[0, 2] + cm[1, 3])
-    ups = float(cm[0, 3] - cm[1, 2])
-    d1, d2, d3, d4 = d
-    dt1 = d1**2 + d2**2 + d3**2 + d4**2
-    dt2 = d1**2 + d2**2 - d3**2 - d4**2
-    dt3 = d1 * d3 + d2 * d4
-    dt4 = d1 * d4 - d2 * d3
-    alpha_t = a_tr + b_tr + dt1
-    beta_t = a_tr - b_tr + dt2
-    c_t = c_tr + dt3
-    u_t = ups + dt4
-
-    radius = math.hypot(beta_t, 2.0 * math.hypot(c_t, u_t))
-    b1 = 0.25 * (alpha_t + radius)
-    b2 = 0.25 * (alpha_t - radius)
-    if b2 < 0.5 - tol_phys:
-        raise UnphysicalOptimizerError(
-            f"two-mode optimum b2 = {b2:.9g} falls below the vacuum floor 1/2"
-        )
-    off = math.hypot(c_t, u_t)
-    if off == 0.0 and beta_t == 0.0:
-        theta = 0.0
-    else:
-        theta = -0.5 * math.atan2(2.0 * off, beta_t)
-    delta_phi = math.atan2(u_t, c_t) if off > 0.0 else 0.0
-
-    nus = symplectic_eigenvalues(cm)
-    value = float(
-        thermal_entropy(b1) + thermal_entropy(max(b2, 0.5)) - np.sum(thermal_entropy(nus))
-    )
-    witness = _two_mode_witness(b1, b2, theta, delta_phi)
-    return ActivityReport(
-        value=value,
-        closest_free=witness,
-        params={"b": (b1, b2), "theta": theta, "delta_phi": delta_phi},
-    )
-
-
-def _unitary_from_params(params: np.ndarray, n: int) -> np.ndarray:
-    u = np.eye(n, dtype=complex)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            th, ph = params[k], params[k + 1]
-            k += 2
-            ci, si = np.cos(th), np.sin(th) * np.exp(1j * ph)
-            rows = u[[i, j], :].copy()
-            u[i, :] = ci * rows[0] - si * rows[1]
-            u[j, :] = np.conj(si) * rows[0] + ci * rows[1]
-    return u
-
-
-def activity_numeric(state: GaussianState, config: Optional[OptimizerConfig] = None) -> ActivityReport:
-    """N-mode activity by multi-start local search over passive unitaries.
-
-    The first restart starts from the identity; the remaining start points
-    are seeded uniform angles.  The report is certified when the best run
-    converged and meets the majorisation lower bound within 1e-7.
-    """
-    cfg = config or OptimizerConfig()
     n = state.n_modes
-    overlap = photon_overlap_matrix(state) + 0.5 * np.eye(n)
-    entropy = von_neumann_entropy(state)
-
-    def objective(params: np.ndarray) -> float:
-        u = _unitary_from_params(params, n)
-        occ = np.real(np.diag(u.T @ overlap @ np.conj(u)))
-        return float(np.sum(thermal_entropy(np.clip(occ, 0.5, None))))
-
-    bound = float(np.sum(thermal_entropy(np.clip(np.linalg.eigvalsh(overlap), 0.5, None))))
-
-    n_params = n * (n - 1)
-    if n_params == 0:
-        value = -entropy + float(thermal_entropy(overlap[0, 0].real))
-        return ActivityReport(value=value, params={"objective": bound}, certified=True)
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(n_params)]
-    starts += [rng.uniform(-np.pi, np.pi, size=n_params) for _ in range(max(cfg.restarts - 1, 0))]
-    best_obj, best_params, best_ok = math.inf, None, False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Powell",
-            options={"maxiter": cfg.max_iter, "xtol": 1e-10, "ftol": cfg.ftol},
-        )
-        if res.fun < best_obj:
-            best_obj, best_params, best_ok = float(res.fun), res.x, bool(res.success)
-
-    u_best = _unitary_from_params(best_params, n)
-    passive = unitary_to_orthosymplectic(u_best)
-    occ = np.clip(np.real(np.diag(u_best.T @ overlap @ np.conj(u_best))), 0.5, None)
-    cm_free = passive @ np.diag(np.repeat(occ, 2)) @ passive.T
-    witness = FreeCovariance(cm=0.5 * (cm_free + cm_free.T), passive=passive, nu=occ)
-    certified = best_ok and (best_obj - bound) <= 1e-7
+    m = photon_overlap_matrix(state) + 0.5 * np.eye(n)
+    lam, vecs = np.linalg.eigh(m)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    if lam[-1] < 0.5 - TOL_PHYS:
+        raise ValueError(f"overlap eigenvalue {lam[-1]:.9g} falls below the vacuum floor 1/2")
+    residual = float(np.linalg.norm(m @ vecs - vecs * lam))
+    certified = bool(residual <= 1e3 * n * np.finfo(float).eps * max(1.0, float(lam[0])))
+    b = np.maximum(lam, 0.5)
+    unitary = np.conj(vecs)
+    params = {"b": b, "unitary": unitary, "eig_residual": residual}
+    if n == 2:
+        params["theta"] = -0.5 * math.atan2(2.0 * abs(m[0, 1]), float(m[0, 0].real - m[1, 1].real))
+        params["delta_phi"] = float(np.angle(m[0, 1]))
     return ActivityReport(
-        value=-entropy + best_obj,
-        closest_free=witness,
-        params={"unitary": u_best, "objective": best_obj, "lower_bound": -entropy + bound},
+        value=float(np.sum(thermal_entropy(b))) - von_neumann_entropy(state),
+        closest_free=free_cm(b, unitary_to_orthosymplectic(unitary)),
+        params=params,
         certified=certified,
     )
-
-
-def local_activity(state: GaussianState, config: Optional[OptimizerConfig] = None) -> ActivityReport:
-    """Dispatch to the closed form when available, the numeric search otherwise."""
-    if state.n_modes == 1:
-        return activity_single_mode(state)
-    if state.n_modes == 2:
-        return activity_two_mode(state)
-    return activity_numeric(state, config)
 
 
 def gaussian_coherence(state: GaussianState) -> float:

@@ -7,8 +7,8 @@ the shorthand ``preset:name:arg1[,arg2]`` is also accepted.  Results print
 as aligned tables, or as a JSON record under ``--json`` that round-trips
 at full double precision.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 non-certified
-optimizer result, 64 usage errors.
+Exit codes: 0 success, 2 parse/validation failure, 3 activity
+eigendecomposition residual above tolerance, 64 usage errors.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .activity import OptimizerConfig, gaussian_coherence, local_activity
+from .activity import gaussian_coherence, local_activity
 from .distill import activity_distillation_demo, work_swap_demo
 from .fock import (
     FockDensity,
@@ -193,15 +193,15 @@ def _cmd_activity(args) -> int:
         outputs = {"activity": value, "route": "fock"}
         certified = True
     else:
-        cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-        report = local_activity(state, cfg)
+        report = local_activity(state)
         outputs = {
             "activity": report.value,
             "certified": report.certified,
             "coherence": gaussian_coherence(state),
+            "b": report.params["b"].tolist(),
+            "eig_residual": report.params["eig_residual"],
         }
-        if "b" in report.params:
-            outputs["b"] = list(report.params["b"])
+        if state.n_modes == 2:
             outputs["theta"] = report.params["theta"]
             outputs["delta_phi"] = report.params["delta_phi"]
         certified = report.certified
@@ -358,9 +358,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cm_activity(gamma: np.ndarray) -> float:
-    from .activity import activity_single_mode
-
-    return activity_single_mode(GaussianState(np.zeros(2), gamma)).value
+    return local_activity(GaussianState(np.zeros(2), gamma)).value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--fock-dim", type=int, default=40)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--restarts", type=int, default=16)
         p.add_argument("--json", action="store_true", help="emit a JSON result record")
 
     p = sub.add_parser("activity", help="relative entropy of local activity")

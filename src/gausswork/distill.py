@@ -14,7 +14,7 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import unitary_to_orthosymplectic, validate_cm
+from .symplectic import rotation, unitary_to_orthosymplectic, validate_cm
 from .work import quadratic_work
 
 
@@ -24,12 +24,6 @@ class DistillationOutcome:
     output_value: float
     circuit: np.ndarray
     output_state: GaussianState
-
-
-def _phase_rot(phi: float) -> np.ndarray:
-    # Clockwise convention matching the two-copy processing formula.
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
 
 
 def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tuple:
@@ -47,8 +41,7 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
         raise ValueError(
             f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
         )
-    phi1, phi2, phi3, phi4 = (float(p) for p in phis)
-    r1, r2, r3, r4 = (_phase_rot(p) for p in (phi1, phi2, phi3, phi4))
+    r1, r2, r3, r4 = (rotation(-float(p)) for p in phis)
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     mixed3 = r3 @ gamma @ r3.T
     mixed4 = r4 @ gamma @ r4.T

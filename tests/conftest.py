@@ -1,6 +1,9 @@
 """Shared random-instance generators and brute-force oracles."""
 
+import math
+
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import xlogy
 from scipy.stats import unitary_group
 
@@ -56,3 +59,82 @@ def fock_relative_entropy(rho: gw.GaussianState, sigma: gw.GaussianState, dim=40
 def fock_entropy(mat):
     w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
     return float(-np.sum(xlogy(w, w)))
+
+
+def _unitary_from_params(params, n):
+    u = np.eye(n, dtype=complex)
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            th, ph = params[k], params[k + 1]
+            k += 2
+            ci, si = np.cos(th), np.sin(th) * np.exp(1j * ph)
+            rows = u[[i, j], :].copy()
+            u[i, :] = ci * rows[0] - si * rows[1]
+            u[j, :] = np.conj(si) * rows[0] + ci * rows[1]
+    return u
+
+
+def powell_activity(state: gw.GaussianState, restarts=16, seed=0, max_iter=400, ftol=1e-12):
+    """Activity by multi-start Powell descent over a Givens/phase chart of U(N).
+
+    Independent of the spectral formula: it minimises -S + sum_i g(occ_i)
+    over the photon numbers occ of the interferometer-conjugated state.  The
+    first start is the identity, the rest are seeded uniform angles.
+    """
+    n = state.n_modes
+    overlap = gw.photon_overlap_matrix(state) + 0.5 * np.eye(n)
+    entropy = gw.von_neumann_entropy(state)
+
+    def objective(params):
+        u = _unitary_from_params(params, n)
+        occ = np.real(np.diag(u.T @ overlap @ np.conj(u)))
+        return float(np.sum(gw.thermal_entropy(np.clip(occ, 0.5, None))))
+
+    n_params = n * (n - 1)
+    if n_params == 0:
+        return -entropy + float(gw.thermal_entropy(overlap[0, 0].real))
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(n_params)]
+    starts += [rng.uniform(-np.pi, np.pi, size=n_params) for _ in range(max(restarts - 1, 0))]
+    best = math.inf
+    for x0 in starts:
+        res = minimize(
+            objective, x0, method="Powell", options={"maxiter": max_iter, "xtol": 1e-10, "ftol": ftol}
+        )
+        best = min(best, float(res.fun))
+    return -entropy + best
+
+
+def two_mode_closed_form(state: gw.GaussianState):
+    """Algebraic two-mode activity from block traces and displacement quadratics.
+
+    Returns (value, (b1, b2), theta, delta_phi, witness covariance).
+    """
+    assert state.n_modes == 2
+    cm, d = state.cm, state.displacement
+    a_tr = float(cm[0, 0] + cm[1, 1])
+    b_tr = float(cm[2, 2] + cm[3, 3])
+    c_tr = float(cm[0, 2] + cm[1, 3])
+    ups = float(cm[0, 3] - cm[1, 2])
+    d1, d2, d3, d4 = d
+    alpha_t = a_tr + b_tr + d1**2 + d2**2 + d3**2 + d4**2
+    beta_t = a_tr - b_tr + d1**2 + d2**2 - d3**2 - d4**2
+    c_t = c_tr + d1 * d3 + d2 * d4
+    u_t = ups + d1 * d4 - d2 * d3
+
+    radius = math.hypot(beta_t, 2.0 * math.hypot(c_t, u_t))
+    b1 = 0.25 * (alpha_t + radius)
+    b2 = max(0.25 * (alpha_t - radius), 0.5)
+    off = math.hypot(c_t, u_t)
+    theta = 0.0 if off == 0.0 and beta_t == 0.0 else -0.5 * math.atan2(2.0 * off, beta_t)
+    delta_phi = math.atan2(u_t, c_t) if off > 0.0 else 0.0
+
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[np.cos(delta_phi), np.sin(delta_phi)], [-np.sin(delta_phi), np.cos(delta_phi)]])
+    passive = np.block([[c * rot, s * rot], [-s * np.eye(2), c * np.eye(2)]])
+    witness = passive @ np.diag([b1, b1, b2, b2]) @ passive.T
+    value = float(
+        gw.thermal_entropy(b1) + gw.thermal_entropy(b2) - np.sum(gw.thermal_entropy(gw.symplectic_eigenvalues(cm)))
+    )
+    return value, (b1, b2), theta, delta_phi, 0.5 * (witness + witness.T)

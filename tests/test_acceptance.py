@@ -9,11 +9,13 @@ import pytest
 import gausswork as gw
 from conftest import (
     fock_relative_entropy,
+    powell_activity,
     random_cm,
     random_free_cm,
     random_orthosymplectic,
     random_state,
     random_symplectic,
+    two_mode_closed_form,
 )
 
 
@@ -36,18 +38,16 @@ def test_criterion_02_preset_reproduction():
         via_fock = gw.fock_single_mode_activity(gw.fock_number_state(n, 40))
         assert via_fock == pytest.approx(gw.thermal_entropy(n + 0.5), abs=1e-9)
     for r in np.linspace(0.2, 1.4, 5):
-        value = gw.activity_single_mode(gw.squeezed(r)).value
+        value = gw.local_activity(gw.squeezed(r)).value
         assert value == pytest.approx(gw.thermal_entropy(math.sinh(r) ** 2 + 0.5), abs=1e-9)
     for a in np.linspace(0.3, 1.5, 5):
-        value = gw.activity_single_mode(gw.coherent(a)).value
+        value = gw.local_activity(gw.coherent(a)).value
         assert value == pytest.approx(gw.thermal_entropy(a**2 + 0.5), abs=1e-9)
     for i, r in enumerate(np.linspace(0.2, 1.0, 5)):
         expected = 2 * gw.thermal_entropy(math.sinh(r) ** 2 + 0.5)
-        closed = gw.activity_two_mode(gw.two_mode_squeezed(r)).value
+        closed = gw.local_activity(gw.two_mode_squeezed(r)).value
         assert closed == pytest.approx(expected, abs=1e-9)
-        numeric = gw.activity_numeric(
-            gw.two_mode_squeezed(r), gw.OptimizerConfig(restarts=8, seed=i)
-        ).value
+        numeric = powell_activity(gw.two_mode_squeezed(r), restarts=8, seed=i)
         assert numeric == pytest.approx(expected, abs=1e-5)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -60,15 +60,16 @@ def test_criterion_03_closed_form_vs_numeric_oracle():
     worst = 0.0
     for k in range(100):
         state = random_state(rng, 2, nu_min=0.5, nu_max=2.5, r_max=1.0, d_scale=1.0)
-        closed = gw.activity_two_mode(state).value
-        numeric = gw.activity_numeric(state, gw.OptimizerConfig(restarts=16, seed=k)).value
-        worst = max(worst, abs(closed - numeric))
+        spectral = gw.local_activity(state).value
+        closed = two_mode_closed_form(state)[0]
+        numeric = powell_activity(state, restarts=16, seed=k)
+        worst = max(worst, abs(spectral - closed), abs(spectral - numeric))
     elapsed = time.monotonic() - start
     assert worst < 1e-5
     assert elapsed < 300.0
     print(
-        f"\nPASS criterion 3: closed form vs optimizer on 100 displaced two-mode states, "
-        f"max |diff| = {worst:.2e} in {elapsed:.1f}s"
+        f"\nPASS criterion 3: spectral formula vs closed form and optimizer on 100 displaced "
+        f"two-mode states, max |diff| = {worst:.2e} in {elapsed:.1f}s"
     )
 
 
@@ -214,10 +215,10 @@ def test_criterion_08_no_go_sweeps():
         theta = rng.uniform(0, 2 * np.pi)
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
-        base_act = gw.activity_single_mode(gw.GaussianState(np.zeros(2), gamma)).value
+        base_act = gw.local_activity(gw.GaussianState(np.zeros(2), gamma)).value
         base_work = gw.quadratic_work(gamma)
         for out in (g1, g2):
-            out_act = gw.activity_single_mode(gw.GaussianState(np.zeros(2), out)).value
+            out_act = gw.local_activity(gw.GaussianState(np.zeros(2), out)).value
             worst_act = max(worst_act, out_act - base_act)
             worst_work = max(worst_work, gw.quadratic_work(out) - base_work)
     assert worst_act <= 1e-9

@@ -62,6 +62,22 @@ def test_work_command(capsys):
     assert quadratic == pytest.approx(2 * math.sinh(1.0) ** 2, rel=1e-9)
 
 
+def test_activity_command_reports_spectrum(capsys):
+    code, out, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.5", "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["activity"] == pytest.approx(gw.preset_activity("tms", 0.5), abs=1e-12)
+    assert outputs["certified"] is True
+    np.testing.assert_allclose(outputs["b"], [math.cosh(1.0) / 2] * 2, atol=1e-12)
+    assert {"theta", "delta_phi", "eig_residual"} <= outputs.keys()
+
+    code, out, _ = run_cli(capsys, "activity", "--state", "preset:squeezed:0.5", "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["b"] == pytest.approx([math.sinh(0.5) ** 2 + 0.5], abs=1e-12)
+    assert "theta" not in outputs and "delta_phi" not in outputs
+
+
 def test_demo_distill_activity(capsys):
     code, out, _ = run_cli(capsys, "demo", "distill-activity", "--json")
     assert code == 0

@@ -67,11 +67,11 @@ def test_no_go_sweep():
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
         base_state = gw.GaussianState(np.zeros(2), gamma)
-        base_activity = gw.activity_single_mode(base_state).value
+        base_activity = gw.local_activity(base_state).value
         base_work = gw.quadratic_work(gamma)
         for out in (g1, g2):
             out_state = gw.GaussianState(np.zeros(2), out)
-            assert gw.activity_single_mode(out_state).value <= base_activity + 1e-9
+            assert gw.local_activity(out_state).value <= base_activity + 1e-9
             assert gw.quadratic_work(out) <= base_work + 1e-9
 
 
