@@ -285,6 +285,7 @@ def _cmd_channel(args) -> int:
             "output_nbar": nbar,
             "output_trace": out.trace,
             "completeness_deficit": deficit,
+            "unitarity_residual": kraus.unitarity_residual,
         }
     else:
         if isinstance(state, FockDensity):
@@ -376,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, state=True):
         if state:
             p.add_argument("--state", required=True, help="state file, inline JSON, or preset:name:args")
+            p.add_argument("--fock-dim", type=int, default=40)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fock-dim", type=int, default=40)
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--json", action="store_true", help="emit a JSON result record")
 
     p = sub.add_parser("activity", help="relative entropy of local activity")
@@ -404,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freecheck", help="spectral and structural freeness tests")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_freecheck)
 
     p = sub.add_parser("channel", help="thermal-loss channel (phase space or Fock Kraus)")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import rotation, unitary_to_orthosymplectic, validate_cm
+from .symplectic import require_valid_cm, rotation, unitary_to_orthosymplectic
 from .work import quadratic_work
 
 
@@ -36,11 +36,7 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (2, 2):
         raise ValueError(f"expected a single-mode (2x2) covariance matrix, got {gamma.shape}")
-    check = validate_cm(gamma)
-    if not check.valid:
-        raise ValueError(
-            f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
-        )
+    require_valid_cm(gamma)
     r1, r2, r3, r4 = (rotation(-float(p)) for p in phis)
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     mixed3 = r3 @ gamma @ r3.T

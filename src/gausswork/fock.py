@@ -1,24 +1,31 @@
-"""Truncated Fock-space machinery: lossy-channel Kraus operators, Gaussian
-post-selection, moment extraction and single-mode activity of non-Gaussian
-states.
+"""Truncated Fock-space machinery: beam-splitter amplitudes, lossy-channel
+Kraus operators, Gaussian post-selection, moment extraction and single-mode
+activity of non-Gaussian states.
 
 ``eta`` is the *amplitude* transmittance throughout, matching the
 beam-splitter amplitude split (eta, sqrt(1 - eta^2)); the intensity
 transmittance is eta^2.
+
+Beam-splitter amplitudes come from one recurrence in total photon number N
+(see ``_bs_blocks``) that yields the orthogonal N-photon blocks B_N.  Their
+unitarity residual ||B_N B_N^T - I|| is checked before anything is built
+from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
+and ``KrausSet.unitarity_residual`` reports the largest residual of an
+accepted Kraus set.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import xlogy
 
-from ._kernels import bs_amplitude, bs_amplitude_diag, log_factorials
-from .states import GaussianState, thermal_entropy
-from .symplectic import validate_cm
+from .states import GaussianState, _mode_indices, thermal_entropy
+from .symplectic import TOL_PHYS, validate_cm
+
+UNITARITY_TOL = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,12 +53,17 @@ class FockDensity:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Thermal-loss Kraus operators K_{mn}, indexed by bath (out, in) photons."""
+    """Thermal-loss Kraus operators K_{mn}, indexed by bath (out, in) photons.
+
+    ``unitarity_residual`` is the largest ||B_N B_N^T - I|| over the
+    beam-splitter blocks the operators were gathered from.
+    """
 
     operators: Dict[Tuple[int, int], np.ndarray]
     eta: float
     nbar_bath: float
     dim: int
+    unitarity_residual: float
 
     def completeness_diagonal(self) -> np.ndarray:
         """Diagonal of sum_K K^dag K; deviation from 1 is the truncation deficit."""
@@ -61,9 +73,57 @@ class KrausSet:
         return total
 
 
-@lru_cache(maxsize=None)
-def _log_fact(n_max: int) -> np.ndarray:
-    return log_factorials(n_max)
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
+
+
+def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
+    """Yield the blocks B_N[m1, n1] = <m1, N - m1| U_bs |n1, N - n1>, N = 0..n_max.
+
+    U_bs maps a^dag -> eta a^dag + tau b^dag and b^dag -> -tau a^dag + eta b^dag
+    (tau = sqrt(1 - eta^2)).  Since (a^dag a + b^dag b) / N is the identity
+    on N photons, each input column adds one photon to both input modes,
+    weighted by their occupations:
+    B_N = [(eta a^dag + tau b^dag) B_{N-1} a + (-tau a^dag + eta b^dag) B_{N-1} b] / N,
+    with a^dag, b^dag acting on the output (rows) and a, b on the input
+    (columns).  This step cannot amplify rounding errors, so
+    ||B_N B_N^T - I|| grows only about as fast as N eps.
+    """
+    tau = math.sqrt(1.0 - eta * eta)
+    block = np.ones((1, 1))
+    yield block
+    for n in range(1, n_max + 1):
+        k = np.arange(n + 1)
+        up_a = np.zeros((n + 1, n))
+        up_a[1:] = np.sqrt(k[1:, None]) * block
+        up_b = np.zeros((n + 1, n))
+        up_b[:-1] = np.sqrt(n - k[:-1, None]) * block
+        block = np.zeros((n + 1, n + 1))
+        block[:, 1:] += np.sqrt(k[1:]) * (eta * up_a + tau * up_b)
+        block[:, :-1] += np.sqrt(n - k[:-1]) * (eta * up_b - tau * up_a)
+        block /= n
+        yield block
+
+
+def _unitarity_residual(blocks, eta: float) -> float:
+    """Largest ||B_N B_N^T - I|| over ``blocks``.
+
+    Raises:
+        ValueError: naming the residual of the first block above
+            UNITARITY_TOL * (N + 1).
+    """
+    worst = 0.0
+    for block in blocks:
+        size = len(block)
+        residual = float(np.linalg.norm(block @ block.T - np.eye(size)))
+        if residual > UNITARITY_TOL * size:
+            raise ValueError(
+                f"beam-splitter block N = {size - 1} has unitarity residual {residual:.3e} above "
+                f"tolerance {UNITARITY_TOL * size:.1e} (eta = {eta})"
+            )
+        worst = max(worst, residual)
+    return worst
 
 
 def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
@@ -71,17 +131,21 @@ def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
     for label, idx in (("m1", m1), ("m", m), ("n1", n1), ("n", n)):
         if idx < 0 or idx != int(idx):
             raise ValueError(f"photon number {label} must be a nonnegative integer, got {idx}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
-    table = _log_fact(max(int(m1), int(m), int(n1), int(n), 1))
-    return float(bs_amplitude(int(m1), int(m), int(n1), int(n), float(eta), table))
+    _check_eta(eta)
+    if m1 + m != n1 + n:
+        return 0.0
+    for block in _bs_blocks(float(eta), int(n1 + n)):  # hold one block at a time
+        pass
+    _unitarity_residual([block], eta)
+    return float(block[int(m1), int(n1)])
 
 
 def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> KrausSet:
     """Kraus operators of the thermal-loss channel in a dim-level truncation.
 
-    K_{mn} = sqrt(p_n) <m| U_bs |n> with p_n the geometric bath weights;
-    indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
+    K_{mn}[m1, n1] = sqrt(p_n) B_{n1+n}[m1, n1] (m1 = n1 + n - m) with p_n the
+    geometric bath weights, so photon numbers up to N = dim - 1 + max_mn are
+    needed; indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
     dropped, so nbar_bath = 0 reduces to the pure-loss set).
     """
     if dim < 2:
@@ -90,27 +154,23 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
         raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
     if max_mn > dim:
         raise ValueError(f"truncation dim {dim} too small for max_mn {max_mn}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
+    _check_eta(eta)
     if nbar_bath < 0:
         raise ValueError(f"bath mean photon number must be nonnegative, got {nbar_bath}")
     x = nbar_bath / (nbar_bath + 1.0)
-    table = _log_fact(dim + max_mn + 1)
-    operators: Dict[Tuple[int, int], np.ndarray] = {}
-    for n in range(max_mn + 1):
-        p_n = (1.0 - x) * x**n
-        if p_n == 0.0:
-            continue
-        root_p = math.sqrt(p_n)
-        for m in range(max_mn + 1):
-            amps = bs_amplitude_diag(m, n, float(eta), dim, table)
-            op = np.zeros((dim, dim))
-            n1 = np.arange(dim)
-            m1 = n1 + n - m
-            ok = (m1 >= 0) & (m1 < dim)
-            op[m1[ok], n1[ok]] = root_p * amps[ok]
-            operators[(m, n)] = op
-    return KrausSet(operators=operators, eta=eta, nbar_bath=nbar_bath, dim=dim)
+    root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
+    n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
+    blocks = list(_bs_blocks(float(eta), dim - 1 + n_max))
+    residual = _unitarity_residual(blocks, eta)
+    operators = {}
+    for n in range(n_max + 1):
+        ops = np.zeros((max_mn + 1, dim, dim))
+        for n1 in range(dim):
+            total = n1 + n
+            m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
+            ops[total - m1, m1, n1] = root_p[n] * blocks[total][m1, n1]
+        operators.update(((m, n), ops[m]) for m in range(max_mn + 1))
+    return KrausSet(operators=operators, eta=eta, nbar_bath=nbar_bath, dim=dim, unitarity_residual=residual)
 
 
 def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
@@ -137,8 +197,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
     """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
+    _check_eta(eta)
     if nbar_bath < 0:
         raise ValueError(f"bath mean photon number must be nonnegative, got {nbar_bath}")
     dim = state.cm.shape[0]
@@ -162,14 +221,7 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
         raise ValueError("measurement covariance has wrong dimension")
     if not validate_cm(gamma_meas).valid:
         raise ValueError("measurement covariance is unphysical")
-
-    def idx(modes):
-        out = np.empty(2 * len(modes), dtype=int)
-        out[0::2] = [2 * m for m in modes]
-        out[1::2] = [2 * m + 1 for m in modes]
-        return out
-
-    ia, ib = idx(keep), idx(measured)
+    ia, ib = _mode_indices(keep), _mode_indices(measured)
     cm_aa = state.cm[np.ix_(ia, ia)]
     cm_ab = state.cm[np.ix_(ia, ib)]
     cm_bb = state.cm[np.ix_(ib, ib)]
@@ -220,6 +272,8 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
 
     dec = williamson(state.cm)
     nu = float(dec.nu[0])
+    if abs(nu - 0.5) <= TOL_PHYS:
+        nu = 0.5
     bm = bloch_messiah(dec.symplectic)
     psi = math.atan2(bm.o_out[1, 0], bm.o_out[0, 0])
     r = float(bm.r[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import is_orthosymplectic, symplectic_trace, validate_cm
+from .symplectic import is_orthosymplectic, require_valid_cm, symplectic_trace
 
 TOL_FREE = 1e-8
 
@@ -69,12 +69,7 @@ def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
     tolerance); ``structural_form`` checks the block structure, a necessary
     condition only.
     """
-    cm = np.asarray(cm, dtype=float)
-    check = validate_cm(cm)
-    if not check.valid:
-        raise ValueError(
-            f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
-        )
+    cm = require_valid_cm(cm)
     trace = float(np.trace(cm))
     gap = trace - symplectic_trace(cm)
     tol_eff = tol_free * max(1.0, trace)

@@ -14,10 +14,10 @@ from scipy.special import xlogy
 
 from .symplectic import (
     TOL_PHYS,
+    require_valid_cm,
     rotation,
     symplectic_form,
     symplectic_eigenvalues,
-    validate_cm,
     williamson,
 )
 
@@ -49,11 +49,7 @@ class GaussianState:
         cm = np.array(self.cm, dtype=float)
         if not np.all(np.isfinite(d)):
             raise ValueError("displacement vector must be finite")
-        check = validate_cm(cm)
-        if not check.valid:
-            raise ValueError(
-                f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
-            )
+        require_valid_cm(cm)
         if d.size != cm.shape[0]:
             raise ValueError(f"displacement length {d.size} does not match matrix dimension {cm.shape[0]}")
         d.setflags(write=False)
@@ -223,16 +219,22 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState, eps_pure: float =
     return -von_neumann_entropy(rho) + 0.5 * (logdet + cross)
 
 
-def mutual_information(state: GaussianState, modes_a, modes_b=None) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) across a bipartition."""
+def _bipartition(n_modes: int, modes_a, modes_b=None):
+    """Sorted mode lists of a bipartition; ``modes_b`` defaults to the complement."""
     modes_a = sorted(set(int(m) for m in modes_a))
     if modes_b is None:
-        modes_b = [m for m in range(state.n_modes) if m not in modes_a]
+        modes_b = [m for m in range(n_modes) if m not in modes_a]
     modes_b = sorted(set(int(m) for m in modes_b))
     if set(modes_a) & set(modes_b):
         raise ValueError("bipartition blocks overlap")
-    if set(modes_a) | set(modes_b) != set(range(state.n_modes)):
+    if set(modes_a) | set(modes_b) != set(range(n_modes)):
         raise ValueError("bipartition must cover all modes")
+    return modes_a, modes_b
+
+
+def mutual_information(state: GaussianState, modes_a, modes_b=None) -> float:
+    """Quantum mutual information S(A) + S(B) - S(AB) across a bipartition."""
+    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
     sa = von_neumann_entropy(partial_trace(state, modes_a))
     sb = von_neumann_entropy(partial_trace(state, modes_b))
     return sa + sb - von_neumann_entropy(state)

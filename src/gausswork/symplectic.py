@@ -104,6 +104,17 @@ def validate_cm(mat: np.ndarray, tol_phys: float = TOL_PHYS, tol_symp: float = T
     return CMValidation(valid, nu_min)
 
 
+def require_valid_cm(mat: np.ndarray) -> np.ndarray:
+    """Return ``mat`` as a float array; ValueError unless it passes :func:`validate_cm`."""
+    mat = np.asarray(mat, dtype=float)
+    check = validate_cm(mat)
+    if not check.valid:
+        raise ValueError(
+            f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
+        )
+    return mat
+
+
 def _sym_sqrt(cm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
     w, v = np.linalg.eigh(cm)
     if w[0] < min_eig:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free import TOL_FREE, FreeCovariance, is_free_cm
-from .states import GaussianState
-from .symplectic import bloch_messiah, symplectic_trace, validate_cm, williamson
+from .states import GaussianState, _bipartition, _mode_indices
+from .symplectic import bloch_messiah, require_valid_cm, symplectic_trace, williamson
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,7 @@ class WorkReport:
 
 def quadratic_work(cm: np.ndarray) -> float:
     """(Tr cm - Str cm) / 2 for a bare covariance matrix."""
-    cm = np.asarray(cm, dtype=float)
-    check = validate_cm(cm)
-    if not check.valid:
-        raise ValueError(
-            f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
-        )
+    cm = require_valid_cm(cm)
     return 0.5 * (float(np.trace(cm)) - symplectic_trace(cm))
 
 
@@ -83,21 +78,9 @@ def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
 def superadditivity_gap(cm: np.ndarray, modes_a, modes_b) -> float:
     """W(joint) - W(A) - W(B) for a bipartition of the modes; nonnegative."""
     cm = np.asarray(cm, dtype=float)
-    n = cm.shape[0] // 2
-    modes_a = sorted(set(int(m) for m in modes_a))
-    modes_b = sorted(set(int(m) for m in modes_b))
-    if set(modes_a) & set(modes_b):
-        raise ValueError("bipartition blocks overlap")
-    if set(modes_a) | set(modes_b) != set(range(n)):
-        raise ValueError("bipartition must cover all modes")
-
-    def sub(modes):
-        idx = np.empty(2 * len(modes), dtype=int)
-        idx[0::2] = [2 * m for m in modes]
-        idx[1::2] = [2 * m + 1 for m in modes]
-        return cm[np.ix_(idx, idx)]
-
-    return quadratic_work(cm) - quadratic_work(sub(modes_a)) - quadratic_work(sub(modes_b))
+    modes_a, modes_b = _bipartition(cm.shape[0] // 2, modes_a, modes_b)
+    ia, ib = _mode_indices(modes_a), _mode_indices(modes_b)
+    return quadratic_work(cm) - quadratic_work(cm[np.ix_(ia, ia)]) - quadratic_work(cm[np.ix_(ib, ib)])
 
 
 def is_work_free(cm: np.ndarray, tol: float = TOL_FREE) -> bool:

@@ -173,6 +173,7 @@ def test_channel_kraus_route(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["outputs"]["output_nbar"] == pytest.approx(0.82, abs=1e-6)
+    assert 0.0 < record["outputs"]["unitarity_residual"] < 1e-10
 
 
 def test_freecheck_free_state(capsys):
@@ -189,8 +190,15 @@ def test_invalid_state_exits_2(capsys):
 
 
 def test_unknown_command_exits_64(capsys):
-    code, _, _ = run_cli(capsys, "frobnicate")
-    assert code == 64
+    for argv in (
+        ["frobnicate"],
+        ["demo", "distill-work", "--tol", "1e-3"],
+        ["work", "--state", "preset:vacuum", "--tol", "1e-3"],
+        ["demo", "fock-postselect", "--fock-dim", "60"],
+        ["sweep", "--count", "2", "--fock-dim", "60"],
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 64, argv
 
 
 def test_json_records_are_deterministic(capsys):

@@ -1,11 +1,28 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import gausswork as gw
-from gausswork import _kernels
+from gausswork.fock import _bs_blocks
 from conftest import fock_entropy, random_state
+
+
+def mp_bs_amplitude(m1, m, n1, n, eta):
+    """<m1, m| U_bs |n1, n> as the binomial double sum at 60 significant digits."""
+    with mpmath.workdps(60):
+        eta = mpmath.mpf(eta)
+        tau = mpmath.sqrt(1 - eta**2)
+        acc = mpmath.mpf(0)
+        for s in range(max(m - n, 0), min(n1, m) + 1):
+            t = m - s
+            acc += (
+                mpmath.binomial(n1, s) * mpmath.binomial(n, t)
+                * eta ** (n1 - s + t) * tau ** (s + n - t) * (-1) ** (n - t)
+            )
+        pref = mpmath.sqrt(mpmath.factorial(m1) * mpmath.factorial(m) / (mpmath.factorial(n1) * mpmath.factorial(n)))
+        return float(acc * pref)
 
 
 def test_bs_element_vacuum_fixed_point():
@@ -49,6 +66,10 @@ def test_bs_blocks_are_unitary():
             ]
         )
         np.testing.assert_allclose(block @ block.T, np.eye(k + 1), atol=1e-10)
+    for eta in (0.3, 0.5, 0.73, 0.9):
+        blocks = list(_bs_blocks(eta, 100))
+        for k in (40, 60, 80, 100):
+            np.testing.assert_allclose(blocks[k] @ blocks[k].T, np.eye(k + 1), atol=1e-10)
 
 
 def test_bs_element_eta_one_is_identity():
@@ -56,12 +77,32 @@ def test_bs_element_eta_one_is_identity():
     assert gw.bs_matrix_element(2, 3, 3, 2, 1.0) == 0.0
 
 
-def test_kernel_fallback_matches_jitted():
-    table = _kernels.log_factorials(30)
-    for m, n in [(0, 0), (1, 0), (2, 3), (5, 5), (10, 7)]:
-        jit = _kernels.bs_amplitude_diag(m, n, 0.8, 25, table)
-        plain = _kernels.bs_amplitude_diag_numpy(m, n, 0.8, 25, table)
-        np.testing.assert_allclose(jit, plain, atol=1e-14)
+def test_bs_amplitudes_match_mpmath():
+    rng = np.random.default_rng(96)
+    for eta in (0.3, 0.5, 0.8, 0.9):
+        for total in [100, 200] + list(rng.integers(1, 101, size=10)):
+            m1, n1 = (int(v) for v in rng.integers(0, total + 1, size=2))
+            expected = mp_bs_amplitude(m1, total - m1, n1, total - n1, eta)
+            got = gw.bs_matrix_element(m1, total - m1, n1, total - n1, eta)
+            assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_bs_element_refuses_nonunitary_blocks(monkeypatch):
+    # With a zero tolerance every rounding error counts as lost unitarity.
+    monkeypatch.setattr("gausswork.fock.UNITARITY_TOL", 0.0)
+    with pytest.raises(ValueError, match=r"block N = 200 has unitarity residual \d"):
+        gw.bs_matrix_element(100, 100, 100, 100, 0.8)
+
+
+def test_kraus_refuses_nonunitary_blocks(monkeypatch):
+    monkeypatch.setattr("gausswork.fock.UNITARITY_TOL", 0.0)
+    with pytest.raises(ValueError, match="unitarity residual"):
+        gw.thermal_loss_kraus(0.8, 0.5, 20, 20)
+
+
+def test_kraus_reports_unitarity_residual():
+    ks = gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
+    assert 0.0 < ks.unitarity_residual < 1e-10
 
 
 def test_k00_maps_thermal_to_thermal():
@@ -259,6 +300,17 @@ def test_fock_from_gaussian_moment_roundtrip():
     rng = np.random.default_rng(94)
     for _ in range(10):
         state = random_state(rng, 1, nu_min=0.5, nu_max=1.6, r_max=0.7, d_scale=0.5)
+        rho = gw.fock_from_gaussian(state, 60)
+        assert rho.trace == pytest.approx(1.0, abs=1e-7)
+        d, cm = gw.fock_moments(rho)
+        np.testing.assert_allclose(d, state.displacement, atol=1e-6)
+        np.testing.assert_allclose(cm, state.cm, atol=1e-6)
+
+
+def test_fock_from_gaussian_accepts_pure_squeezed_states():
+    rng = np.random.default_rng(97)
+    for _ in range(16):
+        state = gw.squeezed(rng.uniform(0.1, 0.5), rng.uniform(0.0, math.pi))
         rho = gw.fock_from_gaussian(state, 60)
         assert rho.trace == pytest.approx(1.0, abs=1e-7)
         d, cm = gw.fock_moments(rho)
