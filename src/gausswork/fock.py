@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import xlogy
 
-from .states import GaussianState, _mode_indices, thermal_entropy
+from .states import GaussianState, _mode_indices, _xlogx, thermal_entropy
 from .symplectic import TOL_PHYS, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -76,6 +74,11 @@ class KrausSet:
 def _check_eta(eta: float) -> None:
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
+
+
+def _check_nbar(nbar_bath: float) -> None:
+    if not 0.0 <= nbar_bath < math.inf:
+        raise ValueError(f"bath mean photon number must be finite and nonnegative, got {nbar_bath}")
 
 
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
@@ -155,8 +158,7 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     if max_mn > dim:
         raise ValueError(f"truncation dim {dim} too small for max_mn {max_mn}")
     _check_eta(eta)
-    if nbar_bath < 0:
-        raise ValueError(f"bath mean photon number must be nonnegative, got {nbar_bath}")
+    _check_nbar(nbar_bath)
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
@@ -198,8 +200,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
     """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I."""
     _check_eta(eta)
-    if nbar_bath < 0:
-        raise ValueError(f"bath mean photon number must be nonnegative, got {nbar_bath}")
+    _check_nbar(nbar_bath)
     dim = state.cm.shape[0]
     cm = eta**2 * state.cm + (1.0 - eta**2) * (nbar_bath + 0.5) * np.eye(dim)
     return GaussianState(eta * state.displacement, cm)
@@ -259,12 +260,21 @@ def fock_thermal(nbar: float, dim: int) -> FockDensity:
     return FockDensity(np.diag(weights), dim=dim)
 
 
+def _unitary_exp(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for anti-Hermitian ``gen``: V exp(-1j lam) V^dag from eigh(1j gen) = (lam, V)."""
+    lam, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
 def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     """Fock representation of a single-mode Gaussian state.
 
-    Built as displaced, rotated, squeezed thermal via matrix exponentials in
-    a padded working dimension, then cropped; truncation leak therefore
-    shows up as a trace below 1 (check ``.trace``).
+    Built as displaced, rotated, squeezed thermal in a padded working
+    dimension, then cropped.  The rotation is the diagonal phase
+    exp(1j psi n); the squeezer and the displacement exponentiate their
+    truncated anti-Hermitian generators through one Hermitian
+    eigendecomposition each.  Truncation leak therefore shows up as a trace
+    below 1 (check ``.trace``).
     """
     if state.n_modes != 1:
         raise ValueError("fock conversion implemented for single-mode states")
@@ -283,15 +293,15 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     adag = a.T
     rho = fock_thermal(nu - 0.5, work).matrix.astype(complex)
     if r != 0.0:
-        usq = expm(0.5 * r * (adag @ adag - a @ a))
+        usq = _unitary_exp(0.5 * r * (adag @ adag - a @ a))
         rho = usq @ rho @ usq.conj().T
     if psi != 0.0:
-        urot = expm(1j * psi * (adag @ a))
-        rho = urot @ rho @ urot.conj().T
+        phase = np.exp(1j * psi * np.arange(work))
+        rho = phase[:, None] * rho * phase.conj()
     d = state.displacement
     alpha = (d[0] + 1j * d[1]) / math.sqrt(2.0)
     if alpha != 0:
-        disp = expm(alpha * adag - np.conj(alpha) * a)
+        disp = _unitary_exp(alpha * adag - np.conj(alpha) * a)
         rho = disp @ rho @ disp.conj().T
     return FockDensity(rho[:dim, :dim], dim=dim)
 
@@ -322,7 +332,7 @@ def fock_single_mode_activity(rho: FockDensity, leak_tol: float = 1e-6) -> float
     if leak > leak_tol:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {leak_tol:.1e}")
     evals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
-    entropy = float(-np.sum(xlogy(evals, evals)))
+    entropy = float(-np.sum(_xlogx(evals)))
     nbar = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.dim))
     return -entropy + float(thermal_entropy(nbar + 0.5))
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .symplectic import (
     TOL_PHYS,
@@ -24,6 +23,12 @@ from .symplectic import (
 EPS_PURE = 1e-8
 
 
+def _xlogx(x):
+    """Elementwise x ln x with 0 ln 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(np.where(x == 0.0, 1.0, x))
+
+
 def thermal_entropy(nu):
     """Entropy g(nu) of a thermal mode with symplectic eigenvalue ``nu``.
 
@@ -32,8 +37,8 @@ def thermal_entropy(nu):
     """
     nu = np.asarray(nu, dtype=float)
     hi = nu + 0.5
-    lo = np.clip(nu - 0.5, 0.0, None)
-    out = xlogy(hi, hi) - xlogy(lo, lo)
+    lo = np.maximum(nu - 0.5, 0.0)
+    out = _xlogx(hi) - _xlogx(lo)
     return float(out) if out.ndim == 0 else out
 
 
@@ -181,6 +186,13 @@ def von_neumann_entropy(state: GaussianState, tol_phys: float = TOL_PHYS) -> flo
     return float(np.sum(thermal_entropy(nus)))
 
 
+def _gibbs_from_williamson(dec) -> np.ndarray:
+    omega = symplectic_form(dec.nu.size)
+    gvals = 2.0 * np.arctanh(1.0 / (2.0 * dec.nu))
+    core = np.diag(np.repeat(gvals, 2))
+    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+
+
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     """Exponent matrix G of the Gaussian state rho ~ exp(-x^T G x / 2).
 
@@ -190,10 +202,7 @@ def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     dec = williamson(np.asarray(cm, dtype=float))
     if np.any(dec.nu <= 0.5):
         raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    omega = symplectic_form(dec.nu.size)
-    gvals = 2.0 * np.arctanh(1.0 / (2.0 * dec.nu))
-    core = np.diag(np.repeat(gvals, 2))
-    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+    return _gibbs_from_williamson(dec)
 
 
 def relative_entropy(rho: GaussianState, sigma: GaussianState, eps_pure: float = EPS_PURE) -> float:
@@ -201,18 +210,17 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState, eps_pure: float =
 
     Returns +inf when sigma has a symplectic eigenvalue within ``eps_pure``
     of 1/2 (support mismatch), unless the two states are exactly equal.
+    One Williamson decomposition of sigma gives both that check and the
+    Gibbs matrix.
     """
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
     if np.array_equal(rho.displacement, sigma.displacement) and np.array_equal(rho.cm, sigma.cm):
         return 0.0
-    nus2 = symplectic_eigenvalues(sigma.cm)
-    if np.any(nus2 <= 0.5 + eps_pure):
-        return math.inf
     dec = williamson(sigma.cm)
-    omega = symplectic_form(sigma.n_modes)
-    gvals = 2.0 * np.arctanh(1.0 / (2.0 * dec.nu))
-    g2 = -omega @ dec.symplectic @ np.diag(np.repeat(gvals, 2)) @ dec.symplectic.T @ omega
+    if np.any(dec.nu <= 0.5 + eps_pure):
+        return math.inf
+    g2 = _gibbs_from_williamson(dec)
     logdet = float(np.sum(np.log(dec.nu**2 - 0.25)))
     delta = rho.displacement - sigma.displacement
     cross = float(np.trace(rho.cm @ g2) + delta @ g2 @ delta)

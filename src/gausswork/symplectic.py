@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.linalg import schur
 
 TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
@@ -124,6 +123,18 @@ def _sym_sqrt(cm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def _hermitian_companion(cm: np.ndarray):
+    """Return (cm^{1/2}, H) with H = 1j * K for the skew part K of cm^{1/2} Omega cm^{1/2}.
+
+    H is Hermitian with eigenvalues +/- nu_k, the symplectic eigenvalues of cm.
+    """
+    cm = np.asarray(cm, dtype=float)
+    n = _even_square(cm, "covariance matrix")
+    root = _sym_sqrt(cm)
+    k = root @ symplectic_form(n) @ root
+    return root, 0.5j * (k - k.T)
+
+
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
 
@@ -131,13 +142,9 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     whose Hermitian companion 1j*K has eigenvalues +/- nu_k; this is
     numerically stable down to the pure-state boundary nu = 1/2.
     """
-    cm = np.asarray(cm, dtype=float)
-    n = _even_square(cm, "covariance matrix")
-    root = _sym_sqrt(cm)
-    k = root @ symplectic_form(n) @ root
-    herm = 0.5j * (k - k.T)
-    ev = np.linalg.eigvalsh(herm)
-    return np.sort(ev)[::-1][:n].copy()
+    _, herm = _hermitian_companion(cm)
+    n = herm.shape[0] // 2
+    return np.linalg.eigvalsh(herm)[n:][::-1].copy()
 
 
 def symplectic_trace(cm: np.ndarray) -> float:
@@ -163,34 +170,28 @@ class WilliamsonDecomposition:
 def williamson(cm: np.ndarray, tol_recon: float = TOL_RECON) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite matrix.
 
-    The skew-symmetric matrix cm^{1/2} @ Omega @ cm^{1/2} is brought to
-    canonical form by a real Schur decomposition; the symplectic factor is
-    assembled from its orthogonal basis.  Symplectic eigenvalues are sorted
-    descending, ties broken by block index for reproducibility.
+    The Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} (the one
+    :func:`symplectic_eigenvalues` uses) is diagonalised.  For an eigenvector
+    v = (x + 1j y) / sqrt(2) of eigenvalue +nu, conj(v) belongs to -nu, so
+    v^T v = 0: x and y are orthonormal, and (y, x) is a real canonical pair
+    with y^T K x = nu.  This holds inside degenerate eigenspaces too, so the
+    pairs of all +nu eigenvectors form an orthogonal basis bringing K to
+    canonical form; the symplectic factor is cm^{1/2} times that basis,
+    scaled by nu^{-1/2}.  Symplectic eigenvalues are sorted descending.
 
     Raises:
         ValueError: on near-singular input (min eigenvalue < 1e-12) or if
             the reconstruction residual exceeds ``tol_recon``.
     """
     cm = np.asarray(cm, dtype=float)
-    n = _even_square(cm, "covariance matrix")
-    root = _sym_sqrt(cm)
-    k = root @ symplectic_form(n) @ root
-    k = 0.5 * (k - k.T)
-    t, q = schur(k, output="real")
-    nu = np.empty(n)
-    for i in range(n):
-        b = 0.5 * (t[2 * i, 2 * i + 1] - t[2 * i + 1, 2 * i])
-        if b < 0:
-            q[:, [2 * i, 2 * i + 1]] = q[:, [2 * i + 1, 2 * i]]
-            b = -b
-        nu[i] = b
-    order = np.argsort(-nu, kind="stable")
-    nu = nu[order]
-    col_order = np.empty(2 * n, dtype=int)
-    col_order[0::2] = 2 * order
-    col_order[1::2] = 2 * order + 1
-    q = q[:, col_order]
+    root, herm = _hermitian_companion(cm)
+    n = herm.shape[0] // 2
+    w, v = np.linalg.eigh(herm)
+    nu = w[n:][::-1]
+    v = np.sqrt(2.0) * v[:, n:][:, ::-1]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = v.imag
+    q[:, 1::2] = v.real
     s = root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
     residual = np.linalg.norm(s @ np.diag(np.repeat(nu, 2)) @ s.T - cm)
     if residual > tol_recon * max(1.0, np.linalg.norm(cm)):

@@ -3,11 +3,14 @@
 import math
 
 import numpy as np
+from scipy.linalg import expm, schur
 from scipy.optimize import minimize
 from scipy.special import xlogy
 from scipy.stats import unitary_group
 
 import gausswork as gw
+from gausswork.fock import annihilation
+from gausswork.symplectic import TOL_PHYS
 
 
 def random_unitary(rng, n):
@@ -138,3 +141,50 @@ def two_mode_closed_form(state: gw.GaussianState):
         gw.thermal_entropy(b1) + gw.thermal_entropy(b2) - np.sum(gw.thermal_entropy(gw.symplectic_eigenvalues(cm)))
     )
     return value, (b1, b2), theta, delta_phi, 0.5 * (witness + witness.T)
+
+
+def schur_williamson(cm):
+    """Williamson decomposition (nu descending, S) by a real Schur form.
+
+    Independent of the library's Hermitian-eigenvector route: the skew part
+    of cm^{1/2} Omega cm^{1/2} is brought to 2 x 2 canonical blocks by
+    ``scipy.linalg.schur`` and S = cm^{1/2} Q diag(nu)^{-1/2}.
+    """
+    n = cm.shape[0] // 2
+    w, v = np.linalg.eigh(cm)
+    root = (v * np.sqrt(w)) @ v.T
+    k = root @ gw.symplectic_form(n) @ root
+    t, q = schur(0.5 * (k - k.T), output="real")
+    nu = np.empty(n)
+    for i in range(n):
+        b = 0.5 * (t[2 * i, 2 * i + 1] - t[2 * i + 1, 2 * i])
+        if b < 0:
+            q[:, [2 * i, 2 * i + 1]] = q[:, [2 * i + 1, 2 * i]]
+            b = -b
+        nu[i] = b
+    order = np.argsort(-nu, kind="stable")
+    cols = np.repeat(2 * order, 2) + np.tile([0, 1], n)
+    nu = nu[order]
+    return nu, root @ q[:, cols] @ np.diag(np.repeat(nu, 2) ** -0.5)
+
+
+def expm_fock_from_gaussian(state: gw.GaussianState, dim):
+    """Single-mode Fock density by ``scipy.linalg.expm`` of the squeezing,
+    rotation and displacement generators in a padded space, then cropped."""
+    nu, s = schur_williamson(state.cm)
+    nu = 0.5 if abs(nu[0] - 0.5) <= TOL_PHYS else float(nu[0])
+    bm = gw.bloch_messiah(s)
+    psi = math.atan2(bm.o_out[1, 0], bm.o_out[0, 0])
+    work = max(2 * dim, dim + 32)
+    a = annihilation(work)
+    adag = a.T
+    rho = gw.fock_thermal(nu - 0.5, work).matrix.astype(complex)
+    alpha = (state.displacement[0] + 1j * state.displacement[1]) / math.sqrt(2.0)
+    for gen in (
+        0.5 * bm.r[0] * (adag @ adag - a @ a),
+        1j * psi * (adag @ a),
+        alpha * adag - np.conj(alpha) * a,
+    ):
+        u = expm(gen)
+        rho = u @ rho @ u.conj().T
+    return rho[:dim, :dim]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +217,11 @@ def test_json_floats_roundtrip_losslessly(capsys):
     value = record["outputs"]["quadratic"]
     assert value == float(repr(value))
     assert json.loads(json.dumps(record)) == record
+
+
+def test_import_loads_no_scipy():
+    probe = "import gausswork.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

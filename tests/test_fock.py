@@ -6,7 +6,7 @@ import pytest
 
 import gausswork as gw
 from gausswork.fock import _bs_blocks
-from conftest import fock_entropy, random_state
+from conftest import expm_fock_from_gaussian, fock_entropy, random_state
 
 
 def mp_bs_amplitude(m1, m, n1, n, eta):
@@ -219,6 +219,14 @@ def test_phase_space_loss_rejects_bad_eta():
         gw.phase_space_loss_channel(gw.vacuum(1), 1.2, 0.5)
 
 
+@pytest.mark.parametrize("nbar", [math.inf, math.nan])
+def test_bath_must_be_finite(nbar):
+    with pytest.raises(ValueError, match=f"bath mean photon number .* got {nbar}"):
+        gw.thermal_loss_kraus(0.8, nbar, 6, 2)
+    with pytest.raises(ValueError, match=f"bath mean photon number .* got {nbar}"):
+        gw.phase_space_loss_channel(gw.vacuum(1), 0.8, nbar)
+
+
 def test_phase_space_loss_identity():
     state = gw.squeezed(0.5)
     out = gw.phase_space_loss_channel(state, 1.0, 0.7)
@@ -316,6 +324,22 @@ def test_fock_from_gaussian_accepts_pure_squeezed_states():
         d, cm = gw.fock_moments(rho)
         np.testing.assert_allclose(d, state.displacement, atol=1e-6)
         np.testing.assert_allclose(cm, state.cm, atol=1e-6)
+
+
+@pytest.mark.parametrize("dim", [20, 40])
+def test_fock_from_gaussian_matches_expm_reference(dim):
+    rng = np.random.default_rng(98)
+    states = [
+        gw.squeezed(0.6),
+        gw.squeezed(0.45, 1.1),
+        gw.coherent(0.7 - 0.4j),
+        gw.GaussianState([0.3, -0.5], gw.squeezed(0.3, -2.0).cm + 0.2 * np.eye(2)),
+    ]
+    states += [random_state(rng, 1, nu_min=0.5, nu_max=1.2, r_max=0.5, d_scale=0.5) for _ in range(4)]
+    for state in states:
+        np.testing.assert_allclose(
+            gw.fock_from_gaussian(state, dim).matrix, expm_fock_from_gaussian(state, dim), rtol=0, atol=1e-12
+        )
 
 
 def test_fock_from_gaussian_entropy_matches():

@@ -168,6 +168,21 @@ def test_relative_entropy_pure_target_is_infinite():
     assert math.isinf(gw.relative_entropy(gw.coherent(0.3), gw.squeezed(0.4)))
 
 
+def test_relative_entropy_matches_gibbs_matrix_formula():
+    # -S(rho) + (sum ln(nu^2 - 1/4) + Tr(rho G) + delta G delta) / 2, with G and nu of sigma
+    # taken from gibbs_matrix and symplectic_eigenvalues.
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 3, 5):
+        for _ in range(5):
+            rho = random_state(rng, n)
+            sigma = random_state(rng, n, nu_min=0.6)
+            g = gw.gibbs_matrix(sigma.cm)
+            delta = rho.displacement - sigma.displacement
+            logdet = np.sum(np.log(gw.symplectic_eigenvalues(sigma.cm) ** 2 - 0.25))
+            ref = -gw.von_neumann_entropy(rho) + 0.5 * (logdet + np.trace(rho.cm @ g) + delta @ g @ delta)
+            assert gw.relative_entropy(rho, sigma) == pytest.approx(ref, rel=1e-12)
+
+
 def test_relative_entropy_nonnegative_sweep():
     rng = np.random.default_rng(25)
     for _ in range(1000):

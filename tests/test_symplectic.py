@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import random_cm, random_orthosymplectic, random_symplectic, random_unitary
+from conftest import random_cm, random_orthosymplectic, random_symplectic, random_unitary, schur_williamson
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -146,6 +146,38 @@ def test_williamson_random_roundtrip():
         assert np.linalg.norm(dec.reconstruct() - cm) < 1e-9
         assert gw.is_symplectic(dec.symplectic)
         assert np.all(np.diff(dec.nu) <= 1e-12)
+
+
+def _degenerate_cms(rng, n_modes):
+    """Covariance matrices whose symplectic spectrum has ties, squeezing |r| <= 2."""
+    nu = 1.7
+    mode = random_cm(rng, 1, nu_min=nu, nu_max=nu, r_max=2.0)
+    copies = np.kron(np.eye(n_modes), mode)
+    passive = random_orthosymplectic(rng, n_modes)
+    ties = np.repeat([2.3, 0.5], [n_modes - n_modes // 2, n_modes // 2])
+    s = random_symplectic(rng, n_modes, r_max=2.0)
+    cms = [
+        nu * np.eye(2 * n_modes),
+        copies,
+        passive @ copies @ passive.T,
+        s @ np.diag(np.repeat(ties, 2)) @ s.T,
+    ]
+    return [0.5 * (cm + cm.T) for cm in cms]
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 8, 64])
+def test_williamson_matches_schur_reference_on_degenerate_spectra(n_modes):
+    rng = np.random.default_rng(110 + n_modes)
+    for cm in _degenerate_cms(rng, n_modes):
+        ref_nu, ref_s = schur_williamson(cm)
+        dec = gw.williamson(cm)
+        np.testing.assert_allclose(dec.nu, ref_nu, rtol=1e-10)
+        np.testing.assert_allclose(dec.nu, gw.symplectic_eigenvalues(cm), rtol=1e-10)
+        assert gw.is_symplectic(dec.symplectic)
+        scale = np.linalg.norm(cm)
+        assert np.linalg.norm(dec.reconstruct() - cm) <= 1e-9 * scale
+        ref_cm = ref_s @ np.diag(np.repeat(ref_nu, 2)) @ ref_s.T
+        assert np.linalg.norm(dec.reconstruct() - ref_cm) <= 1e-9 * scale
 
 
 def test_williamson_rejects_near_singular():
