@@ -284,6 +284,7 @@ def _cmd_channel(args) -> int:
             "route": "fock-kraus",
             "output_nbar": nbar,
             "output_trace": out.trace,
+            "input_leak": 1.0 - state.trace,
             "completeness_deficit": deficit,
             "unitarity_residual": kraus.unitarity_residual,
         }

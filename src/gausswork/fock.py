@@ -12,6 +12,12 @@ unitarity residual ||B_N B_N^T - I|| is checked before anything is built
 from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
 and ``KrausSet.unitarity_residual`` reports the largest residual of an
 accepted Kraus set.
+
+Each thermal-loss Kraus operator K_mn is one shifted diagonal: it maps |n1>
+to |n1 + n - m>.  ``KrausSet`` stores only those diagonals, in one real
+array of (max_mn + 1) (n_max + 1) dim doubles, and ``apply_kraus_channel``
+works on them directly.  ``KrausSet.operators`` is a dense view built on
+each access, for inspection and tests.
 """
 
 import math
@@ -53,22 +59,40 @@ class FockDensity:
 class KrausSet:
     """Thermal-loss Kraus operators K_{mn}, indexed by bath (out, in) photons.
 
+    ``diagonals[m, n, n1]`` is K_{mn}[n1 + n - m, n1], the only nonzero entry
+    of column n1, and zero where row n1 + n - m falls outside the
+    truncation; m runs over 0..max_mn and n over the bath photon numbers
+    with nonzero weight.  ``operators`` is the dense dim x dim view of the
+    same set, built on each access and not cached.
+
     ``unitarity_residual`` is the largest ||B_N B_N^T - I|| over the
     beam-splitter blocks the operators were gathered from.
     """
 
-    operators: Dict[Tuple[int, int], np.ndarray]
+    diagonals: np.ndarray
     eta: float
     nbar_bath: float
-    dim: int
     unitarity_residual: float
 
+    @property
+    def dim(self) -> int:
+        return self.diagonals.shape[2]
+
+    @property
+    def operators(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Dense K_{mn} for every stored (m, n), built afresh on each access."""
+        m, n, n1 = np.indices(self.diagonals.shape, sparse=True)
+        rows = n1 + n - m
+        inside = (rows >= 0) & (rows < self.dim)
+        dense = np.zeros(self.diagonals.shape + (self.dim,))
+        i, j, col = np.nonzero(inside)
+        dense[i, j, rows[inside], col] = self.diagonals[inside]
+        return {(a, b): dense[a, b] for a in range(dense.shape[0]) for b in range(dense.shape[1])}
+
     def completeness_diagonal(self) -> np.ndarray:
-        """Diagonal of sum_K K^dag K; deviation from 1 is the truncation deficit."""
-        total = np.zeros(self.dim)
-        for op in self.operators.values():
-            total += np.sum(np.abs(op) ** 2, axis=0)
-        return total
+        """Diagonal of sum_K K^dag K (which has no other entries); deviation
+        from 1 is the truncation deficit."""
+        return np.sum(self.diagonals**2, axis=(0, 1))
 
 
 def _check_eta(eta: float) -> None:
@@ -164,37 +188,45 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
     blocks = list(_bs_blocks(float(eta), dim - 1 + n_max))
     residual = _unitarity_residual(blocks, eta)
-    operators = {}
-    for n in range(n_max + 1):
-        ops = np.zeros((max_mn + 1, dim, dim))
-        for n1 in range(dim):
-            total = n1 + n
-            m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
-            ops[total - m1, m1, n1] = root_p[n] * blocks[total][m1, n1]
-        operators.update(((m, n), ops[m]) for m in range(max_mn + 1))
-    return KrausSet(operators=operators, eta=eta, nbar_bath=nbar_bath, dim=dim, unitarity_residual=residual)
+    # Block N feeds every (m, n, n1) with n1 + n = N, from B_N[m1, n1] at
+    # m1 = N - m: one outer-indexed write over the m1 and n1 in range.
+    diagonals = np.zeros((max_mn + 1, n_max + 1, dim))
+    for total, block in enumerate(blocks):
+        m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
+        n1 = np.arange(max(0, total - n_max), min(dim - 1, total) + 1)
+        diagonals[total - m1[:, None], total - n1, n1] = root_p[total - n1] * block[np.ix_(m1, n1)]
+    diagonals.setflags(write=False)
+    return KrausSet(diagonals=diagonals, eta=eta, nbar_bath=nbar_bath, unitarity_residual=residual)
 
 
 def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     """Apply sum_K K rho K^dag; returns the output and the completeness deficit.
 
+    The operators with shift k = n - m share one map: with A_k the stack of
+    their diagonals, they send rho to (A_k^T A_k o rho) moved k places down
+    the diagonal (o the entrywise product).
+
     The deficit is the operator norm of I - sum K^dag K restricted to the
-    sub-block where the input has support (diagonal weight > 1e-12).
+    sub-block where the input has support (diagonal weight > 1e-12); that
+    matrix is diagonal, so its norm is the largest |1 - c_i| there.
     """
     if rho.n_modes != 1 or rho.matrix.shape[0] != kraus.dim:
         raise ValueError("input dimension does not match the Kraus set")
+    dim = kraus.dim
+    max_mn, n_max = kraus.diagonals.shape[0] - 1, kraus.diagonals.shape[1] - 1
     out = np.zeros_like(rho.matrix)
-    comp = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-    for op in kraus.operators.values():
-        out += op @ rho.matrix @ op.conj().T
-        comp += op.conj().T @ op
-    support = np.where(np.real(np.diag(rho.matrix)) > 1e-12)[0]
-    if support.size:
-        block = (np.eye(kraus.dim) - comp)[np.ix_(support, support)]
-        deficit = float(np.linalg.norm(block, 2))
-    else:
-        deficit = 0.0
-    return FockDensity(out, dim=kraus.dim), deficit
+    for k in range(-max_mn, n_max + 1):
+        n = np.arange(max(0, k), min(n_max, max_mn + k) + 1)
+        stack = kraus.diagonals[n - k, n]
+        term = (stack.T @ stack) * rho.matrix
+        if k >= 0:
+            out[k:, k:] += term[: dim - k, : dim - k]
+        else:
+            out[: dim + k, : dim + k] += term[-k:, -k:]
+    support = np.real(np.diag(rho.matrix)) > 1e-12
+    gap = np.abs(1.0 - kraus.completeness_diagonal()[support])
+    deficit = float(gap.max()) if gap.size else 0.0
+    return FockDensity(out, dim=dim), deficit
 
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:

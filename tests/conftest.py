@@ -9,7 +9,7 @@ from scipy.special import xlogy
 from scipy.stats import unitary_group
 
 import gausswork as gw
-from gausswork.fock import annihilation
+from gausswork.fock import _bs_blocks, annihilation
 from gausswork.symplectic import TOL_PHYS
 
 
@@ -188,3 +188,34 @@ def expm_fock_from_gaussian(state: gw.GaussianState, dim):
         u = expm(gen)
         rho = u @ rho @ u.conj().T
     return rho[:dim, :dim]
+
+
+def dense_kraus_apply(rho: gw.FockDensity, ks: gw.KrausSet):
+    """Sum K rho K^dag over the dense ``ks.operators`` and the 2-norm of
+    I - sum K^dag K on the input's support (diagonal weight > 1e-12)."""
+    out = np.zeros_like(rho.matrix)
+    comp = np.zeros((ks.dim, ks.dim))
+    for op in ks.operators.values():
+        out += op @ rho.matrix @ op.T
+        comp += op.T @ op
+    support = np.flatnonzero(np.real(np.diag(rho.matrix)) > 1e-12)
+    block = (np.eye(ks.dim) - comp)[np.ix_(support, support)]
+    return out, float(np.linalg.norm(block, 2)) if support.size else 0.0
+
+
+def scatter_kraus_operators(eta, nbar_bath, dim, max_mn):
+    """Dense K_mn[m1, n1] = sqrt(p_n) B_{n1+n}[m1, n1] by one scatter per
+    (n, n1) column, the way the Kraus set was first built."""
+    x = nbar_bath / (nbar_bath + 1.0)
+    root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
+    n_max = int(np.count_nonzero(root_p)) - 1
+    blocks = list(_bs_blocks(float(eta), dim - 1 + n_max))
+    operators = {}
+    for n in range(n_max + 1):
+        ops = np.zeros((max_mn + 1, dim, dim))
+        for n1 in range(dim):
+            total = n1 + n
+            m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
+            ops[total - m1, m1, n1] = root_p[n] * blocks[total][m1, n1]
+        operators.update(((m, n), ops[m]) for m in range(max_mn + 1))
+    return operators

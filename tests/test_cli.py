@@ -178,6 +178,7 @@ def test_channel_kraus_route(capsys):
     record = json.loads(out)
     assert record["outputs"]["output_nbar"] == pytest.approx(0.82, abs=1e-6)
     assert 0.0 < record["outputs"]["unitarity_residual"] < 1e-10
+    assert 0.0 <= record["outputs"]["input_leak"] < 1e-6
 
 
 def test_freecheck_free_state(capsys):

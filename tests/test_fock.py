@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 import gausswork as gw
 from gausswork.fock import _bs_blocks
-from conftest import expm_fock_from_gaussian, fock_entropy, random_state
+from conftest import (
+    dense_kraus_apply,
+    expm_fock_from_gaussian,
+    fock_entropy,
+    random_state,
+    scatter_kraus_operators,
+)
 
 
 def mp_bs_amplitude(m1, m, n1, n, eta):
@@ -204,6 +211,58 @@ def test_channel_thermal_mean_photon_drift():
     out, _ = gw.apply_kraus_channel(gw.fock_thermal(1.0, 40), ks)
     nbar = float(np.real(np.diag(out.matrix)) @ np.arange(40))
     assert nbar == pytest.approx(0.82, abs=1e-6)
+
+
+@pytest.mark.parametrize("dim,max_mn", [(20, 20), (40, 20), (40, 40)])
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_apply_matches_dense_reference(dim, max_mn, eta, nbar):
+    ks = gw.thermal_loss_kraus(eta, nbar, dim, max_mn)
+    states = [gw.coherent(0.9), gw.squeezed(0.4), gw.thermal(1.2)]
+    inputs = [gw.fock_from_gaussian(state, dim) for state in states]
+    for rho in inputs + [gw.fock_number_state(dim // 2, dim)]:
+        out, deficit = gw.apply_kraus_channel(rho, ks)
+        want, want_deficit = dense_kraus_apply(rho, ks)
+        np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-13)
+        assert deficit == pytest.approx(want_deficit, rel=0, abs=1e-13)
+
+
+def test_operators_view_matches_diagonals():
+    ks = gw.thermal_loss_kraus(0.8, 0.5, 12, 4)
+    ops = ks.operators
+    assert set(ops) == {(m, n) for m in range(5) for n in range(5)}
+    for (m, n), op in ops.items():
+        for n1 in range(12):
+            row = n1 + n - m
+            want = np.zeros(12)
+            if 0 <= row < 12:
+                want[row] = ks.diagonals[m, n, n1]
+            assert np.array_equal(op[:, n1], want)
+    assert not np.shares_memory(ks.operators[(1, 0)], ops[(1, 0)])
+
+
+@pytest.mark.parametrize("dim,max_mn", [(20, 20), (40, 20), (40, 40)])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_diagonal_gather_matches_scatter_loop(dim, max_mn, nbar):
+    ops = gw.thermal_loss_kraus(0.8, nbar, dim, max_mn).operators
+    want = scatter_kraus_operators(0.8, nbar, dim, max_mn)
+    assert ops.keys() == want.keys()
+    for key, op in want.items():
+        assert np.array_equal(ops[key], op), key
+
+
+def test_kraus_storage_stays_small():
+    dim, max_mn = 40, 40
+    rho = gw.fock_from_gaussian(gw.coherent(0.9), dim)
+    tracemalloc.start()
+    try:
+        ks = gw.thermal_loss_kraus(0.8, 0.5, dim, max_mn)
+        gw.apply_kraus_channel(rho, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ks.diagonals.nbytes == (max_mn + 1) * (max_mn + 1) * dim * 8
+    assert peak < 4e6
 
 
 def test_apply_kraus_rejects_dimension_mismatch():
