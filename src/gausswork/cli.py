@@ -12,7 +12,6 @@ eigendecomposition residual above tolerance, 64 usage errors.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -20,30 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import gausswork as gw
+
 from . import __version__
-from .activity import gaussian_coherence, local_activity
-from .distill import activity_distillation_demo, work_swap_demo
-from .fock import (
-    FockDensity,
-    apply_kraus_channel,
-    fock_number_state,
-    fock_postselect_demo,
-    fock_single_mode_activity,
-    fock_from_gaussian,
-    phase_space_loss_channel,
-    thermal_loss_kraus,
-)
-from .free import is_free_cm
-from .states import (
-    GaussianState,
-    make_state,
-    relative_entropy,
-    squeezed,
-    vacuum,
-    von_neumann_entropy,
-)
-from .symplectic import bloch_messiah, williamson
-from .work import extractable_work, quadratic_work
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -82,6 +60,8 @@ class ResultRecord:
 
 
 def _digest(*parts) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for part in parts:
         h.update(repr(part).encode())
@@ -103,15 +83,15 @@ def _parse_preset(name: str, args: list):
     if name == "fock":
         return ("fock", int(float(args[0])))
     if name == "vacuum":
-        return make_state("vacuum", modes=int(float(args[0])) if args else 1)
+        return gw.make_state("vacuum", modes=int(float(args[0])) if args else 1)
     if name == "thermal":
-        return make_state("thermal", nbar=float(args[0]))
+        return gw.make_state("thermal", nbar=float(args[0]))
     if name == "coherent":
-        return make_state("coherent", alpha=complex(float(args[0]), float(args[1]) if len(args) > 1 else 0.0))
+        return gw.make_state("coherent", alpha=complex(float(args[0]), float(args[1]) if len(args) > 1 else 0.0))
     if name == "squeezed":
-        return make_state("squeezed", r=float(args[0]), phi=float(args[1]) if len(args) > 1 else 0.0)
+        return gw.make_state("squeezed", r=float(args[0]), phi=float(args[1]) if len(args) > 1 else 0.0)
     if name == "tms":
-        return make_state("tms", r=float(args[0]))
+        return gw.make_state("tms", r=float(args[0]))
     raise StateParseError(f"unknown preset {name!r}")
 
 
@@ -134,7 +114,7 @@ def parse_state(text: str, fock_dim: int = 40):
                 if name == "fock":
                     parsed = ("fock", int(params["n"]))
                 else:
-                    parsed = make_state(name, **params)
+                    parsed = gw.make_state(name, **params)
             else:
                 modes = int(doc["modes"])
                 d = np.asarray(doc.get("displacement", [0.0] * (2 * modes)), dtype=float)
@@ -143,7 +123,7 @@ def parse_state(text: str, fock_dim: int = 40):
                     raise StateParseError(
                         f"covariance must have 4*N^2 = {4 * modes * modes} entries, got {cov.size}"
                     )
-                parsed = GaussianState(d, cov.reshape(2 * modes, 2 * modes))
+                parsed = gw.GaussianState(d, cov.reshape(2 * modes, 2 * modes))
     except StateParseError:
         raise
     except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
@@ -151,11 +131,11 @@ def parse_state(text: str, fock_dim: int = 40):
     except ValueError as exc:
         raise StateValidationError(str(exc)) from exc
     if isinstance(parsed, tuple) and parsed[0] == "fock":
-        return fock_number_state(parsed[1], fock_dim)
+        return gw.fock_number_state(parsed[1], fock_dim)
     return parsed
 
 
-def serialize_state(state: GaussianState) -> str:
+def serialize_state(state: "gw.GaussianState") -> str:
     return json.dumps(
         {
             "modes": state.n_modes,
@@ -186,18 +166,19 @@ def _emit(record: ResultRecord, as_json: bool):
     return EXIT_OK
 
 
+def _require_gaussian(state, what: str):
+    if not isinstance(state, gw.GaussianState):
+        raise StateValidationError(f"{what} expects a Gaussian state")
+
+
 def _cmd_activity(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if isinstance(state, FockDensity):
-        value = fock_single_mode_activity(state)
-        outputs = {"activity": value, "route": "fock"}
-        certified = True
-    else:
-        report = local_activity(state)
+    if isinstance(state, gw.GaussianState):
+        report = gw.local_activity(state)
         outputs = {
             "activity": report.value,
             "certified": report.certified,
-            "coherence": gaussian_coherence(state),
+            "coherence": gw.gaussian_coherence(state),
             "b": report.params["b"].tolist(),
             "eig_residual": report.params["eig_residual"],
         }
@@ -205,6 +186,10 @@ def _cmd_activity(args) -> int:
             outputs["theta"] = report.params["theta"]
             outputs["delta_phi"] = report.params["delta_phi"]
         certified = report.certified
+    else:
+        value = gw.fock_single_mode_activity(state)
+        outputs = {"activity": value, "route": "fock"}
+        certified = True
     record = ResultRecord("activity", _digest(args.state), outputs, seed=args.seed)
     code = _emit(record, args.json)
     return code if certified else EXIT_UNCERTIFIED
@@ -212,9 +197,8 @@ def _cmd_activity(args) -> int:
 
 def _cmd_work(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if isinstance(state, FockDensity):
-        raise StateValidationError("work command expects a Gaussian state")
-    report = extractable_work(state)
+    _require_gaussian(state, "work command")
+    report = gw.extractable_work(state)
     outputs = {
         "quadratic": report.quadratic,
         "displacement": report.displacement,
@@ -225,18 +209,17 @@ def _cmd_work(args) -> int:
 
 def _cmd_entropy(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if isinstance(state, FockDensity):
-        raise StateValidationError("entropy command expects a Gaussian state")
-    outputs = {"entropy": von_neumann_entropy(state)}
+    _require_gaussian(state, "entropy command")
+    outputs = {"entropy": gw.von_neumann_entropy(state)}
     return _emit(ResultRecord("entropy", _digest(args.state), outputs, seed=args.seed), args.json)
 
 
 def _cmd_relent(args) -> int:
     rho = parse_state(args.state, fock_dim=args.fock_dim)
     sigma = parse_state(args.state2, fock_dim=args.fock_dim)
-    if isinstance(rho, FockDensity) or isinstance(sigma, FockDensity):
-        raise StateValidationError("relent command expects Gaussian states")
-    value = relative_entropy(rho, sigma)
+    for state in (rho, sigma):
+        _require_gaussian(state, "relent command")
+    value = gw.relative_entropy(rho, sigma)
     outputs = {"relative_entropy": value if math.isfinite(value) else "inf"}
     return _emit(
         ResultRecord("relent", _digest(args.state, args.state2), outputs, seed=args.seed), args.json
@@ -245,10 +228,9 @@ def _cmd_relent(args) -> int:
 
 def _cmd_decompose(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if isinstance(state, FockDensity):
-        raise StateValidationError("decompose command expects a Gaussian state")
-    dec = williamson(state.cm)
-    bm = bloch_messiah(dec.symplectic)
+    _require_gaussian(state, "decompose command")
+    dec = gw.williamson(state.cm)
+    bm = gw.bloch_messiah(dec.symplectic)
     outputs = {
         "symplectic_eigenvalues": dec.nu.tolist(),
         "symplectic": dec.symplectic.tolist(),
@@ -261,9 +243,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_freecheck(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if isinstance(state, FockDensity):
-        raise StateValidationError("freecheck command expects a Gaussian state")
-    report = is_free_cm(state.cm, tol_free=args.tol)
+    _require_gaussian(state, "freecheck command")
+    report = gw.is_free_cm(state.cm, tol_free=args.tol)
     outputs = {
         "spectral_free": report.spectral_free,
         "structural_form": report.structural_form,
@@ -275,10 +256,10 @@ def _cmd_freecheck(args) -> int:
 def _cmd_channel(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
     if args.kraus:
-        if isinstance(state, GaussianState):
-            state = fock_from_gaussian(state, args.fock_dim)
-        kraus = thermal_loss_kraus(args.eta, args.nbar_bath, args.fock_dim, args.max_mn)
-        out, deficit = apply_kraus_channel(state, kraus)
+        if isinstance(state, gw.GaussianState):
+            state = gw.fock_from_gaussian(state, args.fock_dim)
+        kraus = gw.thermal_loss_kraus(args.eta, args.nbar_bath, args.fock_dim, args.max_mn)
+        out, deficit = gw.apply_kraus_channel(state, kraus)
         nbar = float(np.real(np.diag(out.matrix)) @ np.arange(out.dim))
         outputs = {
             "route": "fock-kraus",
@@ -289,9 +270,8 @@ def _cmd_channel(args) -> int:
             "unitarity_residual": kraus.unitarity_residual,
         }
     else:
-        if isinstance(state, FockDensity):
-            raise StateValidationError("phase-space channel expects a Gaussian state")
-        out = phase_space_loss_channel(state, args.eta, args.nbar_bath)
+        _require_gaussian(state, "phase-space channel")
+        out = gw.phase_space_loss_channel(state, args.eta, args.nbar_bath)
         outputs = {
             "route": "phase-space",
             "displacement": out.displacement.tolist(),
@@ -305,20 +285,20 @@ def _cmd_channel(args) -> int:
 
 def _cmd_demo(args) -> int:
     if args.which == "distill-activity":
-        outcome = activity_distillation_demo()
+        outcome = gw.activity_distillation_demo()
         outputs = {
             "input_activity": outcome.input_value,
             "output_activity": outcome.output_value,
             "output_covariance": outcome.output_state.cm.reshape(-1).tolist(),
         }
     elif args.which == "distill-work":
-        outcome = work_swap_demo(squeezed(1.0).cm, vacuum(1).cm)
+        outcome = gw.work_swap_demo(gw.squeezed(1.0).cm, gw.vacuum(1).cm)
         outputs = {
             "input_pair_work": outcome.input_value,
             "output_pair_work": outcome.output_value,
         }
     elif args.which == "fock-postselect":
-        output, probability, gain = fock_postselect_demo()
+        output, probability, gain = gw.fock_postselect_demo()
         outputs = {
             "probability": probability,
             "fidelity_two_photon": float(np.real(output.matrix[2, 2])),
@@ -330,25 +310,22 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .distill import process_two_copies_single_mode
-    from .symplectic import rotation, squeezer
-
     rng = np.random.default_rng(args.seed)
     if args.kind == "nogo":
         worst_activity, worst_work = -math.inf, -math.inf
         for _ in range(args.count):
             nu = rng.uniform(0.5, 2.5)
             r = rng.uniform(0.0, 1.0)
-            rot = rotation(rng.uniform(0, 2 * np.pi))
-            gamma = rot @ squeezer(r) @ (nu * np.eye(2)) @ squeezer(r) @ rot.T
+            rot = gw.rotation(rng.uniform(0, 2 * np.pi))
+            gamma = rot @ gw.squeezer(r) @ (nu * np.eye(2)) @ gw.squeezer(r) @ rot.T
             theta = rng.uniform(0, 2 * np.pi)
             phis = rng.uniform(0, 2 * np.pi, size=4)
-            g1, g2 = process_two_copies_single_mode(gamma, theta, phis)
+            g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
             base_act = _cm_activity(gamma)
-            base_work = quadratic_work(gamma)
+            base_work = gw.quadratic_work(gamma)
             for out in (g1, g2):
                 worst_activity = max(worst_activity, _cm_activity(out) - base_act)
-                worst_work = max(worst_work, quadratic_work(out) - base_work)
+                worst_work = max(worst_work, gw.quadratic_work(out) - base_work)
         outputs = {
             "instances": args.count,
             "max_activity_gain": worst_activity,
@@ -360,7 +337,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cm_activity(gamma: np.ndarray) -> float:
-    return local_activity(GaussianState(np.zeros(2), gamma)).value
+    return gw.local_activity(gw.GaussianState(np.zeros(2), gamma)).value
 
 
 class _Parser(argparse.ArgumentParser):

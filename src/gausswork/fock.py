@@ -11,7 +11,10 @@ Beam-splitter amplitudes come from one recurrence in total photon number N
 unitarity residual ||B_N B_N^T - I|| is checked before anything is built
 from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
 and ``KrausSet.unitarity_residual`` reports the largest residual of an
-accepted Kraus set.
+accepted Kraus set.  ``thermal_loss_kraus`` checks and gathers each block
+as the recurrence yields it, so it holds one block at a time besides the
+stored diagonals; a refused block still raises before any Kraus set is
+returned.
 
 Each thermal-loss Kraus operator K_mn is one shifted diagonal: it maps |n1>
 to |n1 + n - m>.  ``KrausSet`` stores only those diagonals, in one real
@@ -133,24 +136,21 @@ def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _unitarity_residual(blocks, eta: float) -> float:
-    """Largest ||B_N B_N^T - I|| over ``blocks``.
+def _unitarity_residual(block: np.ndarray, eta: float) -> float:
+    """||B_N B_N^T - I|| of one block.
 
     Raises:
-        ValueError: naming the residual of the first block above
+        ValueError: naming the block and its residual when that exceeds
             UNITARITY_TOL * (N + 1).
     """
-    worst = 0.0
-    for block in blocks:
-        size = len(block)
-        residual = float(np.linalg.norm(block @ block.T - np.eye(size)))
-        if residual > UNITARITY_TOL * size:
-            raise ValueError(
-                f"beam-splitter block N = {size - 1} has unitarity residual {residual:.3e} above "
-                f"tolerance {UNITARITY_TOL * size:.1e} (eta = {eta})"
-            )
-        worst = max(worst, residual)
-    return worst
+    size = len(block)
+    residual = float(np.linalg.norm(block @ block.T - np.eye(size)))
+    if residual > UNITARITY_TOL * size:
+        raise ValueError(
+            f"beam-splitter block N = {size - 1} has unitarity residual {residual:.3e} above "
+            f"tolerance {UNITARITY_TOL * size:.1e} (eta = {eta})"
+        )
+    return residual
 
 
 def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
@@ -163,7 +163,7 @@ def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
         return 0.0
     for block in _bs_blocks(float(eta), int(n1 + n)):  # hold one block at a time
         pass
-    _unitarity_residual([block], eta)
+    _unitarity_residual(block, eta)
     return float(block[int(m1), int(n1)])
 
 
@@ -186,12 +186,14 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
-    blocks = list(_bs_blocks(float(eta), dim - 1 + n_max))
-    residual = _unitarity_residual(blocks, eta)
-    # Block N feeds every (m, n, n1) with n1 + n = N, from B_N[m1, n1] at
-    # m1 = N - m: one outer-indexed write over the m1 and n1 in range.
+    # Each block is checked and gathered as it is produced, so only one is
+    # held at a time.  Block N feeds every (m, n, n1) with n1 + n = N, from
+    # B_N[m1, n1] at m1 = N - m: one outer-indexed write over the m1 and n1
+    # in range.
     diagonals = np.zeros((max_mn + 1, n_max + 1, dim))
-    for total, block in enumerate(blocks):
+    residual = 0.0
+    for total, block in enumerate(_bs_blocks(float(eta), dim - 1 + n_max)):
+        residual = max(residual, _unitarity_residual(block, eta))
         m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
         n1 = np.arange(max(0, total - n_max), min(dim - 1, total) + 1)
         diagonals[total - m1[:, None], total - n1, n1] = root_p[total - n1] * block[np.ix_(m1, n1)]

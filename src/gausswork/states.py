@@ -178,10 +178,10 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState(state.displacement[idx], state.cm[np.ix_(idx, idx)])
 
 
-def von_neumann_entropy(state: GaussianState, tol_phys: float = TOL_PHYS) -> float:
+def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy sum_k g(nu_k) in nats."""
     nus = symplectic_eigenvalues(state.cm)
-    if np.any(nus < 0.5 - tol_phys):
+    if np.any(nus < 0.5 - TOL_PHYS):
         raise ValueError(f"covariance matrix violates uncertainty (min nu = {nus[-1]:.6g})")
     return float(np.sum(thermal_entropy(nus)))
 
@@ -205,10 +205,10 @@ def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     return _gibbs_from_williamson(dec)
 
 
-def relative_entropy(rho: GaussianState, sigma: GaussianState, eps_pure: float = EPS_PURE) -> float:
+def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
     """Relative entropy S(rho || sigma) between Gaussian states, in nats.
 
-    Returns +inf when sigma has a symplectic eigenvalue within ``eps_pure``
+    Returns +inf when sigma has a symplectic eigenvalue within EPS_PURE
     of 1/2 (support mismatch), unless the two states are exactly equal.
     One Williamson decomposition of sigma gives both that check and the
     Gibbs matrix.
@@ -218,7 +218,7 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState, eps_pure: float =
     if np.array_equal(rho.displacement, sigma.displacement) and np.array_equal(rho.cm, sigma.cm):
         return 0.0
     dec = williamson(sigma.cm)
-    if np.any(dec.nu <= 0.5 + eps_pure):
+    if np.any(dec.nu <= 0.5 + EPS_PURE):
         return math.inf
     g2 = _gibbs_from_williamson(dec)
     logdet = float(np.sum(np.log(dec.nu**2 - 0.25)))

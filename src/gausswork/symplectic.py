@@ -82,24 +82,24 @@ class CMValidation(NamedTuple):
     min_symplectic_eig: float
 
 
-def validate_cm(mat: np.ndarray, tol_phys: float = TOL_PHYS, tol_symp: float = TOL_SYMP) -> CMValidation:
+def validate_cm(mat: np.ndarray) -> CMValidation:
     """Check whether ``mat`` is a physical covariance matrix.
 
     Valid means: symmetric, positive definite and every symplectic
-    eigenvalue at least 1/2 - tol_phys (the uncertainty relation).
+    eigenvalue at least 1/2 - TOL_PHYS (the uncertainty relation).
 
     Raises:
         ValueError: if the matrix has odd dimension or is asymmetric
-            beyond ``tol_symp`` (shape errors rather than physicality).
+            beyond TOL_SYMP (shape errors rather than physicality).
     """
     mat = np.asarray(mat, dtype=float)
     n = _even_square(mat, "covariance matrix")
     scale = max(1.0, np.linalg.norm(mat))
-    if np.linalg.norm(mat - mat.T) >= tol_symp * scale:
+    if np.linalg.norm(mat - mat.T) >= TOL_SYMP * scale:
         raise ValueError("covariance matrix is not symmetric")
     eigs = np.linalg.eigvalsh(mat)
     nu_min = float(np.min(np.abs(np.linalg.eigvals(symplectic_form(n) @ mat))))
-    valid = bool(eigs[0] > 0.0 and nu_min >= 0.5 - tol_phys)
+    valid = bool(eigs[0] > 0.0 and nu_min >= 0.5 - TOL_PHYS)
     return CMValidation(valid, nu_min)
 
 
@@ -167,7 +167,7 @@ class WilliamsonDecomposition:
         return self.symplectic @ self.diagonal @ self.symplectic.T
 
 
-def williamson(cm: np.ndarray, tol_recon: float = TOL_RECON) -> WilliamsonDecomposition:
+def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite matrix.
 
     The Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} (the one
@@ -181,7 +181,7 @@ def williamson(cm: np.ndarray, tol_recon: float = TOL_RECON) -> WilliamsonDecomp
 
     Raises:
         ValueError: on near-singular input (min eigenvalue < 1e-12) or if
-            the reconstruction residual exceeds ``tol_recon``.
+            the reconstruction residual exceeds TOL_RECON max(1, ||cm||).
     """
     cm = np.asarray(cm, dtype=float)
     root, herm = _hermitian_companion(cm)
@@ -194,7 +194,7 @@ def williamson(cm: np.ndarray, tol_recon: float = TOL_RECON) -> WilliamsonDecomp
     q[:, 1::2] = v.real
     s = root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
     residual = np.linalg.norm(s @ np.diag(np.repeat(nu, 2)) @ s.T - cm)
-    if residual > tol_recon * max(1.0, np.linalg.norm(cm)):
+    if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
     return WilliamsonDecomposition(symplectic=s, nu=nu)
 
@@ -215,31 +215,29 @@ class BlochMessiahDecomposition:
         return self.o_out @ squeezer_direct_sum(self.r) @ self.o_in
 
 
-def bloch_messiah(
-    s: np.ndarray, tol_symp: float = TOL_SYMP, pair_tol: float = PAIR_TOL
-) -> BlochMessiahDecomposition:
+def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
 
     The symmetric factor of the polar decomposition of S is diagonalised in
     a symplectic orthonormal eigenbasis: for each singular value sigma > 1
     with eigenvector u, the partner column -Omega @ u carries 1/sigma.
-    Singular values within ``pair_tol`` of 1 span a passive subspace that is
+    Singular values within PAIR_TOL of 1 span a passive subspace that is
     absorbed into ``o_in``.
 
     Raises:
-        ValueError: if the input is not symplectic within ``tol_symp`` or
+        ValueError: if the input is not symplectic within TOL_SYMP or
             the singular values fail to pair as (sigma, 1/sigma).
     """
     s = np.asarray(s, dtype=float)
     n = _even_square(s, "symplectic matrix")
-    if not is_symplectic(s, tol_symp):
+    if not is_symplectic(s, TOL_SYMP):
         raise ValueError("input matrix is not symplectic within tolerance")
     omega = symplectic_form(n)
     lam, v = np.linalg.eigh(s @ s.T)
     sig = np.sqrt(np.clip(lam, 0.0, None))
 
-    squeeze_idx = [i for i in range(2 * n) if sig[i] > 1.0 + pair_tol]
-    unit_idx = [i for i in range(2 * n) if abs(sig[i] - 1.0) <= pair_tol]
+    squeeze_idx = [i for i in range(2 * n) if sig[i] > 1.0 + PAIR_TOL]
+    unit_idx = [i for i in range(2 * n) if abs(sig[i] - 1.0) <= PAIR_TOL]
     squeeze_idx.sort(key=lambda i: -sig[i])
     if 2 * len(squeeze_idx) + len(unit_idx) != 2 * n:
         raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")

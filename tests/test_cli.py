@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -194,6 +195,25 @@ def test_invalid_state_exits_2(capsys):
     assert "0.4" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["work", "--state", "preset:fock:2"],
+        ["entropy", "--state", "preset:fock:2"],
+        ["relent", "--state", "preset:vacuum", "--state2", "preset:fock:1"],
+        ["decompose", "--state", "preset:fock:2"],
+        ["freecheck", "--state", "preset:fock:2"],
+        ["channel", "--state", "preset:fock:2", "--eta", "0.8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_gaussian_commands_refuse_fock_states(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--fock-dim", "8")
+    assert code == 2
+    assert out == ""
+    assert "expects a Gaussian state" in err
+
+
 def test_unknown_command_exits_64(capsys):
     for argv in (
         ["frobnicate"],
@@ -220,9 +240,85 @@ def test_json_floats_roundtrip_losslessly(capsys):
     assert json.loads(json.dumps(record)) == record
 
 
-def test_import_loads_no_scipy():
-    probe = "import gausswork.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+LAYERS = ("activity", "distill", "fock", "free", "states", "symplectic", "work")
+
+# The public namespace: every layer function and class, then the layers.
+PUBLIC = set(
+    """ActivityReport gaussian_coherence local_activity photon_overlap_matrix preset_activity
+    relaxed_subadditivity_gap DistillationOutcome activity_distillation_demo
+    conversion_rate_bound dft_unitary process_two_copies_single_mode work_swap_demo FockDensity
+    KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian fock_moments
+    fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
+    gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
+    FreenessReport convex_combine free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
+    energy gibbs_matrix make_state mean_photon_numbers mutual_information partial_trace
+    relative_entropy squeezed tensor thermal thermal_entropy two_mode_squeezed vacuum
+    von_neumann_entropy BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
+    WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
+    is_symplectic rotation squeezer squeezer_direct_sum symplectic_eigenvalues symplectic_form
+    symplectic_trace unitary_to_orthosymplectic validate_cm williamson ExtractionProtocol
+    WorkReport extractable_work extraction_protocol is_work_free quadratic_work
+    superadditivity_gap""".split()
+) | set(LAYERS)
+
+
+def run_probe(probe):
+    """Run ``probe`` in a fresh interpreter with this checkout's sources; return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "probe, package, absent",
+    [
+        # Every layer, reached through the namespace, runs on numpy alone.
+        (
+            f"import gausswork, gausswork.cli\nfor layer in {LAYERS!r}: getattr(gausswork, layer)",
+            {"gausswork", "gausswork.cli", *(f"gausswork.{layer}" for layer in LAYERS)},
+            {"scipy"},
+        ),
+        ("import gausswork", {"gausswork"}, {"numpy"}),
+        (
+            "import gausswork.cli\ngausswork.cli.build_parser()",
+            {"gausswork", "gausswork.cli"},
+            {"hashlib", "_hashlib"},
+        ),
+        (
+            "import gausswork.cli\ngausswork.cli.main(['entropy', '--state', 'preset:squeezed:0.3'])",
+            None,
+            {"gausswork.fock", "gausswork.distill"},
+        ),
+    ],
+    ids=["every-layer", "namespace", "parser", "entropy"],
+)
+def test_import_loads_no_scipy(probe, package, absent):
+    """Each call loads the gausswork modules ``package`` (when given) and no ``absent`` module."""
+    out = run_probe(f"{probe}\nimport sys\nprint('MODULES', *sorted(sys.modules))")
+    loaded = set(out.split("MODULES", 1)[1].split())
+    if package is not None:
+        assert {m for m in loaded if m.split(".")[0] == "gausswork"} == package
+    assert not {m for m in loaded if m.split(".")[0] in absent or m in absent}
+
+
+def test_namespace_matches_layer_exports():
+    probe = (
+        "import json, gausswork\n"
+        "names = [n for n in dir(gausswork) if not n.startswith('_')]\n"
+        "star = {}\n"
+        "exec('from gausswork import *', star)\n"
+        "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
+    )
+    names, exported, star = json.loads(run_probe(probe))
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 79
+    assert sorted(exported) == sorted(PUBLIC)
+    assert set(star) == PUBLIC
+    for name in PUBLIC - set(LAYERS):
+        value = getattr(gw, name)
+        assert value.__module__ in {f"gausswork.{layer}" for layer in LAYERS}, name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    for layer in LAYERS:
+        assert getattr(gw, layer) is importlib.import_module(f"gausswork.{layer}")
+    with pytest.raises(AttributeError, match=r"^module 'gausswork' has no attribute 'no_such_name'$"):
+        gw.no_such_name

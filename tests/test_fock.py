@@ -265,6 +265,20 @@ def test_kraus_storage_stays_small():
     assert peak < 4e6
 
 
+def test_kraus_build_holds_one_block_at_a_time():
+    # The blocks B_0..B_79 together take 1.4 MB; the stored diagonals 0.54 MB.
+    # The untraced first build imports the layer, whose compilation would
+    # dominate the peak.
+    gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
+    tracemalloc.start()
+    try:
+        gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
 def test_apply_kraus_rejects_dimension_mismatch():
     ks = gw.thermal_loss_kraus(0.8, 0.0, 12, 3)
     with pytest.raises(ValueError, match="dimension"):
