@@ -24,13 +24,14 @@ import numpy as np
 from .free import FreeCovariance, free_cm
 from .states import (
     GaussianState,
+    _bipartition,
     mean_photon_numbers,
     mutual_information,
     partial_trace,
     thermal_entropy,
     von_neumann_entropy,
 )
-from .symplectic import TOL_PHYS, symplectic_eigenvalues, unitary_to_orthosymplectic
+from .symplectic import TOL_PHYS, unitary_to_orthosymplectic
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +96,7 @@ def gaussian_coherence(state: GaussianState) -> float:
     Coincides with the activity for one mode and upper-bounds it in general.
     """
     occ = mean_photon_numbers(state) + 0.5
-    nus = symplectic_eigenvalues(state.cm)
-    return float(np.sum(thermal_entropy(occ)) - np.sum(thermal_entropy(nus)))
+    return float(np.sum(thermal_entropy(occ)) - np.sum(thermal_entropy(state._spectrum.nu)))
 
 
 def preset_activity(kind: str, value) -> float:
@@ -121,10 +121,7 @@ def preset_activity(kind: str, value) -> float:
 
 def relaxed_subadditivity_gap(state: GaussianState, modes_a, modes_b=None) -> float:
     """A(rho_A) + A(rho_B) + I(A:B) - A(rho_AB); nonnegative by monotonicity."""
-    modes_a = sorted(set(int(m) for m in modes_a))
-    if modes_b is None:
-        modes_b = [m for m in range(state.n_modes) if m not in modes_a]
-    modes_b = sorted(set(int(m) for m in modes_b))
+    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
     part_a = local_activity(partial_trace(state, modes_a)).value
     part_b = local_activity(partial_trace(state, modes_b)).value
     joint = local_activity(state).value

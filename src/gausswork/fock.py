@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .states import GaussianState, _mode_indices, _xlogx, thermal_entropy
-from .symplectic import TOL_PHYS, validate_cm
+from .symplectic import _williamson, bloch_messiah, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 
@@ -312,12 +312,8 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     """
     if state.n_modes != 1:
         raise ValueError("fock conversion implemented for single-mode states")
-    from .symplectic import bloch_messiah, williamson
-
-    dec = williamson(state.cm)
+    dec = _williamson(state.cm, state._spectrum)
     nu = float(dec.nu[0])
-    if abs(nu - 0.5) <= TOL_PHYS:
-        nu = 0.5
     bm = bloch_messiah(dec.symplectic)
     psi = math.atan2(bm.o_out[1, 0], bm.o_out[0, 0])
     r = float(bm.r[0])

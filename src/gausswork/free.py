@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import is_orthosymplectic, require_valid_cm, symplectic_trace
+from .symplectic import is_orthosymplectic, require_valid_cm
 
 TOL_FREE = 1e-8
 
@@ -69,32 +69,20 @@ def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
     tolerance); ``structural_form`` checks the block structure, a necessary
     condition only.
     """
-    cm = require_valid_cm(cm)
+    cm = np.asarray(cm, dtype=float)
     trace = float(np.trace(cm))
-    gap = trace - symplectic_trace(cm)
+    gap = trace - 2.0 * float(np.sum(require_valid_cm(cm).nu))
     tol_eff = tol_free * max(1.0, trace)
     spectral = bool(gap < tol_eff)
 
     n = cm.shape[0] // 2
-    structural = True
+    blocks = cm.reshape(n, 2, n, 2).swapaxes(1, 2)
+    pairs = (blocks[i, j] for i, j in zip(*np.triu_indices(n, 1)))
     eye2 = np.eye(2)
-    for i in range(n):
-        block = cm[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        if not _proportional_to(block, eye2, tol_eff):
-            structural = False
-            break
-    if structural:
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = cm[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                if not _proportional_to(r @ r.T, eye2, tol_eff):
-                    structural = False
-                    break
-                if not _proportional_to(r @ _OMEGA2 @ r.T, _OMEGA2, tol_eff):
-                    structural = False
-                    break
-            if not structural:
-                break
+    structural = all(_proportional_to(blocks[i, i], eye2, tol_eff) for i in range(n)) and all(
+        _proportional_to(r @ r.T, eye2, tol_eff) and _proportional_to(r @ _OMEGA2 @ r.T, _OMEGA2, tol_eff)
+        for r in pairs
+    )
     return FreenessReport(spectral_free=spectral, structural_form=structural, gap=gap)
 
 

@@ -7,18 +7,11 @@ state of amplitude alpha carries |alpha|^2 mean photons.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import (
-    TOL_PHYS,
-    require_valid_cm,
-    rotation,
-    symplectic_form,
-    symplectic_eigenvalues,
-    williamson,
-)
+from .symplectic import _williamson, require_valid_cm, rotation, symplectic_form, williamson
 
 EPS_PURE = 1e-8
 
@@ -44,23 +37,27 @@ def thermal_entropy(nu):
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Immutable Gaussian state: displacement vector plus covariance matrix."""
+    """Immutable Gaussian state: displacement vector plus covariance matrix.
+
+    Functionals read the symplectic spectrum kept from validation."""
 
     displacement: np.ndarray
     cm: np.ndarray
+    _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.array(self.displacement, dtype=float).reshape(-1)
         cm = np.array(self.cm, dtype=float)
         if not np.all(np.isfinite(d)):
             raise ValueError("displacement vector must be finite")
-        require_valid_cm(cm)
+        spec = require_valid_cm(cm)
         if d.size != cm.shape[0]:
             raise ValueError(f"displacement length {d.size} does not match matrix dimension {cm.shape[0]}")
-        d.setflags(write=False)
-        cm.setflags(write=False)
+        for arr in (d, cm, *spec[:3]):
+            arr.setflags(write=False)
         object.__setattr__(self, "displacement", d)
         object.__setattr__(self, "cm", cm)
+        object.__setattr__(self, "_spectrum", spec)
 
     @property
     def n_modes(self) -> int:
@@ -180,10 +177,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 
 def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy sum_k g(nu_k) in nats."""
-    nus = symplectic_eigenvalues(state.cm)
-    if np.any(nus < 0.5 - TOL_PHYS):
-        raise ValueError(f"covariance matrix violates uncertainty (min nu = {nus[-1]:.6g})")
-    return float(np.sum(thermal_entropy(nus)))
+    return float(np.sum(thermal_entropy(state._spectrum.nu)))
 
 
 def _gibbs_from_williamson(dec) -> np.ndarray:
@@ -217,7 +211,7 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
         raise ValueError("states must have the same number of modes")
     if np.array_equal(rho.displacement, sigma.displacement) and np.array_equal(rho.cm, sigma.cm):
         return 0.0
-    dec = williamson(sigma.cm)
+    dec = _williamson(sigma.cm, sigma._spectrum)
     if np.any(dec.nu <= 0.5 + EPS_PURE):
         return math.inf
     g2 = _gibbs_from_williamson(dec)

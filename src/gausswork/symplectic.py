@@ -77,6 +77,54 @@ def is_orthosymplectic(o: np.ndarray, tol: float = TOL_SYMP) -> bool:
     return is_symplectic(o, tol)
 
 
+# Rounding error on nu grows with kappa(cm): over 9,000 seeded pure states
+# O1 Z(r) O2 with |r| <= 6 and N <= 4 it reached 0.72 n eps kappa (n = 2N),
+# so the factor 2 leaves a margin of almost 3.  No deficit above the cap is
+# put down to rounding, or diag(1e-11, 1e9) (nu = 0.1, kappa 1e20) would pass.
+_KAPPA_FACTOR = 2.0
+_TOL_CAP = 1e-3
+
+
+class _NotPositiveDefinite(ValueError):
+    def __init__(self, min_eig: float):
+        super().__init__(f"covariance matrix is singular or not positive definite (min eigenvalue {min_eig:.3e})")
+        self.min_eig = min_eig
+
+
+class _Spectrum(NamedTuple):
+    root: np.ndarray  # cm^{1/2}
+    nu: np.ndarray  # symplectic eigenvalues, descending
+    vecs: np.ndarray  # companion eigenvectors of +nu, in the order of nu
+    tol: float  # min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR n eps kappa))
+
+
+def _spectrum(cm: np.ndarray) -> _Spectrum:
+    """The one symplectic spectrum every layer reads.
+
+    eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa; eigh
+    of the Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} gives
+    +/- nu_k, and values in [1/2 - tol, 1/2) are set to 1/2.  ValueError
+    unless cm is finite, symmetric and has every eigenvalue >= 1e-12.
+    """
+    cm = np.asarray(cm, dtype=float)
+    n = _even_square(cm, "covariance matrix")
+    if not np.all(np.isfinite(cm)):
+        raise ValueError("covariance matrix must be finite")
+    if np.linalg.norm(cm - cm.T) >= TOL_SYMP * max(1.0, np.linalg.norm(cm)):
+        raise ValueError("covariance matrix is not symmetric")
+    w, v = np.linalg.eigh(cm)
+    if w[0] < 1e-12:
+        raise _NotPositiveDefinite(float(w[0]))
+    root = (v * np.sqrt(w)) @ v.T
+    k = root @ symplectic_form(n) @ root
+    lam, vecs = np.linalg.eigh(0.5j * (k - k.T))
+    tol = min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0]))
+    nu = lam[n:][::-1].copy()
+    nu[(nu >= 0.5 - tol) & (nu < 0.5)] = 0.5
+    # A copy, so that a kept spectrum does not also hold the -nu eigenvectors.
+    return _Spectrum(root, nu, vecs[:, n:][:, ::-1].copy(), tol)
+
+
 class CMValidation(NamedTuple):
     valid: bool
     min_symplectic_eig: float
@@ -85,54 +133,29 @@ class CMValidation(NamedTuple):
 def validate_cm(mat: np.ndarray) -> CMValidation:
     """Check whether ``mat`` is a physical covariance matrix.
 
-    Valid means: symmetric, positive definite and every symplectic
-    eigenvalue at least 1/2 - TOL_PHYS (the uncertainty relation).
+    Valid means every eigenvalue is at least 1e-12 and every symplectic
+    eigenvalue at least 1/2 - tol, tol = min(1e-3, max(TOL_PHYS, 2 n eps
+    kappa)) with n = 2N: it grows with the condition number kappa(mat) as
+    the rounding error on nu does.  The second field is the smallest
+    symplectic eigenvalue, or the smallest eigenvalue when that is < 1e-12.
 
     Raises:
-        ValueError: if the matrix has odd dimension or is asymmetric
-            beyond TOL_SYMP (shape errors rather than physicality).
+        ValueError: if the matrix has odd dimension, is not finite or is
+            asymmetric beyond TOL_SYMP (shape errors rather than physicality).
     """
-    mat = np.asarray(mat, dtype=float)
-    n = _even_square(mat, "covariance matrix")
-    scale = max(1.0, np.linalg.norm(mat))
-    if np.linalg.norm(mat - mat.T) >= TOL_SYMP * scale:
-        raise ValueError("covariance matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(mat)
-    nu_min = float(np.min(np.abs(np.linalg.eigvals(symplectic_form(n) @ mat))))
-    valid = bool(eigs[0] > 0.0 and nu_min >= 0.5 - TOL_PHYS)
-    return CMValidation(valid, nu_min)
+    try:
+        spec = _spectrum(mat)
+    except _NotPositiveDefinite as err:
+        return CMValidation(False, err.min_eig)
+    return CMValidation(bool(spec.nu[-1] >= 0.5 - spec.tol), float(spec.nu[-1]))
 
 
-def require_valid_cm(mat: np.ndarray) -> np.ndarray:
-    """Return ``mat`` as a float array; ValueError unless it passes :func:`validate_cm`."""
-    mat = np.asarray(mat, dtype=float)
-    check = validate_cm(mat)
-    if not check.valid:
-        raise ValueError(
-            f"invalid covariance matrix (min symplectic eigenvalue {check.min_symplectic_eig:.6g})"
-        )
-    return mat
-
-
-def _sym_sqrt(cm: np.ndarray, min_eig: float = 1e-12) -> np.ndarray:
-    w, v = np.linalg.eigh(cm)
-    if w[0] < min_eig:
-        raise ValueError(
-            f"covariance matrix is singular or not positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    return (v * np.sqrt(w)) @ v.T
-
-
-def _hermitian_companion(cm: np.ndarray):
-    """Return (cm^{1/2}, H) with H = 1j * K for the skew part K of cm^{1/2} Omega cm^{1/2}.
-
-    H is Hermitian with eigenvalues +/- nu_k, the symplectic eigenvalues of cm.
-    """
-    cm = np.asarray(cm, dtype=float)
-    n = _even_square(cm, "covariance matrix")
-    root = _sym_sqrt(cm)
-    k = root @ symplectic_form(n) @ root
-    return root, 0.5j * (k - k.T)
+def require_valid_cm(mat: np.ndarray) -> _Spectrum:
+    """Spectrum of ``mat``; ValueError unless it passes :func:`validate_cm`."""
+    spec = _spectrum(mat)
+    if spec.nu[-1] < 0.5 - spec.tol:
+        raise ValueError(f"invalid covariance matrix (min symplectic eigenvalue {spec.nu[-1]:.6g})")
+    return spec
 
 
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
@@ -140,11 +163,11 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
 
     Computed from the skew-symmetric matrix cm^{1/2} @ Omega @ cm^{1/2},
     whose Hermitian companion 1j*K has eigenvalues +/- nu_k; this is
-    numerically stable down to the pure-state boundary nu = 1/2.
+    numerically stable down to the pure-state boundary nu = 1/2.  It is the
+    spectrum :func:`validate_cm` judges: values within tolerance below 1/2
+    read 1/2.
     """
-    _, herm = _hermitian_companion(cm)
-    n = herm.shape[0] // 2
-    return np.linalg.eigvalsh(herm)[n:][::-1].copy()
+    return _spectrum(cm).nu
 
 
 def symplectic_trace(cm: np.ndarray) -> float:
@@ -177,26 +200,28 @@ def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
     with y^T K x = nu.  This holds inside degenerate eigenspaces too, so the
     pairs of all +nu eigenvectors form an orthogonal basis bringing K to
     canonical form; the symplectic factor is cm^{1/2} times that basis,
-    scaled by nu^{-1/2}.  Symplectic eigenvalues are sorted descending.
+    scaled by nu^{-1/2}.  The symplectic eigenvalues, sorted descending, are
+    those of :func:`symplectic_eigenvalues`.
 
     Raises:
         ValueError: on near-singular input (min eigenvalue < 1e-12) or if
             the reconstruction residual exceeds TOL_RECON max(1, ||cm||).
     """
     cm = np.asarray(cm, dtype=float)
-    root, herm = _hermitian_companion(cm)
-    n = herm.shape[0] // 2
-    w, v = np.linalg.eigh(herm)
-    nu = w[n:][::-1]
-    v = np.sqrt(2.0) * v[:, n:][:, ::-1]
+    return _williamson(cm, _spectrum(cm))
+
+
+def _williamson(cm: np.ndarray, spec: _Spectrum) -> WilliamsonDecomposition:
+    n = spec.nu.size
+    v = np.sqrt(2.0) * spec.vecs
     q = np.empty((2 * n, 2 * n))
     q[:, 0::2] = v.imag
     q[:, 1::2] = v.real
-    s = root @ q @ np.diag(np.repeat(nu, 2) ** -0.5)
-    residual = np.linalg.norm(s @ np.diag(np.repeat(nu, 2)) @ s.T - cm)
+    s = spec.root @ q @ np.diag(np.repeat(spec.nu, 2) ** -0.5)
+    residual = np.linalg.norm(s @ np.diag(np.repeat(spec.nu, 2)) @ s.T - cm)
     if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
-    return WilliamsonDecomposition(symplectic=s, nu=nu)
+    return WilliamsonDecomposition(symplectic=s, nu=spec.nu)
 
 
 @dataclass(frozen=True, eq=False)

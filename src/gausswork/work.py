@@ -15,7 +15,7 @@ import numpy as np
 
 from .free import TOL_FREE, FreeCovariance, is_free_cm
 from .states import GaussianState, _bipartition, _mode_indices
-from .symplectic import bloch_messiah, require_valid_cm, symplectic_trace, williamson
+from .symplectic import _williamson, bloch_messiah, require_valid_cm
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,13 @@ class WorkReport:
 
 def quadratic_work(cm: np.ndarray) -> float:
     """(Tr cm - Str cm) / 2 for a bare covariance matrix."""
-    cm = require_valid_cm(cm)
-    return 0.5 * (float(np.trace(cm)) - symplectic_trace(cm))
+    cm = np.asarray(cm, dtype=float)
+    return 0.5 * float(np.trace(cm)) - float(np.sum(require_valid_cm(cm).nu))
 
 
 def extractable_work(state: GaussianState) -> WorkReport:
     """Maximum work from local squeezers assisted with global interferometers."""
-    quad = quadratic_work(state.cm)
+    quad = 0.5 * float(np.trace(state.cm)) - float(np.sum(state._spectrum.nu))
     disp = 0.5 * float(state.displacement @ state.displacement)
     return WorkReport(quadratic=quad, displacement=disp, total=quad + disp)
 
@@ -58,7 +58,7 @@ class ExtractionProtocol:
 
 
 def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
-    dec = williamson(state.cm)
+    dec = _williamson(state.cm, state._spectrum)
     bm = bloch_messiah(dec.symplectic)
     squeeze = -bm.r
     squeeze[np.abs(squeeze) <= 1e-9] = 0.0

@@ -261,6 +261,15 @@ def test_relaxed_subadditivity_free_state_equals_mutual_information():
     assert gap == pytest.approx(gw.mutual_information(state, [0]), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "modes_a, modes_b, match", [([0, 1], [1, 2], "overlap"), ([0], [1], "cover")], ids=["overlap", "cover"]
+)
+def test_relaxed_subadditivity_refuses_bad_bipartition_first(monkeypatch, modes_a, modes_b, match):
+    monkeypatch.setattr("gausswork.activity.local_activity", lambda state: pytest.fail("activity computed"))
+    with pytest.raises(ValueError, match=match):
+        gw.relaxed_subadditivity_gap(gw.vacuum(3), modes_a, modes_b)
+
+
 # Property tests at N = 1..6; tolerances scale with the state's energy.
 
 seeds = st.integers(0, 2**32 - 1)

@@ -214,6 +214,13 @@ def test_gaussian_commands_refuse_fock_states(capsys, argv):
     assert "expects a Gaussian state" in err
 
 
+def test_non_finite_covariance_exits_2_with_a_clear_message(capsys):
+    code, out, err = run_cli(capsys, "work", "--state", '{"modes": 1, "covariance": [NaN, 0, 0, 1]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: covariance matrix must be finite\n"
+
+
 def test_unknown_command_exits_64(capsys):
     for argv in (
         ["frobnicate"],
