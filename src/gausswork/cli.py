@@ -229,7 +229,7 @@ def _cmd_relent(args) -> int:
 def _cmd_decompose(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
     _require_gaussian(state, "decompose command")
-    dec = gw.williamson(state.cm)
+    dec = gw.symplectic._williamson(state.cm, state._spectrum)  # the spectrum validation kept
     bm = gw.bloch_messiah(dec.symplectic)
     outputs = {
         "symplectic_eigenvalues": dec.nu.tolist(),
@@ -257,6 +257,8 @@ def _cmd_channel(args) -> int:
     state = parse_state(args.state, fock_dim=args.fock_dim)
     if args.kraus:
         if isinstance(state, gw.GaussianState):
+            if state.n_modes != 1:  # refused before a dim^(2N) Fock tensor is built
+                raise ValueError(f"the Kraus channel acts on one mode, got {state.n_modes}")
             state = gw.fock_from_gaussian(state, args.fock_dim)
         kraus = gw.thermal_loss_kraus(args.eta, args.nbar_bath, args.fock_dim, args.max_mn)
         out, deficit = gw.apply_kraus_channel(state, kraus)

@@ -1,7 +1,9 @@
 """Shared random-instance generators and brute-force oracles."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.optimize import minimize
@@ -188,6 +190,43 @@ def expm_fock_from_gaussian(state: gw.GaussianState, dim):
         u = expm(gen)
         rho = u @ rho @ u.conj().T
     return rho[:dim, :dim]
+
+
+def mp_fock_from_gaussian(state: gw.GaussianState, dim, dps=40):
+    """Fock density of an N-mode Gaussian state, (dim^N, dim^N), at ``dps`` digits.
+
+    The Bargmann data sigma = W cm W^dag + I/2, A = X (I - sigma^-1)*,
+    b = sigma^-1 W d and c = exp(-(W d)^dag b / 2) / sqrt(det sigma) are
+    formed in mpmath, and the Hermite recurrence runs entry by entry.  Each
+    entry steps down its first nonzero index, the opposite order to the
+    library's axis-by-axis fill.
+    """
+    n = state.n_modes
+    with mpmath.workdps(dps):
+        w = mpmath.zeros(2 * n, 2 * n)
+        for k in range(n):
+            w[k, 2 * k] = w[n + k, 2 * k] = 1 / mpmath.sqrt(2)
+            w[k, 2 * k + 1] = 1j / mpmath.sqrt(2)
+            w[n + k, 2 * k + 1] = -1j / mpmath.sqrt(2)
+        sigma = w * mpmath.matrix(state.cm.tolist()) * w.H + mpmath.eye(2 * n) / 2
+        inv = sigma**-1
+        gamma = w * mpmath.matrix(state.displacement.tolist())
+        b = inv * gamma
+        swap = [(i + n) % (2 * n) for i in range(2 * n)]  # X exchanges the a and a* halves
+        a = [[mpmath.conj((swap[i] == j) - inv[swap[i], j]) for j in range(2 * n)] for i in range(2 * n)]
+        rho = {}
+        for k in itertools.product(range(dim), repeat=2 * n):  # every predecessor comes first
+            if not any(k):
+                rho[k] = mpmath.exp(-mpmath.re((gamma.H * b)[0]) / 2) / mpmath.sqrt(mpmath.re(mpmath.det(sigma)))
+                continue
+            i = next(axis for axis, v in enumerate(k) if v)
+            low = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            acc = b[i] * rho[low]
+            for j in range(2 * n):
+                if low[j]:
+                    acc += a[i][j] * mpmath.sqrt(low[j]) * rho[low[:j] + (low[j] - 1,) + low[j + 1 :]]
+            rho[k] = acc / mpmath.sqrt(k[i])
+        return np.array([complex(v) for v in rho.values()]).reshape(dim**n, dim**n)
 
 
 def dense_kraus_apply(rho: gw.FockDensity, ks: gw.KrausSet):

@@ -129,6 +129,21 @@ def test_decompose_command(capsys):
     )
 
 
+def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
+    # One eigh of cm and one of its companion at validation, one in bloch_messiah.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, _, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.5", "--json")
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_sweep_command(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--kind", "nogo", "--count", "50", "--seed", "3", "--json")
     assert code == 0
@@ -180,6 +195,12 @@ def test_channel_kraus_route(capsys):
     assert record["outputs"]["output_nbar"] == pytest.approx(0.82, abs=1e-6)
     assert 0.0 < record["outputs"]["unitarity_residual"] < 1e-10
     assert 0.0 <= record["outputs"]["input_leak"] < 1e-6
+
+
+def test_channel_kraus_refuses_multimode_state(capsys):
+    code, _, err = run_cli(capsys, "channel", "--state", "preset:tms:0.5", "--eta", "0.8", "--kraus")
+    assert code == cli.EXIT_INVALID
+    assert "the Kraus channel acts on one mode, got 2" in err
 
 
 def test_freecheck_free_state(capsys):

@@ -11,6 +11,7 @@ from conftest import (
     dense_kraus_apply,
     expm_fock_from_gaussian,
     fock_entropy,
+    mp_fock_from_gaussian,
     random_state,
     scatter_kraus_operators,
 )
@@ -434,6 +435,85 @@ def test_fock_coherent_amplitudes_independent_route():
     direct = np.outer(amps, amps.conj())
     built = gw.fock_from_gaussian(gw.coherent(alpha), dim).matrix
     np.testing.assert_allclose(built, direct, atol=1e-10)
+
+
+def test_fock_from_gaussian_matches_mpmath():
+    # squeezed(1.2, 0.4) leaks 1.5e-4 at dim 40, so an error from padding and
+    # cropping the truncated space would show there.
+    rng = np.random.default_rng(99)
+    states = [random_state(rng, 1, nu_max=2.0, r_max=0.8) for _ in range(12)]
+    for state in states + [gw.squeezed(1.2, 0.4)]:
+        got = gw.fock_from_gaussian(state, 40).matrix
+        np.testing.assert_allclose(got, mp_fock_from_gaussian(state, 40), rtol=0, atol=1e-14)
+
+
+def test_fock_from_gaussian_matches_mpmath_strongly_squeezed():
+    state = gw.squeezed(1.5)
+    got, want = gw.fock_from_gaussian(state, 80), mp_fock_from_gaussian(state, 80)
+    np.testing.assert_allclose(got.matrix, want, rtol=0, atol=1e-14)
+    # Nothing is padded, so the leak 1 - trace (6.9e-5 here) is the exact one.
+    assert 1.0 - got.trace == pytest.approx(1.0 - np.trace(want).real, rel=1e-9)
+
+
+def test_fock_from_gaussian_two_modes_matches_mpmath():
+    rng = np.random.default_rng(100)
+    for _ in range(3):
+        state = random_state(rng, 2, nu_max=1.5, r_max=0.5, d_scale=0.5)
+        got = gw.fock_from_gaussian(state, 6)
+        assert got.n_modes == 2 and got.matrix.shape == (36, 36)
+        np.testing.assert_allclose(got.matrix, mp_fock_from_gaussian(state, 6), rtol=0, atol=1e-14)
+
+
+def test_fock_from_gaussian_product_is_kron():
+    a = gw.squeezed(0.4, 0.3)
+    b = gw.GaussianState([0.3, -0.2], gw.thermal(0.4).cm + 0.1 * np.diag([1.0, -1.0]))
+    dim = 12
+    want = np.kron(gw.fock_from_gaussian(a, dim).matrix, gw.fock_from_gaussian(b, dim).matrix)
+    np.testing.assert_allclose(gw.fock_from_gaussian(gw.tensor([a, b]), dim).matrix, want, rtol=0, atol=1e-13)
+
+
+def test_fock_from_gaussian_two_mode_squeezed_diagonal():
+    r, dim = 0.6, 15
+    rho = gw.fock_from_gaussian(gw.two_mode_squeezed(r), dim).matrix
+    n = np.arange(dim)
+    want = np.tanh(r) ** (2 * n) / np.cosh(r) ** 2
+    np.testing.assert_allclose(np.diag(rho)[n * dim + n], want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.sum(np.abs(np.diag(rho))), np.sum(want), rtol=1e-14)
+
+
+def test_fock_from_gaussian_reduced_state_matches_partial_trace():
+    rng = np.random.default_rng(101)
+    state = random_state(rng, 2, nu_max=1.3, r_max=0.3, d_scale=0.3)
+    dim = 14
+    rho = gw.fock_from_gaussian(state, dim).matrix.reshape(dim, dim, dim, dim)
+    reduced = np.einsum("ikjk->ij", rho)
+    want = gw.fock_from_gaussian(gw.partial_trace(state, [0]), dim).matrix
+    np.testing.assert_allclose(reduced, want, rtol=0, atol=1e-6)
+
+
+def test_fock_from_gaussian_refuses_over_budget():
+    with pytest.raises(ValueError, match=r"dim 50 for 2 modes needs 6250000 entries, above the budget of 4194304"):
+        gw.fock_from_gaussian(gw.vacuum(2), 50)
+
+
+@pytest.mark.parametrize("dim", [0, -3, 2.5, True])
+def test_fock_from_gaussian_refuses_bad_dim(dim):
+    with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim!r}"):
+        gw.fock_from_gaussian(gw.vacuum(1), dim)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fock_density_refuses_non_finite(bad):
+    mat = np.eye(3) / 3
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="density matrix must be finite"):
+        gw.FockDensity(mat, dim=3)
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf])
+def test_fock_thermal_refuses_non_finite_nbar(nbar):
+    with pytest.raises(ValueError, match=f"mean photon number must be finite and nonnegative, got {nbar}"):
+        gw.fock_thermal(nbar, 5)
 
 
 def test_postselect_demo():
