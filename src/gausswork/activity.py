@@ -64,18 +64,21 @@ def local_activity(state: GaussianState) -> ActivityReport:
     report is certified when the residual is within 1e3 n eps max(1, ||M||).
 
     Raises:
-        ValueError: if an eigenvalue of M lies below 1/2 - TOL_PHYS, which
-            no physical state allows (the overlap matrix is positive
-            semidefinite); eigenvalues within tolerance are set to 1/2.
+        ValueError: if an eigenvalue of M lies below 1/2 - max(TOL_PHYS,
+            1e3 n eps max(1, ||M||)), which no physical state allows (the
+            overlap matrix is positive semidefinite); eigenvalues within
+            tolerance are set to 1/2.
     """
     n = state.n_modes
     m = photon_overlap_matrix(state) + 0.5 * np.eye(n)
     lam, vecs = np.linalg.eigh(m)
     lam, vecs = lam[::-1], vecs[:, ::-1]
-    if lam[-1] < 0.5 - TOL_PHYS:
+    # eigh rounds each eigenvalue by about eps ||M||, so the floor scales with it.
+    bound = 1e3 * n * np.finfo(float).eps * max(1.0, float(lam[0]))
+    if lam[-1] < 0.5 - max(TOL_PHYS, bound):
         raise ValueError(f"overlap eigenvalue {lam[-1]:.9g} falls below the vacuum floor 1/2")
     residual = float(np.linalg.norm(m @ vecs - vecs * lam))
-    certified = bool(residual <= 1e3 * n * np.finfo(float).eps * max(1.0, float(lam[0])))
+    certified = bool(residual <= bound)
     b = np.maximum(lam, 0.5)
     unitary = np.conj(vecs)
     params = {"b": b, "unitary": unitary, "eig_residual": residual}

@@ -237,6 +237,7 @@ def _cmd_decompose(args) -> int:
         "bm_o_out": bm.o_out.tolist(),
         "bm_squeezing": bm.r.tolist(),
         "bm_o_in": bm.o_in.tolist(),
+        "williamson_residual": dec.residual,
     }
     return _emit(ResultRecord("decompose", _digest(args.state), outputs, seed=args.seed), args.json)
 

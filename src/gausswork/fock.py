@@ -56,7 +56,9 @@ class FockDensity:
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}^{self.n_modes}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix must be finite")
-        if np.linalg.norm(mat - mat.conj().T) > 1e-10 * max(1.0, np.linalg.norm(mat)):
+        residual = mat.conj().T  # the one temporary of the check: a conjugate copy, then subtract in place
+        residual -= mat
+        if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("density matrix is not Hermitian")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

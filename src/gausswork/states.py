@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _williamson, require_valid_cm, rotation, symplectic_form, williamson
+from .symplectic import _skew, _spectrum, require_valid_cm, rotation, symplectic_form
 
 EPS_PURE = 1e-8
 
@@ -53,7 +53,7 @@ class GaussianState:
         spec = require_valid_cm(cm)
         if d.size != cm.shape[0]:
             raise ValueError(f"displacement length {d.size} does not match matrix dimension {cm.shape[0]}")
-        for arr in (d, cm, *spec[:3]):
+        for arr in (d, cm, spec.root, spec.nu):
             arr.setflags(write=False)
         object.__setattr__(self, "displacement", d)
         object.__setattr__(self, "cm", cm)
@@ -180,23 +180,32 @@ def von_neumann_entropy(state: GaussianState) -> float:
     return float(np.sum(thermal_entropy(state._spectrum.nu)))
 
 
-def _gibbs_from_williamson(dec) -> np.ndarray:
-    omega = symplectic_form(dec.nu.size)
-    gvals = 2.0 * np.arctanh(1.0 / (2.0 * dec.nu))
-    core = np.diag(np.repeat(gvals, 2))
-    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+def _gibbs(spec) -> np.ndarray:
+    """Gibbs matrix -Omega S diag(2 arccoth(2 nu_k) I_2) S^T Omega of a spectrum with every nu > 1/2.
+
+    S = cm^{1/2} Q diag(nu^{-1/2}) with Q orthogonal and Q^T K^T K Q = diag(nu^2), K = cm^{1/2}
+    Omega cm^{1/2} (see :func:`williamson`), so S diag(f(nu)) S^T = cm^{1/2} h(K^T K) cm^{1/2} with
+    h(nu^2) = f(nu) / nu.  A matrix function does not depend on the basis chosen inside a
+    degenerate eigenspace, so one eigh of the real symmetric K^T K gives it without canonical pairs.
+    """
+    k = _skew(spec.root)
+    lam, u = np.linalg.eigh(k.T @ k)
+    nu = np.sqrt(np.maximum(lam, spec.nu[-1] ** 2))  # each eigenvalue is some nu_k^2 up to rounding
+    core = spec.root @ (u * (2.0 * np.arctanh(0.5 / nu) / nu)) @ u.T @ spec.root
+    omega = symplectic_form(spec.nu.size)
+    return -omega @ core @ omega
 
 
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     """Exponent matrix G of the Gaussian state rho ~ exp(-x^T G x / 2).
 
-    Evaluated through the Williamson decomposition as
-    -Omega S (+2 arccoth(2 nu_k) I_2) S^T Omega; diverges as any nu -> 1/2.
+    G = -Omega S (+2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson factor S, evaluated
+    without forming S; diverges as any nu -> 1/2.
     """
-    dec = williamson(np.asarray(cm, dtype=float))
-    if np.any(dec.nu <= 0.5):
+    spec = _spectrum(np.asarray(cm, dtype=float))
+    if np.any(spec.nu <= 0.5):
         raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    return _gibbs_from_williamson(dec)
+    return _gibbs(spec)
 
 
 def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
@@ -204,18 +213,18 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
 
     Returns +inf when sigma has a symplectic eigenvalue within EPS_PURE
     of 1/2 (support mismatch), unless the two states are exactly equal.
-    One Williamson decomposition of sigma gives both that check and the
+    The spectrum sigma kept from validation gives both that check and the
     Gibbs matrix.
     """
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
     if np.array_equal(rho.displacement, sigma.displacement) and np.array_equal(rho.cm, sigma.cm):
         return 0.0
-    dec = _williamson(sigma.cm, sigma._spectrum)
-    if np.any(dec.nu <= 0.5 + EPS_PURE):
+    spec = sigma._spectrum
+    if np.any(spec.nu <= 0.5 + EPS_PURE):
         return math.inf
-    g2 = _gibbs_from_williamson(dec)
-    logdet = float(np.sum(np.log(dec.nu**2 - 0.25)))
+    g2 = _gibbs(spec)
+    logdet = float(np.sum(np.log(spec.nu**2 - 0.25)))
     delta = rho.displacement - sigma.displacement
     cross = float(np.trace(rho.cm @ g2) + delta @ g2 @ delta)
     return -von_neumann_entropy(rho) + 0.5 * (logdet + cross)

@@ -77,10 +77,12 @@ def is_orthosymplectic(o: np.ndarray, tol: float = TOL_SYMP) -> bool:
     return is_symplectic(o, tol)
 
 
-# Rounding error on nu grows with kappa(cm): over 9,000 seeded pure states
-# O1 Z(r) O2 with |r| <= 6 and N <= 4 it reached 0.72 n eps kappa (n = 2N),
-# so the factor 2 leaves a margin of almost 3.  No deficit above the cap is
-# put down to rounding, or diag(1e-11, 1e9) (nu = 0.1, kappa 1e20) would pass.
+# Rounding error on nu grows with kappa(cm): over pure states O1 Z(r) O2 with
+# |r| <= 6 and N <= 4 (the tests/conftest.py sampler) max |nu - 1/2| reached
+# 1.08 n eps kappa (n = 2N) over 3,000 states at seed 7 and 0.84 over 20,000
+# at seed 11, so the factor 2 leaves a margin of almost 2.  No deficit above
+# the cap is put down to rounding, or diag(1e-11, 1e9) (nu = 0.1, kappa 1e20)
+# would pass.
 _KAPPA_FACTOR = 2.0
 _TOL_CAP = 1e-3
 
@@ -94,17 +96,29 @@ class _NotPositiveDefinite(ValueError):
 class _Spectrum(NamedTuple):
     root: np.ndarray  # cm^{1/2}
     nu: np.ndarray  # symplectic eigenvalues, descending
-    vecs: np.ndarray  # companion eigenvectors of +nu, in the order of nu
     tol: float  # min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR n eps kappa))
+
+
+def _skew(root: np.ndarray) -> np.ndarray:
+    """K = root @ Omega @ root for root = cm^{1/2}; its Hermitian companion 1j*K has eigenvalues +/- nu_k.
+
+    root @ Omega is root with each column pair (q_k, p_k) swapped to (-p_k, q_k).
+    """
+    root_omega = np.empty_like(root)
+    root_omega[:, 0::2] = -root[:, 1::2]
+    root_omega[:, 1::2] = root[:, 0::2]
+    return root_omega @ root
 
 
 def _spectrum(cm: np.ndarray) -> _Spectrum:
     """The one symplectic spectrum every layer reads.
 
-    eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa; eigh
-    of the Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} gives
-    +/- nu_k, and values in [1/2 - tol, 1/2) are set to 1/2.  ValueError
-    unless cm is finite, symmetric and has every eigenvalue >= 1e-12.
+    eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa;
+    eigvalsh of the Hermitian companion 1j*K of K = cm^{1/2} @ Omega @
+    cm^{1/2} gives +/- nu_k, and values in [1/2 - tol, 1/2) are set to 1/2.
+    No eigenvectors of the companion are formed: only :func:`_williamson`
+    needs them.  ValueError unless cm is finite, symmetric and has every
+    eigenvalue >= 1e-12.
     """
     cm = np.asarray(cm, dtype=float)
     n = _even_square(cm, "covariance matrix")
@@ -116,13 +130,11 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
     if w[0] < 1e-12:
         raise _NotPositiveDefinite(float(w[0]))
     root = (v * np.sqrt(w)) @ v.T
-    k = root @ symplectic_form(n) @ root
-    lam, vecs = np.linalg.eigh(0.5j * (k - k.T))
+    lam = np.linalg.eigvalsh(1j * _skew(root))
     tol = min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0]))
     nu = lam[n:][::-1].copy()
     nu[(nu >= 0.5 - tol) & (nu < 0.5)] = 0.5
-    # A copy, so that a kept spectrum does not also hold the -nu eigenvectors.
-    return _Spectrum(root, nu, vecs[:, n:][:, ::-1].copy(), tol)
+    return _Spectrum(root, nu, tol)
 
 
 class CMValidation(NamedTuple):
@@ -177,10 +189,15 @@ def symplectic_trace(cm: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WilliamsonDecomposition:
-    """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T."""
+    """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T.
+
+    ``residual`` is the reconstruction error ||S D S^T - cm|| (Frobenius),
+    at most TOL_RECON max(1, ||cm||).
+    """
 
     symplectic: np.ndarray
     nu: np.ndarray
+    residual: float
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -194,14 +211,14 @@ def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite matrix.
 
     The Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} (the one
-    :func:`symplectic_eigenvalues` uses) is diagonalised.  For an eigenvector
-    v = (x + 1j y) / sqrt(2) of eigenvalue +nu, conj(v) belongs to -nu, so
-    v^T v = 0: x and y are orthonormal, and (y, x) is a real canonical pair
-    with y^T K x = nu.  This holds inside degenerate eigenspaces too, so the
-    pairs of all +nu eigenvectors form an orthogonal basis bringing K to
-    canonical form; the symplectic factor is cm^{1/2} times that basis,
-    scaled by nu^{-1/2}.  The symplectic eigenvalues, sorted descending, are
-    those of :func:`symplectic_eigenvalues`.
+    :func:`symplectic_eigenvalues` uses) is diagonalised with eigenvectors.
+    For an eigenvector v = (x + 1j y) / sqrt(2) of eigenvalue +nu, conj(v)
+    belongs to -nu, so v^T v = 0: x and y are orthonormal, and (y, x) is a
+    real canonical pair with y^T K x = nu.  This holds inside degenerate
+    eigenspaces too, so the pairs of all +nu eigenvectors form an orthogonal
+    basis bringing K to canonical form; the symplectic factor is cm^{1/2}
+    times that basis, scaled by nu^{-1/2}.  The symplectic eigenvalues,
+    sorted descending, are exactly those of :func:`symplectic_eigenvalues`.
 
     Raises:
         ValueError: on near-singular input (min eigenvalue < 1e-12) or if
@@ -213,15 +230,16 @@ def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
 
 def _williamson(cm: np.ndarray, spec: _Spectrum) -> WilliamsonDecomposition:
     n = spec.nu.size
-    v = np.sqrt(2.0) * spec.vecs
+    vecs = np.linalg.eigh(1j * _skew(spec.root))[1][:, n:][:, ::-1]  # +nu, in the order of spec.nu
     q = np.empty((2 * n, 2 * n))
-    q[:, 0::2] = v.imag
-    q[:, 1::2] = v.real
-    s = spec.root @ q @ np.diag(np.repeat(spec.nu, 2) ** -0.5)
-    residual = np.linalg.norm(s @ np.diag(np.repeat(spec.nu, 2)) @ s.T - cm)
+    q[:, 0::2] = np.sqrt(2.0) * vecs.imag
+    q[:, 1::2] = np.sqrt(2.0) * vecs.real
+    d = np.repeat(spec.nu, 2)
+    s = (spec.root @ q) * d**-0.5
+    residual = float(np.linalg.norm((s * d) @ s.T - cm))
     if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
-    return WilliamsonDecomposition(symplectic=s, nu=spec.nu)
+    return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,9 +105,24 @@ def test_two_mode_optimum_matches_overlap_spectrum():
 
 
 def test_unphysical_guard_reports_rather_than_clamps(monkeypatch):
-    monkeypatch.setattr("gausswork.activity.TOL_PHYS", -1.0)
+    # An overlap matrix with a negative eigenvalue gives M an eigenvalue far below 1/2.
+    monkeypatch.setattr("gausswork.activity.photon_overlap_matrix", lambda state: np.diag([0.2, -0.3]))
     with pytest.raises(ValueError, match="vacuum floor"):
         gw.local_activity(gw.vacuum(2))
+
+
+@pytest.mark.parametrize("nbar", [1e6, 1e7, 1e8, 1e9])
+def test_bright_free_states_are_accepted_with_zero_activity(nbar):
+    # The overlap eigenvalue at the vacuum rounds by about eps ||M|| below 1/2;
+    # an absolute floor refused up to 17 of these 40 angles at nbar = 1e9.
+    bound = 1e3 * 2 * np.finfo(float).eps * nbar
+    for theta in np.linspace(0.1, 1.4, 40):
+        circuit = gw.PassiveCircuit(2, (gw.BeamSplitter(theta, (0, 1)), gw.PhaseShifter(0.3 * theta, 0)))
+        product = gw.tensor([gw.vacuum(), gw.thermal(nbar)])
+        state = gw.apply_gaussian_unitary(product, gw.compile_passive_circuit(circuit))
+        report = gw.local_activity(state)
+        assert report.certified
+        assert report.value == pytest.approx(0.0, abs=bound)
 
 
 def test_overlap_matrix_respects_conjugation_routes():

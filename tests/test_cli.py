@@ -127,10 +127,12 @@ def test_decompose_command(capsys):
     np.testing.assert_allclose(
         sorted(record["outputs"]["bm_squeezing"], reverse=True), [0.7, 0.7], atol=1e-9
     )
+    cm = gw.two_mode_squeezed(0.7).cm
+    assert 0.0 <= record["outputs"]["williamson_residual"] <= gw.symplectic.TOL_RECON * max(1.0, np.linalg.norm(cm))
 
 
 def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
-    # One eigh of cm and one of its companion at validation, one in bloch_messiah.
+    # One eigh of cm at validation, one of its companion in Williamson, one in bloch_messiah.
     calls = []
     eigh = np.linalg.eigh
 
@@ -258,6 +260,13 @@ def test_json_records_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--seed", "7", "--json")
     _, out2, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--seed", "7", "--json")
     assert out1 == out2
+
+
+def test_decompose_record_with_residual_is_deterministic(capsys):
+    _, out1, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.4", "--json")
+    _, out2, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.4", "--json")
+    assert out1 == out2
+    assert "williamson_residual" in json.loads(out1)["outputs"]
 
 
 def test_json_floats_roundtrip_losslessly(capsys):

@@ -496,6 +496,26 @@ def test_fock_from_gaussian_refuses_over_budget():
         gw.fock_from_gaussian(gw.vacuum(2), 50)
 
 
+def test_fock_from_gaussian_peaks_at_three_tensors():
+    # The recurrence's tensor, the density's defensive copy and the one
+    # temporary of the Hermitian check; the last recurrence slab (0.43 MB)
+    # and a ufunc buffer (0.13 MB) stay within the tenth of a tensor allowed.
+    state = gw.two_mode_squeezed(0.5)
+    tracemalloc.start()
+    try:
+        rho = gw.fock_from_gaussian(state, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.nbytes == 30**4 * 16
+    assert peak <= 3.1 * rho.matrix.nbytes
+
+
+def test_fock_density_refuses_non_hermitian():
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        gw.FockDensity(np.array([[0.5, 0.1], [0.0, 0.5]]), dim=2)
+
+
 @pytest.mark.parametrize("dim", [0, -3, 2.5, True])
 def test_fock_from_gaussian_refuses_bad_dim(dim):
     with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim!r}"):

@@ -56,6 +56,7 @@ def test_every_layer_accepts_pure_states_and_reads_nu_at_least_half(case):
     gw.relative_entropy(state, _reference(state))
     for nu in (check.min_symplectic_eig, gw.symplectic_eigenvalues(cm), dec.nu, protocol.final_cm.nu):
         assert np.min(nu) >= 0.5
+    assert np.array_equal(dec.nu, gw.symplectic_eigenvalues(cm))
 
 
 @property_settings
@@ -80,6 +81,48 @@ def test_work_and_entropy_are_invariant_under_passive_maps(case):
     assert gw.von_neumann_entropy(rotated) == pytest.approx(
         gw.von_neumann_entropy(state), abs=n * gw.thermal_entropy(0.5 + tol)
     )
+
+
+def _counting(monkeypatch):
+    """Record ("eigh" | "eigvalsh", complex?) for every numpy Hermitian eigensolver call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, np.iscomplexobj(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [gw.validate_cm, gw.symplectic_eigenvalues, gw.is_free_cm, lambda cm: gw.GaussianState(np.zeros(len(cm)), cm)],
+    ids=["validate_cm", "symplectic_eigenvalues", "is_free_cm", "GaussianState"],
+)
+def test_validation_takes_values_only_from_the_companion(monkeypatch, layer):
+    # One eigh of the real cm, one eigvalsh of the complex companion; no eigenvectors of it.
+    cm = _pure([0.8, -0.3, 1.5], 5)[1].cm
+    calls = _counting(monkeypatch)
+    layer(cm)
+    assert calls == [("eigh", False), ("eigvalsh", True)]
+
+
+def test_relative_entropy_reads_the_gibbs_matrix_from_one_real_eigh(monkeypatch):
+    rho = _pure([0.8, -0.3, 1.5], 5)[1]
+    sigma = _reference(rho)
+    calls = _counting(monkeypatch)
+    gw.relative_entropy(rho, sigma)
+    assert calls == [("eigh", False)]
+
+
+def test_a_kept_spectrum_holds_only_real_arrays():
+    state = _pure(np.linspace(-2.0, 2.0, 64), 6)[1]
+    arrays = [a for a in state._spectrum if isinstance(a, np.ndarray)]
+    assert not any(np.iscomplexobj(a) for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 2 * state.cm.nbytes + 1024
 
 
 REFUSALS = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import fock_relative_entropy, random_cm, random_orthosymplectic, random_state
+from conftest import fock_relative_entropy, random_cm, random_orthosymplectic, random_state, random_symplectic
 
 LN2 = math.log(2.0)
 
@@ -140,6 +140,26 @@ def test_gibbs_matrix_thermal():
     nbar = 1.0
     expected = 2 * np.arctanh(1.0 / 3.0) * np.eye(2)
     np.testing.assert_allclose(gw.gibbs_matrix(gw.thermal(nbar).cm), expected, atol=1e-12)
+
+
+def _gibbs_via_williamson(cm):
+    dec = gw.williamson(cm)
+    omega = gw.symplectic_form(dec.nu.size)
+    core = np.diag(np.repeat(2.0 * np.arctanh(1.0 / (2.0 * dec.nu)), 2))
+    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 8, 64])
+def test_gibbs_matrix_matches_the_williamson_formula(n_modes):
+    # The matrix-function route against -Omega S diag(2 arccoth(2 nu)) S^T Omega, also on
+    # spectra with ties (a squeezed thermal product, every nu equal), where the canonical
+    # pairs inside an eigenspace are not unique.
+    rng = np.random.default_rng(140 + n_modes)
+    s = random_symplectic(rng, n_modes, r_max=1.5)
+    cms = [random_cm(rng, n_modes, nu_min=0.6, r_max=1.5), 1.7 * s @ s.T]
+    for cm in (0.5 * (c + c.T) for c in cms):
+        ref = _gibbs_via_williamson(cm)
+        np.testing.assert_allclose(gw.gibbs_matrix(cm), ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
 
 
 def test_relative_entropy_self_is_zero():

@@ -144,6 +144,8 @@ def test_williamson_random_roundtrip():
         cm = random_cm(rng, 2)
         dec = gw.williamson(cm)
         assert np.linalg.norm(dec.reconstruct() - cm) < 1e-9
+        assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - cm), rel=1e-6, abs=1e-15)
+        assert dec.residual <= gw.symplectic.TOL_RECON * max(1.0, np.linalg.norm(cm))
         assert gw.is_symplectic(dec.symplectic)
         assert np.all(np.diff(dec.nu) <= 1e-12)
 
