@@ -11,8 +11,8 @@ minimised at the eigenbasis of M:
 
     A(rho) = -S(rho) + sum_i g(lambda_i(M)).
 
-One eigendecomposition gives the value and the closest free state for
-every mode count; the eigen-residual certifies it.
+One real eigendecomposition gives the value and the closest free state
+for every mode count; the eigen-residual certifies it.
 """
 
 import math
@@ -31,7 +31,7 @@ from .states import (
     thermal_entropy,
     von_neumann_entropy,
 )
-from .symplectic import TOL_PHYS, unitary_to_orthosymplectic
+from .symplectic import TOL_PHYS, _canonical_pairs, _real_form, symplectic_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +57,13 @@ def photon_overlap_matrix(state: GaussianState) -> np.ndarray:
 def local_activity(state: GaussianState) -> ActivityReport:
     """Activity -S + sum_i g(lambda_i) from the spectrum of M = overlap + I/2.
 
-    ``params`` holds the occupancies ``b`` (eigenvalues of M, descending),
-    the optimal ``unitary`` (the witness is its orthosymplectic image) and
-    ``eig_residual`` = ||M V - V diag(b)||; two-mode states also report the
+    One real ``eigh`` of the 2N x 2N real form of conj(M), which holds each
+    eigenvalue of M twice, gives the occupancies; its eigenvectors, paired
+    as (Omega b, b) by :func:`_canonical_pairs`, are the columns of the
+    orthosymplectic witness O.  ``params`` holds the occupancies ``b``
+    (eigenvalues of M, descending), the optimal ``unitary`` (read from O,
+    which is its orthosymplectic image) and ``eig_residual`` = ||M_r O - O
+    diag(b)|| for the real form M_r; two-mode states also report the
     beam-splitter angle ``theta`` and relative phase ``delta_phi``.  The
     report is certified when the residual is within 1e3 n eps max(1, ||M||).
 
@@ -71,23 +75,25 @@ def local_activity(state: GaussianState) -> ActivityReport:
     """
     n = state.n_modes
     m = photon_overlap_matrix(state) + 0.5 * np.eye(n)
-    lam, vecs = np.linalg.eigh(m)
-    lam, vecs = lam[::-1], vecs[:, ::-1]
+    m_real = _real_form(np.conj(m))
+    vals, vecs = np.linalg.eigh(m_real)
+    lam = vals[::-2]  # each eigenvalue of M once, descending
     # eigh rounds each eigenvalue by about eps ||M||, so the floor scales with it.
     bound = 1e3 * n * np.finfo(float).eps * max(1.0, float(lam[0]))
     if lam[-1] < 0.5 - max(TOL_PHYS, bound):
         raise ValueError(f"overlap eigenvalue {lam[-1]:.9g} falls below the vacuum floor 1/2")
-    residual = float(np.linalg.norm(m @ vecs - vecs * lam))
+    witness = _canonical_pairs(vecs[:, ::-1], symplectic_form(n))
+    residual = float(np.linalg.norm(m_real @ witness - witness * np.repeat(lam, 2)))
     certified = bool(residual <= bound)
     b = np.maximum(lam, 0.5)
-    unitary = np.conj(vecs)
+    unitary = witness[0::2, 0::2] + 1j * witness[1::2, 0::2]
     params = {"b": b, "unitary": unitary, "eig_residual": residual}
     if n == 2:
         params["theta"] = -0.5 * math.atan2(2.0 * abs(m[0, 1]), float(m[0, 0].real - m[1, 1].real))
         params["delta_phi"] = float(np.angle(m[0, 1]))
     return ActivityReport(
         value=float(np.sum(thermal_entropy(b))) - von_neumann_entropy(state),
-        closest_free=free_cm(b, unitary_to_orthosymplectic(unitary)),
+        closest_free=free_cm(b, witness),
         params=params,
         certified=certified,
     )

@@ -238,6 +238,7 @@ def _cmd_decompose(args) -> int:
         "bm_squeezing": bm.r.tolist(),
         "bm_o_in": bm.o_in.tolist(),
         "williamson_residual": dec.residual,
+        "symplectic_residual": dec.symplectic_residual,
     }
     return _emit(ResultRecord("decompose", _digest(args.state), outputs, seed=args.seed), args.json)
 

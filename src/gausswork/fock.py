@@ -35,7 +35,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .states import GaussianState, _mode_indices, _xlogx, thermal_entropy
-from .symplectic import validate_cm
+from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 _FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
@@ -363,7 +363,8 @@ def fock_single_mode_activity(rho: FockDensity, leak_tol: float = 1e-6) -> float
     leak = abs(1.0 - rho.trace)
     if leak > leak_tol:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {leak_tol:.1e}")
-    evals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
+    # The real form of rho holds each eigenvalue twice; a real solver keeps complex LAPACK out of the process.
+    evals = np.clip(np.linalg.eigvalsh(_real_form(rho.matrix))[0::2], 0.0, None)
     entropy = float(-np.sum(_xlogx(evals)))
     nbar = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.dim))
     return -entropy + float(thermal_entropy(nbar + 0.5))

@@ -186,12 +186,13 @@ def _gibbs(spec) -> np.ndarray:
     S = cm^{1/2} Q diag(nu^{-1/2}) with Q orthogonal and Q^T K^T K Q = diag(nu^2), K = cm^{1/2}
     Omega cm^{1/2} (see :func:`williamson`), so S diag(f(nu)) S^T = cm^{1/2} h(K^T K) cm^{1/2} with
     h(nu^2) = f(nu) / nu.  A matrix function does not depend on the basis chosen inside a
-    degenerate eigenspace, so one eigh of the real symmetric K^T K gives it without canonical pairs.
+    degenerate eigenspace, so the SVD K = U diag(sigma) V^T gives it as V h(sigma^2) V^T without
+    canonical pairs.  The singular values carry an absolute error of about eps nu_max, where the
+    eigenvalues of K^T K would carry eps nu_max^2.
     """
-    k = _skew(spec.root)
-    lam, u = np.linalg.eigh(k.T @ k)
-    nu = np.sqrt(np.maximum(lam, spec.nu[-1] ** 2))  # each eigenvalue is some nu_k^2 up to rounding
-    core = spec.root @ (u * (2.0 * np.arctanh(0.5 / nu) / nu)) @ u.T @ spec.root
+    _, sv, vt = np.linalg.svd(_skew(spec.root))
+    sv = np.maximum(sv, spec.nu[-1])  # each singular value is some nu_k up to rounding
+    core = spec.root @ ((vt.T * (2.0 * np.arctanh(0.5 / sv) / sv)) @ vt) @ spec.root
     omega = symplectic_form(spec.nu.size)
     return -omega @ core @ omega
 

@@ -8,6 +8,7 @@ orthogonal ("orthosymplectic") exactly when it represents a passive
 (energy-preserving) Gaussian unitary, i.e. a linear interferometer.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
@@ -78,13 +79,21 @@ def is_orthosymplectic(o: np.ndarray, tol: float = TOL_SYMP) -> bool:
 
 
 # Rounding error on nu grows with kappa(cm): over pure states O1 Z(r) O2 with
-# |r| <= 6 and N <= 4 (the tests/conftest.py sampler) max |nu - 1/2| reached
-# 1.08 n eps kappa (n = 2N) over 3,000 states at seed 7 and 0.84 over 20,000
-# at seed 11, so the factor 2 leaves a margin of almost 2.  No deficit above
-# the cap is put down to rounding, or diag(1e-11, 1e9) (nu = 0.1, kappa 1e20)
-# would pass.
+# |r| <= 6 and N <= 4 (the tests/conftest.py sampler) max |nu - 1/2|, nu the
+# mean of each singular-value pair of K, reached 0.85 n eps kappa (n = 2N) over
+# 3,000 states at seed 7 and 0.78 over 20,000 at seed 11 (the eigenvalues of
+# the Hermitian companion 1j*K gave 1.08 and 0.84 on the same states), so the
+# factor 2 leaves a margin of more than 2.  No deficit above the cap is put
+# down to rounding, or diag(1e-11, 1e9) (nu = 0.1, kappa 1e20) would pass.
 _KAPPA_FACTOR = 2.0
 _TOL_CAP = 1e-3
+# Tie rule of _canonical_pairs: a direct pair whose a = j b leaves its plane by more than this is
+# re-paired.  A leak left in place enters ||S Omega S^T - Omega|| in proportion.  Measured over 108
+# mixed and 108 pure benchmark states (N = 1..64, |r| <= 2), 400 pure states with |r| <= 6, the tied
+# spectra of the tests and spectra with gaps 1e-4..1e-12: at 1e-12 the symplectic residual stays
+# within 3.5e-4 of the is_symplectic bound and 8 of 1,004 mixed-state pairs are re-paired (99 at
+# 1e-13); at 1e-9 a gap of 1e-6 took 0.55 of the bound, and at 1e-8 it was refused.
+_TIE = 1e-12
 
 
 class _NotPositiveDefinite(ValueError):
@@ -99,26 +108,28 @@ class _Spectrum(NamedTuple):
     tol: float  # min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR n eps kappa))
 
 
-def _skew(root: np.ndarray) -> np.ndarray:
-    """K = root @ Omega @ root for root = cm^{1/2}; its Hermitian companion 1j*K has eigenvalues +/- nu_k.
+def _times_omega(mat: np.ndarray) -> np.ndarray:
+    """mat @ Omega: each column pair (q_k, p_k) of mat swapped to (-p_k, q_k)."""
+    out = np.empty_like(mat)
+    out[:, 0::2] = -mat[:, 1::2]
+    out[:, 1::2] = mat[:, 0::2]
+    return out
 
-    root @ Omega is root with each column pair (q_k, p_k) swapped to (-p_k, q_k).
-    """
-    root_omega = np.empty_like(root)
-    root_omega[:, 0::2] = -root[:, 1::2]
-    root_omega[:, 1::2] = root[:, 0::2]
-    return root_omega @ root
+
+def _skew(root: np.ndarray) -> np.ndarray:
+    """K = root @ Omega @ root for root = cm^{1/2}: real and skew, with singular values nu_k, each twice."""
+    return _times_omega(root) @ root
 
 
 def _spectrum(cm: np.ndarray) -> _Spectrum:
     """The one symplectic spectrum every layer reads.
 
-    eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa;
-    eigvalsh of the Hermitian companion 1j*K of K = cm^{1/2} @ Omega @
-    cm^{1/2} gives +/- nu_k, and values in [1/2 - tol, 1/2) are set to 1/2.
-    No eigenvectors of the companion are formed: only :func:`_williamson`
-    needs them.  ValueError unless cm is finite, symmetric and has every
-    eigenvalue >= 1e-12.
+    eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa; a
+    values-only SVD of the real skew K = cm^{1/2} @ Omega @ cm^{1/2} gives
+    each nu_k twice, and nu_k is the mean of its two copies.  Values in
+    [1/2 - tol, 1/2) are set to 1/2.  No singular vectors are formed: only
+    :func:`_williamson` needs them.  ValueError unless cm is finite,
+    symmetric and has every eigenvalue >= 1e-12.
     """
     cm = np.asarray(cm, dtype=float)
     n = _even_square(cm, "covariance matrix")
@@ -130,9 +141,9 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
     if w[0] < 1e-12:
         raise _NotPositiveDefinite(float(w[0]))
     root = (v * np.sqrt(w)) @ v.T
-    lam = np.linalg.eigvalsh(1j * _skew(root))
+    sv = np.linalg.svd(_skew(root), compute_uv=False)
     tol = min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0]))
-    nu = lam[n:][::-1].copy()
+    nu = 0.5 * (sv[0::2] + sv[1::2])
     nu[(nu >= 0.5 - tol) & (nu < 0.5)] = 0.5
     return _Spectrum(root, nu, tol)
 
@@ -173,11 +184,11 @@ def require_valid_cm(mat: np.ndarray) -> _Spectrum:
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
 
-    Computed from the skew-symmetric matrix cm^{1/2} @ Omega @ cm^{1/2},
-    whose Hermitian companion 1j*K has eigenvalues +/- nu_k; this is
-    numerically stable down to the pure-state boundary nu = 1/2.  It is the
-    spectrum :func:`validate_cm` judges: values within tolerance below 1/2
-    read 1/2.
+    Computed from the real skew matrix K = cm^{1/2} @ Omega @ cm^{1/2},
+    whose singular values are the nu_k, each twice; the SVD keeps an error
+    of about eps nu_max, so this is stable down to the pure-state boundary
+    nu = 1/2.  It is the spectrum :func:`validate_cm` judges: values within
+    tolerance below 1/2 read 1/2.
     """
     return _spectrum(cm).nu
 
@@ -192,12 +203,16 @@ class WilliamsonDecomposition:
     """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T.
 
     ``residual`` is the reconstruction error ||S D S^T - cm|| (Frobenius),
-    at most TOL_RECON max(1, ||cm||).
+    at most TOL_RECON max(1, ||cm||).  ``symplectic_residual`` is
+    ||S Omega S^T - Omega||, below the :func:`is_symplectic` bound
+    TOL_SYMP max(1, ||S||^2); the reconstruction residual cannot see a wrong
+    pairing, because any orthogonal basis reconstructs cm.
     """
 
     symplectic: np.ndarray
     nu: np.ndarray
     residual: float
+    symplectic_residual: float
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -210,36 +225,79 @@ class WilliamsonDecomposition:
 def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite matrix.
 
-    The Hermitian companion 1j*K of K = cm^{1/2} @ Omega @ cm^{1/2} (the one
-    :func:`symplectic_eigenvalues` uses) is diagonalised with eigenvectors.
-    For an eigenvector v = (x + 1j y) / sqrt(2) of eigenvalue +nu, conj(v)
-    belongs to -nu, so v^T v = 0: x and y are orthonormal, and (y, x) is a
-    real canonical pair with y^T K x = nu.  This holds inside degenerate
-    eigenspaces too, so the pairs of all +nu eigenvectors form an orthogonal
-    basis bringing K to canonical form; the symplectic factor is cm^{1/2}
-    times that basis, scaled by nu^{-1/2}.  The symplectic eigenvalues,
-    sorted descending, are exactly those of :func:`symplectic_eigenvalues`.
+    One SVD K = U diag(sigma) V^T of the real skew K = cm^{1/2} @ Omega @
+    cm^{1/2} (the matrix :func:`symplectic_eigenvalues` reads) gives the
+    canonical pairs: K v_j = sigma_j u_j with u_j orthogonal to v_j, so
+    (u_j, v_j) is a real canonical pair with u_j^T K v_j = sigma_j, and the
+    polar factor U V^T maps each v_j to u_j.  A simple nu is paired
+    directly; tied nu (every pure state is one tie) are paired by a pivoted
+    symplectic Gram-Schmidt (:func:`_canonical_pairs`).  The symplectic
+    factor is cm^{1/2} times the orthogonal basis of pairs, scaled by
+    nu^{-1/2}.  The symplectic eigenvalues, sorted descending, are exactly
+    those of :func:`symplectic_eigenvalues`.
 
     Raises:
-        ValueError: on near-singular input (min eigenvalue < 1e-12) or if
-            the reconstruction residual exceeds TOL_RECON max(1, ||cm||).
+        ValueError: on near-singular input (min eigenvalue < 1e-12), if the
+            reconstruction residual exceeds TOL_RECON max(1, ||cm||) or if
+            the symplectic residual exceeds the :func:`is_symplectic` bound.
     """
     cm = np.asarray(cm, dtype=float)
     return _williamson(cm, _spectrum(cm))
 
 
 def _williamson(cm: np.ndarray, spec: _Spectrum) -> WilliamsonDecomposition:
-    n = spec.nu.size
-    vecs = np.linalg.eigh(1j * _skew(spec.root))[1][:, n:][:, ::-1]  # +nu, in the order of spec.nu
-    q = np.empty((2 * n, 2 * n))
-    q[:, 0::2] = np.sqrt(2.0) * vecs.imag
-    q[:, 1::2] = np.sqrt(2.0) * vecs.real
+    u, _, vt = np.linalg.svd(_skew(spec.root))
+    polar = u @ vt  # K = polar @ (K^T K)^{1/2}: a complex structure that commutes with K^T K
+    q = _canonical_pairs(vt.T, polar)
     d = np.repeat(spec.nu, 2)
     s = (spec.root @ q) * d**-0.5
     residual = float(np.linalg.norm((s * d) @ s.T - cm))
     if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
-    return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual)
+    symplectic_residual = float(np.linalg.norm(_times_omega(s) @ s.T - symplectic_form(spec.nu.size)))
+    if symplectic_residual >= TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2):
+        raise ValueError(f"williamson symplectic residual {symplectic_residual:.3e} exceeds tolerance")
+    return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
+
+
+def _canonical_pairs(cand: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Orthonormal canonical pairs (a_k = j b_k, b_k) spanning the columns of ``cand``.
+
+    ``cand`` holds 2m orthonormal eigenvectors, two per eigenvalue, of a
+    symmetric operator that commutes with the complex structure ``j`` (skew
+    and orthogonal), in descending order of eigenvalue.  Each eigenspace is
+    then mapped to itself by j, so for a simple eigenvalue j c_2k lies in the
+    plane of c_2k and c_2k+1 and (j c_2k, c_2k) is the pair.  Where j c_2k
+    leaves that plane by more than _TIE the eigenvalue is tied, and the
+    candidates of all tied eigenvalues, whose span the direct pairs leave
+    free, go through a pivoted symplectic Gram-Schmidt: the candidate with
+    the largest residual becomes b, a = j b, and both are deflated from the
+    rest.  Returns the columns [a_1, b_1, ..., a_m, b_m]; pair k lies in the
+    eigenspace of candidates 2k and 2k + 1.
+    """
+    out = np.empty_like(cand)
+    out[:, 1::2] = cand[:, 0::2]
+    out[:, 0::2] = j @ cand[:, 0::2]
+    partner = cand[:, 1::2]
+    leak = out[:, 0::2] - partner * (partner * out[:, 0::2]).sum(axis=0)
+    tied = (leak * leak).sum(axis=0) > _TIE**2
+    if not tied.any():
+        return out
+    cols = np.flatnonzero(np.repeat(tied, 2))
+    res = cand[:, cols].T  # one candidate per row, so every product below is a contiguous BLAS call
+    pairs = np.empty_like(res)  # rows a_1, b_1, a_2, ...
+    picks = []
+    for k in range(0, cols.size, 2):
+        if k:
+            res -= (res @ pairs[k - 2 : k].T) @ pairs[k - 2 : k]
+        picks.append(int(np.argmax(np.einsum("ij,ij->i", res, res))))
+        b = res[picks[-1]]
+        pairs[k + 1] = b / math.sqrt(b @ b)
+        pairs[k] = j @ pairs[k + 1]
+    # A pair stays in the eigenspace of the candidate it was picked from, and the candidates are in
+    # eigenvalue order, so sorting by pick puts each pair in a slot of its eigenvalue.
+    out[:, cols] = pairs.reshape(-1, 2, pairs.shape[1])[np.argsort(picks)].reshape(pairs.shape).T
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +322,9 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     The symmetric factor of the polar decomposition of S is diagonalised in
     a symplectic orthonormal eigenbasis: for each singular value sigma > 1
     with eigenvector u, the partner column -Omega @ u carries 1/sigma.
-    Singular values within PAIR_TOL of 1 span a passive subspace that is
-    absorbed into ``o_in``.
+    Singular values within PAIR_TOL of 1 span a passive subspace that
+    Omega maps to itself; :func:`_canonical_pairs` splits it into pairs
+    (Omega b, b), and it is absorbed into ``o_in``.
 
     Raises:
         ValueError: if the input is not symplectic within TOL_SYMP or
@@ -296,24 +355,31 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
         rs[pair] = np.log(sig[i])
         pair += 1
 
-    # Passive (sigma == 1) subspace: symplectic Gram-Schmidt.
-    basis = v[:, unit_idx]
-    while basis.shape[1] > 0:
-        u = basis[:, 0] / np.linalg.norm(basis[:, 0])
-        w = -omega @ u
-        w = basis @ (basis.T @ w)
-        w /= np.linalg.norm(w)
-        cols[:, 2 * pair] = u
-        cols[:, 2 * pair + 1] = w
-        rs[pair] = 0.0
-        pair += 1
-        deflated = basis - np.outer(u, u @ basis) - np.outer(w, w @ basis)
-        bu, bs, _ = np.linalg.svd(deflated, full_matrices=False)
-        basis = bu[:, bs > 0.5]
+    # Passive (sigma == 1) subspace: canonical pairs (Omega b, b), as the squeezed columns are.
+    if unit_idx:
+        cols[:, 2 * pair :] = _canonical_pairs(v[:, unit_idx], omega)
+        rs[pair:] = 0.0
 
     o_out = cols
     o_in = squeezer_direct_sum(-rs) @ o_out.T @ s
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=o_in)
+
+
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """Real 2N x 2N image of a complex N x N matrix, block (i, j) = [[Re h_ij, -Im h_ij], [Im h_ij, Re h_ij]].
+
+    The map is multiplicative, so every image commutes with the image of
+    1j * I, which is -Omega; a Hermitian h has a symmetric image holding each
+    eigenvalue of h twice.
+    """
+    h = np.asarray(h)
+    n = h.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2] = h.real
+    out[0::2, 1::2] = -h.imag
+    out[1::2, 0::2] = h.imag
+    out[1::2, 1::2] = h.real
+    return out
 
 
 def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
@@ -329,12 +395,7 @@ def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYMP) -> np.ndarr
     n = u.shape[0]
     if np.linalg.norm(u @ u.conj().T - np.eye(n)) >= max(tol, 1e3 * n * np.finfo(float).eps):
         raise ValueError("input matrix is not unitary within tolerance")
-    o = np.empty((2 * n, 2 * n))
-    o[0::2, 0::2] = u.real
-    o[0::2, 1::2] = -u.imag
-    o[1::2, 0::2] = u.imag
-    o[1::2, 1::2] = u.real
-    return o
+    return _real_form(u)
 
 
 @dataclass(frozen=True)

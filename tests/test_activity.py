@@ -169,6 +169,19 @@ def test_numeric_tms_preset():
     )
 
 
+def test_witness_is_the_image_of_the_reported_unitary_also_for_tied_occupancies():
+    # Vacuum and equal thermal modes tie the overlap eigenvalues, so their witness pairs come
+    # from the Gram-Schmidt path; the unitary is read back from the witness either way.
+    rng = np.random.default_rng(48)
+    tied = gw.tensor([gw.thermal(0.7), gw.thermal(0.7), gw.squeezed(0.3)])
+    for state in (random_state(rng, 3), gw.vacuum(3), tied):
+        report = gw.local_activity(state)
+        witness = report.closest_free.passive
+        assert gw.is_orthosymplectic(witness)
+        np.testing.assert_allclose(gw.unitary_to_orthosymplectic(report.params["unitary"]), witness, atol=1e-12)
+        assert report.certified
+
+
 def test_numeric_certification_bound():
     rng = np.random.default_rng(47)
     state = random_state(rng, 3)

@@ -132,18 +132,33 @@ def test_decompose_command(capsys):
 
 
 def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
-    # One eigh of cm at validation, one of its companion in Williamson, one in bloch_messiah.
+    # Validation: one eigh of cm and one values-only SVD of K; Williamson: one SVD of K with
+    # vectors; bloch_messiah: one eigh of S S^T.  No complex solver, no second spectrum.
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, np.iscomplexobj(a), kwargs.get("compute_uv", _name != "eigvalsh")))
+            return _solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, name, counted)
     code, _, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.5", "--json")
     assert code == 0
-    assert len(calls) == 3
+    assert calls == [("eigh", False, True), ("svd", False, False), ("svd", False, True), ("eigh", False, True)]
+
+
+def test_decompose_emits_the_symplectic_residual(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.7", "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    s = np.array(outputs["symplectic"])
+    omega = gw.symplectic_form(2)
+    residual = np.linalg.norm(s @ omega @ s.T - omega)
+    assert outputs["symplectic_residual"] == pytest.approx(residual, rel=1e-6, abs=1e-15)
+    assert outputs["symplectic_residual"] < gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
+    kept = {"symplectic_eigenvalues", "symplectic", "bm_o_out", "bm_squeezing", "bm_o_in", "williamson_residual"}
+    assert kept <= outputs.keys()
 
 
 def test_sweep_command(capsys):

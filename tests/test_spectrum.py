@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausswork as gw
-from conftest import random_orthosymplectic, random_unitary
+from conftest import random_cm, random_orthosymplectic, random_unitary
 
 R_MAX = 6.0
 
@@ -84,13 +84,13 @@ def test_work_and_entropy_are_invariant_under_passive_maps(case):
 
 
 def _counting(monkeypatch):
-    """Record ("eigh" | "eigvalsh", complex?) for every numpy Hermitian eigensolver call."""
+    """Record (solver, complex input?, vectors?) for every numpy eigh, eigvalsh and svd call."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         solver = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, np.iscomplexobj(a)))
+            calls.append((_name, np.iscomplexobj(a), kwargs.get("compute_uv", _name != "eigvalsh")))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -103,19 +103,60 @@ def _counting(monkeypatch):
     ids=["validate_cm", "symplectic_eigenvalues", "is_free_cm", "GaussianState"],
 )
 def test_validation_takes_values_only_from_the_companion(monkeypatch, layer):
-    # One eigh of the real cm, one eigvalsh of the complex companion; no eigenvectors of it.
+    # One eigh of the real cm, one values-only SVD of the real skew K = cm^{1/2} Omega cm^{1/2}.
     cm = _pure([0.8, -0.3, 1.5], 5)[1].cm
     calls = _counting(monkeypatch)
     layer(cm)
-    assert calls == [("eigh", False), ("eigvalsh", True)]
+    assert calls == [("eigh", False, True), ("svd", False, False)]
 
 
 def test_relative_entropy_reads_the_gibbs_matrix_from_one_real_eigh(monkeypatch):
+    # The Gibbs matrix of the kept spectrum comes from one real SVD of K with vectors.
     rho = _pure([0.8, -0.3, 1.5], 5)[1]
     sigma = _reference(rho)
     calls = _counting(monkeypatch)
     gw.relative_entropy(rho, sigma)
-    assert calls == [("eigh", False)]
+    assert calls == [("svd", False, True)]
+
+
+_SOLVERS = [
+    "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "matrix_power",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals", "tensorinv", "tensorsolve",
+]
+
+
+def test_no_complex_array_reaches_a_linalg_solver(monkeypatch):
+    def refuse_complex(name, solver):
+        def guarded(a, *args, **kwargs):
+            assert not np.iscomplexobj(a), f"complex input to np.linalg.{name}"
+            return solver(a, *args, **kwargs)
+
+        return guarded
+
+    rng = np.random.default_rng(8)
+    states = [
+        _pure([0.8, -0.3, 1.5], 5)[1],
+        gw.GaussianState(rng.normal(size=6), random_cm(rng, 3)),
+        gw.vacuum(3),
+        gw.two_mode_squeezed(0.5),
+    ]
+    fock = gw.fock_from_gaussian(gw.squeezed(0.4, 0.3), 20)
+    for name in _SOLVERS:  # the random states above draw complex unitaries, so patch only now
+        if hasattr(np.linalg, name):
+            monkeypatch.setattr(np.linalg, name, refuse_complex(name, getattr(np.linalg, name)))
+    for state in states:
+        gw.validate_cm(state.cm)
+        gw.GaussianState(state.displacement, state.cm)
+        dec = gw.williamson(state.cm)
+        gw.bloch_messiah(dec.symplectic)
+        gw.extractable_work(state)
+        gw.quadratic_work(state.cm)
+        gw.is_free_cm(state.cm)
+        gw.extraction_protocol(state)
+        gw.von_neumann_entropy(state)
+        gw.relative_entropy(state, _reference(state))
+        gw.local_activity(state)
+    gw.fock_single_mode_activity(fock)
 
 
 def test_a_kept_spectrum_holds_only_real_arrays():

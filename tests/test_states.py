@@ -203,6 +203,22 @@ def test_relative_entropy_matches_gibbs_matrix_formula():
             assert gw.relative_entropy(rho, sigma) == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("nbar", [1e4, 1e5, 1e6, 1e7, 1e8])
+def test_relative_entropy_to_a_bright_reference_matches_the_closed_form(nbar):
+    # sigma = BS(theta) (thermal(nbar) x thermal(0.1)); rho = thermal(0.2) x thermal(0.4).  In the
+    # eigenbasis of sigma, rho has photon numbers c^2 a + s^2 b and s^2 a + c^2 b, so
+    # S(rho || sigma) = -S(rho) + sum_k [ln(1 + nk) + n_k ln(1 + 1/nk)].
+    theta, (a, b), nks = 0.4, (0.2, 0.4), (nbar, 0.1)
+    bs = gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.BeamSplitter(theta, (0, 1)),)))
+    sigma = gw.apply_gaussian_unitary(gw.tensor([gw.thermal(nk) for nk in nks]), bs)
+    rho = gw.tensor([gw.thermal(a), gw.thermal(b)])
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    rotated = (c2 * a + s2 * b, s2 * a + c2 * b)
+    entropy = sum((n + 1) * math.log1p(n) - n * math.log(n) for n in (a, b))
+    expected = -entropy + sum(math.log1p(nk) + n * math.log1p(1 / nk) for n, nk in zip(rotated, nks))
+    assert abs(gw.relative_entropy(rho, sigma) - expected) <= 1e-9 * (1 + expected)
+
+
 def test_relative_entropy_nonnegative_sweep():
     rng = np.random.default_rng(25)
     for _ in range(1000):

@@ -187,6 +187,30 @@ def test_williamson_rejects_near_singular():
         gw.williamson(np.diag([1e-14, 1.0]))
 
 
+def test_williamson_symplectic_residual_is_within_the_is_symplectic_bound():
+    rng = np.random.default_rng(17)
+    for cm in [random_cm(rng, n) for n in (1, 2, 8)] + _degenerate_cms(rng, 8):
+        dec = gw.williamson(cm)
+        s = dec.symplectic
+        omega = gw.symplectic_form(len(cm) // 2)
+        residual = np.linalg.norm(s @ omega @ s.T - omega)
+        assert dec.symplectic_residual == pytest.approx(residual, rel=1e-6, abs=1e-15)
+        assert dec.symplectic_residual < gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
+
+
+def test_williamson_refuses_a_wrong_pairing(monkeypatch):
+    # Swapping a and b in every pair keeps the basis orthogonal, so cm is still reconstructed;
+    # only the symplectic residual sees that the canonical form changed sign.
+    pairs = gw.symplectic._canonical_pairs
+
+    def swapped(cand, j):
+        return pairs(cand, j)[:, np.arange(len(cand)) ^ 1]
+
+    monkeypatch.setattr(gw.symplectic, "_canonical_pairs", swapped)
+    with pytest.raises(ValueError, match="symplectic residual"):
+        gw.williamson(random_cm(np.random.default_rng(18), 2))
+
+
 def test_williamson_nu_invariant_under_squeezers():
     rng = np.random.default_rng(16)
     nu = np.array([2.0, 1.1, 0.6])
