@@ -67,8 +67,10 @@ def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
 
     ``spectral_free`` compares trace against symplectic trace (scale-relative
     tolerance); ``structural_form`` checks the block structure, a necessary
-    condition only.
+    condition only.  ``tol_free`` must be positive and finite.
     """
+    if not 0.0 < tol_free < np.inf:
+        raise ValueError(f"freeness tolerance must be positive and finite, got {tol_free}")
     cm = np.asarray(cm, dtype=float)
     trace = float(np.trace(cm))
     gap = trace - 2.0 * float(np.sum(require_valid_cm(cm).nu))

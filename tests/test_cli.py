@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -269,6 +270,126 @@ def test_unknown_command_exits_64(capsys):
     ):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 64, argv
+
+
+def record_of(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0, err
+    return json.loads(out)
+
+
+ACTIVITY_KEYS = {"activity", "certified", "coherence", "b", "eig_residual"}
+KRAUS_KEYS = {"route", "output_nbar", "output_trace", "input_leak", "completeness_deficit", "unitarity_residual"}
+DECOMPOSE_KEYS = {
+    "symplectic_eigenvalues",
+    "symplectic",
+    "bm_o_out",
+    "bm_squeezing",
+    "bm_o_in",
+    "williamson_residual",
+    "symplectic_residual",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, command, keys",
+    [
+        (["activity", "--state", "preset:squeezed:0.5"], "activity", ACTIVITY_KEYS),
+        (["activity", "--state", "preset:tms:0.5"], "activity", ACTIVITY_KEYS | {"theta", "delta_phi"}),
+        (["activity", "--state", "preset:fock:2", "--fock-dim", "20"], "activity", {"activity", "route"}),
+        (["work", "--state", "preset:tms:0.5"], "work", {"quadratic", "displacement", "total"}),
+        (["entropy", "--state", "preset:thermal:1"], "entropy", {"entropy"}),
+        (["decompose", "--state", "preset:tms:0.5"], "decompose", DECOMPOSE_KEYS),
+        (["relent", "--state", "preset:vacuum", "--state2", "preset:thermal:1"], "relent", {"relative_entropy"}),
+        (["relent", "--state", "preset:thermal:1", "--state2", "preset:vacuum"], "relent", {"relative_entropy"}),
+        (["freecheck", "--state", "preset:thermal:2"], "freecheck", {"spectral_free", "structural_form", "gap"}),
+        (["channel", "--state", "preset:vacuum", "--eta", "0.6"], "channel", {"route", "displacement", "covariance"}),
+        (["channel", "--state", "preset:thermal:1", "--eta", "0.8", "--kraus"], "channel", KRAUS_KEYS),
+        (
+            ["demo", "distill-activity"],
+            "demo distill-activity",
+            {"input_activity", "output_activity", "output_covariance"},
+        ),
+        (["demo", "distill-work"], "demo distill-work", {"input_pair_work", "output_pair_work"}),
+        (
+            ["demo", "fock-postselect"],
+            "demo fock-postselect",
+            {"probability", "fidelity_two_photon", "activity_gain"},
+        ),
+        (["sweep", "--count", "3"], "sweep nogo", {"instances", "max_activity_gain", "max_work_gain"}),
+    ],
+    ids=[
+        "activity-1mode",
+        "activity-2mode",
+        "activity-fock",
+        "work",
+        "entropy",
+        "decompose",
+        "relent-finite",
+        "relent-inf",
+        "freecheck",
+        "channel-phase-space",
+        "channel-kraus",
+        "demo-distill-activity",
+        "demo-distill-work",
+        "demo-fock-postselect",
+        "sweep",
+    ],
+)
+def test_every_route_emits_one_record_shape(capsys, argv, command, keys):
+    record = record_of(capsys, *argv)
+    assert record.keys() == {"command", "inputs_digest", "outputs", "seed", "version"}
+    assert record["command"] == command
+    assert record["outputs"].keys() == keys
+    assert record["version"] == gw.__version__ and record["seed"] == 0
+    if argv[-1] == "preset:vacuum":
+        assert record["outputs"]["relative_entropy"] == "inf"
+
+
+def test_uncertified_activity_prints_its_record_and_exits_3(capsys, monkeypatch):
+    certified = gw.local_activity
+    monkeypatch.setattr(gw, "local_activity", lambda state: dataclasses.replace(certified(state), certified=False))
+    code, out, err = run_cli(capsys, "activity", "--state", "preset:tms:0.5", "--json")
+    assert (code, err) == (cli.EXIT_UNCERTIFIED, "")
+    assert json.loads(out)["outputs"]["certified"] is False
+    code, out, err = run_cli(capsys, "activity", "--state", "preset:tms:0.5")
+    assert (code, err) == (3, "")
+    assert "certified     False" in out
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["channel", "--state", "preset:thermal:1", "--eta", "0.8"], ["--kraus"]),
+        (["freecheck", "--state", "preset:thermal:2"], ["--tol", "1e-3"]),
+        (["work", "--state", "preset:tms:0.5"], ["--fock-dim", "30"]),
+    ],
+    ids=["kraus", "tol", "fock-dim"],
+)
+def test_inputs_digest_covers_every_parsed_argument(capsys, argv, extra):
+    assert record_of(capsys, *argv)["inputs_digest"] != record_of(capsys, *argv, *extra)["inputs_digest"]
+
+
+def test_inputs_digest_leaves_the_seed_to_its_own_field(capsys):
+    one = record_of(capsys, "sweep", "--count", "2", "--seed", "1")
+    two = record_of(capsys, "sweep", "--count", "2", "--seed", "2")
+    assert one["inputs_digest"] == two["inputs_digest"]
+    assert (one["seed"], two["seed"]) == (1, 2)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sweep_refuses_a_count_below_one(capsys, count):
+    # --count 0 used to print -Infinity, which is not JSON.
+    code, out, err = run_cli(capsys, "sweep", f"--count={count}", "--json")
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-8", "0", "inf"])
+def test_freecheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    code, out, err = run_cli(capsys, "freecheck", "--state", "preset:thermal:2", f"--tol={tol}", "--json")
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert "freeness tolerance must be positive and finite" in err
 
 
 def test_json_records_are_deterministic(capsys):
