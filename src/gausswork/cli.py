@@ -55,9 +55,20 @@ def _shorthand(text: str) -> dict:
     if name not in _SHORTHAND:
         raise StateParseError(f"unknown preset {name!r}")
     values = [float(a) for a in parts[2].split(",")] if len(parts) > 2 and parts[2] else []
-    if name == "coherent" and len(values) > 1:  # preset:coherent:re,im
-        values = [complex(values[0], values[1])]
+    most = 2 if name == "coherent" else len(_SHORTHAND[name])  # preset:coherent:re,im
+    if len(values) > most:
+        raise StateParseError(f"preset {name!r} takes at most {most} value(s), got {len(values)}")
+    if len(values) == 2 and name == "coherent":
+        values = [complex(*values)]
     return {"preset": name, **dict(zip(_SHORTHAND[name], values))}
+
+
+def _file_document(text: str):
+    """The document a state file holds; None for a ``preset:`` shorthand or inline JSON."""
+    if text.startswith("preset:") or text.lstrip().startswith("{"):
+        return None
+    with open(text, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_state(text: str, fock_dim: int = 40):
@@ -65,11 +76,8 @@ def parse_state(text: str, fock_dim: int = 40):
     try:
         if text.startswith("preset:"):
             doc = _shorthand(text)
-        elif text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        else:  # a file's document, or the inline JSON itself
+            doc = json.loads(_file_document(text) or text)
         if "preset" in doc:
             params = {k: v for k, v in doc.items() if k != "preset"}
             if doc["preset"] == "fock":
@@ -107,13 +115,19 @@ def _gaussian(args, key="state") -> "gw.GaussianState":
     return state
 
 
+def _digested(key: str, value):
+    """An argument as the digest covers it: a state file as its name and the document it holds."""
+    document = _file_document(value) if key in ("state", "state2") else None
+    return value if document is None else (value, document)
+
+
 def _emit(args, outputs: dict):
     """Print ``outputs`` as an aligned table, or under ``--json`` as the result record."""
     if args.json:
         import hashlib
 
         # Every parsed argument but the output switch, the seed (a field of its own) and the handler.
-        inputs = sorted((k, v) for k, v in vars(args).items() if k not in ("json", "seed", "func"))
+        inputs = sorted((k, _digested(k, v)) for k, v in vars(args).items() if k not in ("json", "seed", "func"))
         record = {
             "command": " ".join([args.command, *(getattr(args, k) for k in ("which", "kind") if hasattr(args, k))]),
             "inputs_digest": hashlib.sha256(repr(inputs).encode()).hexdigest()[:16],
@@ -229,6 +243,8 @@ def _cmd_demo(args) -> dict:
 def _cmd_sweep(args) -> dict:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst_activity, worst_work = -math.inf, -math.inf
     for _ in range(args.count):

@@ -270,10 +270,10 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
     cm_aa = state.cm[np.ix_(ia, ia)]
     cm_ab = state.cm[np.ix_(ia, ib)]
     cm_bb = state.cm[np.ix_(ib, ib)]
-    gate = cm_bb + gamma_meas
-    if np.linalg.cond(gate) > 1e12:
+    lam, vec = np.linalg.eigh(cm_bb + gamma_meas)  # positive definite: lam[-1] / lam[0] is its condition number
+    if lam[-1] > 1e12 * lam[0]:
         raise ValueError("measured block plus outcome covariance is ill-conditioned")
-    gain = cm_ab @ np.linalg.inv(gate)
+    gain = cm_ab @ ((vec / lam) @ vec.T)
     cm_new = cm_aa - gain @ cm_ab.T
     d_new = state.displacement[ia] + gain @ (np.zeros(ib.size) - state.displacement[ib])
     return GaussianState(d_new, 0.5 * (cm_new + cm_new.T))
@@ -311,20 +311,16 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
         raise ValueError(f"Fock conversion at dim {dim} for {n} modes needs {dim ** (2 * n)} entries, "
                          f"above the budget of {_FOCK_ENTRY_BUDGET}")
     # Bargmann data (A, b, c) in the order (a_1..a_N, a_1*..a_N*); W is unitary, so sigma^-1 =
-    # W (cm + I/2)^-1 W^dag.  Gauss-Jordan needs no pivoting on the positive-definite cm + I/2; it and
-    # einsum replace np.linalg.inv and complex @, whose LAPACK and BLAS code no other Fock step loads.
+    # W (cm + I/2)^-1 W^dag.  One real eigh of cm + I/2 (validation has loaded that LAPACK code) gives its
+    # inverse and determinant; einsum stands in for a complex @, whose BLAS code no other Fock step loads.
     w = np.kron(np.eye(n), [[1.0, 1j], [1.0, -1j]])[np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]] / math.sqrt(2.0)
-    aug, det = np.hstack([state.cm + 0.5 * np.eye(2 * n), np.eye(2 * n)]), 1.0
-    for k in range(2 * n):
-        det *= aug[k, k]
-        aug[k] /= aug[k, k]
-        aug -= np.outer(aug[:, k] - np.eye(2 * n)[k], aug[k])
-    inv = np.einsum("ia,ab,jb->ij", w, aug[:, 2 * n :], w.conj())
+    lam, vec = np.linalg.eigh(state.cm + 0.5 * np.eye(2 * n))
+    inv = np.einsum("ia,ab,jb->ij", w, (vec / lam) @ vec.T, w.conj())
     a = np.roll(np.eye(2 * n) - inv, n, axis=0).conj()  # X (I - sigma^-1)*
     gamma = w @ state.displacement
     b = inv @ gamma
     rho = np.zeros((dim,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = math.exp(-0.5 * np.real(gamma.conj() @ b)) / math.sqrt(det)
+    rho[(0,) * (2 * n)] = math.exp(-0.5 * np.real(gamma.conj() @ b)) / math.sqrt(np.prod(lam))
     root = np.sqrt(np.arange(dim))
     for i in range(2 * n):
         # The axes after i are still at index 0: only A_ij with j <= i contribute.

@@ -4,9 +4,13 @@ A covariance matrix is free when it equals O @ diag(nu_1, nu_1, ...) @ O.T
 for an orthosymplectic O and nu_i >= 1/2.  Equivalently (and this is the
 authoritative test) its trace equals its symplectic trace.  The necessary
 structural form -- diagonal 2x2 blocks proportional to the identity,
-off-diagonal blocks R with R R^T prop. to I and R omega R^T prop. to omega
--- is reported separately: it is not sufficient (the two-mode squeezed
-covariance satisfies it with a negative omega constant yet is not free).
+off-diagonal blocks R with R R^T prop. to I -- is reported separately: it is
+not sufficient (the two-mode squeezed covariance satisfies it yet is not free).
+With J = omega, a block B is the scaled rotation (B + J B J^T) / 2 plus the
+scaled reflection (B - J B J^T) / 2.  A diagonal block must have no
+reflection part, and R R^T prop. to I means that one of the two vanishes:
+a test linear in the covariance, as its tolerance is.
+R omega R^T prop. to omega is not tested, since it holds for every 2x2 R.
 """
 
 from dataclasses import dataclass
@@ -16,8 +20,6 @@ import numpy as np
 from .symplectic import is_orthosymplectic, require_valid_cm
 
 TOL_FREE = 1e-8
-
-_OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +59,6 @@ class FreenessReport:
     gap: float
 
 
-def _proportional_to(mat: np.ndarray, target: np.ndarray, tol: float) -> bool:
-    scale = float(np.sum(mat * target) / np.sum(target * target))
-    return bool(np.linalg.norm(mat - scale * target) < tol)
-
-
 def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
     """Test freeness of a covariance matrix.
 
@@ -79,12 +76,10 @@ def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
 
     n = cm.shape[0] // 2
     blocks = cm.reshape(n, 2, n, 2).swapaxes(1, 2)
-    pairs = (blocks[i, j] for i, j in zip(*np.triu_indices(n, 1)))
-    eye2 = np.eye(2)
-    structural = all(_proportional_to(blocks[i, i], eye2, tol_eff) for i in range(n)) and all(
-        _proportional_to(r @ r.T, eye2, tol_eff) and _proportional_to(r @ _OMEGA2 @ r.T, _OMEGA2, tol_eff)
-        for r in pairs
-    )
+    conj = blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])  # J B J^T with J = omega
+    rot = 0.5 * np.linalg.norm(blocks + conj, axis=(2, 3))
+    refl = 0.5 * np.linalg.norm(blocks - conj, axis=(2, 3))
+    structural = bool(np.all(np.where(np.eye(n, dtype=bool), refl, np.minimum(rot, refl)) < tol_eff))
     return FreenessReport(spectral_free=spectral, structural_form=structural, gap=gap)
 
 

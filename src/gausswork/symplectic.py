@@ -25,9 +25,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError(f"number of modes must be positive, got {n_modes}")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    omega.flat[1 :: 4 * n_modes + 2] = 1.0  # entries (2k, 2k + 1)
+    omega.flat[2 * n_modes :: 4 * n_modes + 2] = -1.0  # entries (2k + 1, 2k)
     return omega
 
 
@@ -49,11 +48,7 @@ def squeezer(r: float) -> np.ndarray:
 def squeezer_direct_sum(rs: Sequence[float]) -> np.ndarray:
     """Direct sum of single-mode squeezers, one per mode."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    out = np.zeros((2 * rs.size, 2 * rs.size))
-    for k, r in enumerate(rs):
-        out[2 * k, 2 * k] = np.exp(r)
-        out[2 * k + 1, 2 * k + 1] = np.exp(-r)
-    return out
+    return np.diag(np.exp(np.outer(rs, [1.0, -1.0]).ravel()))
 
 
 def _even_square(mat: np.ndarray, what: str) -> int:
@@ -334,33 +329,21 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     n = _even_square(s, "symplectic matrix")
     if not is_symplectic(s, TOL_SYMP):
         raise ValueError("input matrix is not symplectic within tolerance")
-    omega = symplectic_form(n)
     lam, v = np.linalg.eigh(s @ s.T)
     sig = np.sqrt(np.clip(lam, 0.0, None))
-
-    squeeze_idx = [i for i in range(2 * n) if sig[i] > 1.0 + PAIR_TOL]
-    unit_idx = [i for i in range(2 * n) if abs(sig[i] - 1.0) <= PAIR_TOL]
-    squeeze_idx.sort(key=lambda i: -sig[i])
-    if 2 * len(squeeze_idx) + len(unit_idx) != 2 * n:
+    squeeze = np.flatnonzero(sig > 1.0 + PAIR_TOL)
+    squeeze = squeeze[np.argsort(-sig[squeeze], kind="stable")]  # tied sigma keep eigh's column order
+    unit = np.flatnonzero(np.abs(sig - 1.0) <= PAIR_TOL)
+    m = squeeze.size
+    if 2 * m + unit.size != 2 * n:
         raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")
 
-    cols = np.empty((2 * n, 2 * n))
-    rs = np.empty(n)
-    pair = 0
-    for i in squeeze_idx:
-        u = v[:, i]
-        w = -omega @ u
-        cols[:, 2 * pair] = u
-        cols[:, 2 * pair + 1] = w / np.linalg.norm(w)
-        rs[pair] = np.log(sig[i])
-        pair += 1
-
-    # Passive (sigma == 1) subspace: canonical pairs (Omega b, b), as the squeezed columns are.
-    if unit_idx:
-        cols[:, 2 * pair :] = _canonical_pairs(v[:, unit_idx], omega)
-        rs[pair:] = 0.0
-
-    o_out = cols
+    o_out = np.empty((2 * n, 2 * n))
+    o_out[:, 0 : 2 * m : 2] = v[:, squeeze]
+    o_out[:, 1 : 2 * m : 2] = _times_omega(v[:, squeeze].T).T  # the partners -Omega u
+    if unit.size:
+        o_out[:, 2 * m :] = _canonical_pairs(v[:, unit], symplectic_form(n))
+    rs = np.log(np.concatenate([sig[squeeze], np.ones(n - m)]))  # r = 0 on the passive pairs
     o_in = squeezer_direct_sum(-rs) @ o_out.T @ s
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=o_in)
 

@@ -377,6 +377,58 @@ def test_inputs_digest_leaves_the_seed_to_its_own_field(capsys):
     assert (one["seed"], two["seed"]) == (1, 2)
 
 
+def test_inputs_digest_covers_the_document_of_a_state_file(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    digests = []
+    for nbar in (1.0, 2.0):
+        path.write_text(json.dumps({"preset": "thermal", "nbar": nbar}))
+        digests.append(record_of(capsys, "entropy", "--state", str(path))["inputs_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_inputs_digest_of_inline_and_preset_states_is_unchanged(capsys):
+    """An inline document or a preset: shorthand enters the digest as given, so these digests stay fixed."""
+    assert record_of(capsys, "work", "--state", "preset:tms:0.5")["inputs_digest"] == "d6e132d7a5e90019"
+    inline = record_of(capsys, "relent", "--state", '{"preset": "vacuum"}', "--state2", "preset:thermal:1")
+    assert inline["inputs_digest"] == "39a6f54966ac0f1d"
+
+
+@pytest.mark.parametrize(
+    "shorthand, message",
+    [
+        ("preset:thermal:1,7", "preset 'thermal' takes at most 1 value(s), got 2"),
+        ("preset:tms:0.5,1,2", "preset 'tms' takes at most 1 value(s), got 3"),
+        ("preset:coherent:1,2,3", "preset 'coherent' takes at most 2 value(s), got 3"),
+    ],
+)
+def test_shorthand_refuses_more_values_than_its_preset_takes(capsys, shorthand, message):
+    code, out, err = run_cli(capsys, "work", "--state", shorthand)
+    assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
+
+
+def test_sweep_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--count", "2", "--seed", "-1", "--json")
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("preset:squeezd:0.5", "unknown preset 'squeezd'"),
+        ('{"modes": 1, "covariance": [0.5, 0, 0]}', "4\\*N\\^2 = 4 entries, got 3"),
+    ],
+)
+def test_parse_refusals(text, message):
+    with pytest.raises(cli.StateParseError, match=message):
+        cli.parse_state(text)
+
+
+def test_parse_coherent_shorthand_takes_real_and_imaginary_parts():
+    state = cli.parse_state("preset:coherent:1,-2")
+    np.testing.assert_allclose(state.displacement, np.sqrt(2.0) * np.array([1.0, -2.0]))
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_sweep_refuses_a_count_below_one(capsys, count):
     # --count 0 used to print -Infinity, which is not JSON.

@@ -352,6 +352,40 @@ def test_postselect_conditional_mean():
     assert out.displacement[0] != pytest.approx(1.0)
 
 
+_BRIGHT_Q = gw.GaussianState(np.zeros(2), np.diag([1e7, 1e-7]))  # a gate diag(2e7, 2e-7) with condition number 1e14
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gw.gaussian_postselect(gw.vacuum(2), [], 0.5 * np.eye(2)), "nonempty strict subset"),
+        (lambda: gw.gaussian_postselect(gw.vacuum(2), [0, 1], 0.5 * np.eye(4)), "nonempty strict subset"),
+        (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.5 * np.eye(4)), "wrong dimension"),
+        (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.1 * np.eye(2)), "unphysical"),
+        (
+            lambda: gw.gaussian_postselect(gw.tensor([gw.vacuum(1), _BRIGHT_Q]), [1], _BRIGHT_Q.cm),
+            "ill-conditioned",
+        ),
+        (lambda: gw.FockDensity(np.eye(4), dim=3), "does not match dim 3"),
+        (lambda: gw.fock_moments(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
+        (lambda: gw.fock_single_mode_activity(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 1, 0), "at least 2"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), "nonnegative"),
+        (lambda: gw.fock_number_state(4, 4), "does not fit"),
+    ],
+)
+def test_fock_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_postselect_gate_just_below_the_condition_bound_is_accepted():
+    """A gate with condition number 1e11 passes the 1e12 bound and conditions as the Schur complement says."""
+    bright = gw.GaussianState(np.zeros(2), np.diag([math.sqrt(1e11), 1.0 / math.sqrt(1e11)]))
+    out = gw.gaussian_postselect(gw.tensor([gw.thermal(0.5), bright]), [1], bright.cm)
+    np.testing.assert_allclose(out.cm, np.eye(2), atol=1e-12)
+
+
 def test_fock_activity_number_states():
     for n in range(4):
         rho = gw.fock_number_state(n, 30)

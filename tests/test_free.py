@@ -166,3 +166,34 @@ def test_structural_form_is_necessary_on_free_instances():
         report = gw.is_free_cm(random_free_cm(rng, int(rng.integers(1, 4))))
         assert report.spectral_free
         assert report.structural_form
+
+
+@pytest.mark.parametrize("nbar", [1e6, 1e7, 1e8, 1e9])
+def test_structural_form_holds_on_bright_free_states(nbar):
+    """Vacuum x thermal(nbar) through a beam splitter and a phase shifter is free at any brightness."""
+    dark_bright = gw.tensor([gw.vacuum(1), gw.thermal(nbar)])
+    for theta in np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False):
+        circuit = gw.PassiveCircuit(2, (gw.BeamSplitter(theta, (0, 1)), gw.PhaseShifter(0.3 * theta, 0)))
+        report = gw.is_free_cm(gw.apply_gaussian_unitary(dark_bright, gw.compile_passive_circuit(circuit)).cm)
+        assert report.spectral_free and report.structural_form, theta
+
+
+def test_structural_form_refuses_a_block_that_mixes_rotation_and_reflection():
+    cm = 1.5 * np.eye(4)
+    cm[0:2, 2:4] = cm[2:4, 0:2] = np.diag([0.1, 0.05])  # neither a scaled rotation nor a reflection
+    assert not gw.is_free_cm(cm).structural_form
+    cm[0:2, 2:4] = cm[2:4, 0:2] = np.diag([0.1, -0.1])  # a scaled reflection, as in the tms state
+    assert gw.is_free_cm(cm).structural_form
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gw.free_cm([1.0, 2.0], np.eye(2)), "passive matrix dimension"),
+        (lambda: gw.convex_combine([0.5, 0.5], [np.eye(2)]), "one weight per covariance"),
+        (lambda: gw.convex_combine([0.5, 0.5], [np.eye(2), np.eye(4)]), "share the same dimension"),
+    ],
+)
+def test_free_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

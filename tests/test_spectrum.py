@@ -6,6 +6,10 @@ physicality tolerance max(1e-9, 2 n eps kappa(cm)), n = 2N (its 1e-3 cap
 does not bind in this range).
 """
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +161,42 @@ def test_no_complex_array_reaches_a_linalg_solver(monkeypatch):
         gw.relative_entropy(state, _reference(state))
         gw.local_activity(state)
     gw.fock_single_mode_activity(fock)
+
+
+_ALLOWED = ("eigh", "eigvalsh", "svd", "norm")
+
+
+def test_only_eigh_eigvalsh_svd_and_norm_of_np_linalg_run(monkeypatch):
+    # Symmetric matrices go through eigh or eigvalsh and the skew K through svd; inv, cond, solve and
+    # the rest of np.linalg are never called.
+    rng = np.random.default_rng(9)
+    two, three = (gw.GaussianState(rng.normal(size=2 * n), random_cm(rng, n)) for n in (2, 3))
+    called = []
+    for name in dir(np.linalg):
+        if name.startswith("_") or name in _ALLOWED or name in ("LinAlgError", "test"):
+            continue
+
+        def recorded(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            called.append(_name)
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    gw.fock_from_gaussian(gw.squeezed(0.4, 0.3), 12)
+    gw.fock_from_gaussian(two, 5)
+    gw.gaussian_postselect(three, [2], 0.7 * np.eye(2))
+    for state in (two, three):
+        gw.bloch_messiah(gw.williamson(state.cm).symplectic)
+        gw.relative_entropy(state, _reference(state))
+        gw.local_activity(state)
+        gw.is_free_cm(state.cm)
+    gw.bloch_messiah(gw.squeezer_direct_sum([0.5, 0.5, 0.0]))  # tied squeezings and a passive pair
+    assert called == []
+
+
+def test_bloch_messiah_is_one_array_pass():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(gw.bloch_messiah)))
+    loops = (ast.For, ast.While, ast.comprehension, ast.Lambda)
+    assert not [type(node).__name__ for node in ast.walk(tree) if isinstance(node, loops)]
 
 
 def test_a_kept_spectrum_holds_only_real_arrays():

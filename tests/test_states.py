@@ -286,3 +286,18 @@ def test_states_are_immutable():
     state = gw.vacuum(1)
     with pytest.raises(ValueError):
         state.cm[0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gw.GaussianState([0.0, math.nan], 0.5 * np.eye(2)), "displacement vector must be finite"),
+        (lambda: gw.GaussianState(np.zeros(4), 0.5 * np.eye(2)), "displacement length 4"),
+        (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
+        (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
+        (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
+    ],
+)
+def test_state_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -335,3 +335,22 @@ def test_random_unitary_roundtrip_orthosymplectic():
     for n in (1, 2, 4):
         o = gw.unitary_to_orthosymplectic(random_unitary(rng, n))
         assert gw.is_orthosymplectic(o)
+
+
+def test_bloch_messiah_keeps_the_order_of_tied_squeezings():
+    """Equal sigma keep eigh's column order: here both passive factors are the mode swap."""
+    s = gw.squeezer_direct_sum([0.5, 0.5])
+    bm = gw.bloch_messiah(s)
+    swap = np.eye(4)[[2, 3, 0, 1]]
+    np.testing.assert_allclose(bm.r, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(bm.o_out, swap, atol=1e-12)
+    np.testing.assert_allclose(bm.o_in, swap, atol=1e-12)
+    np.testing.assert_allclose(bm.reconstruct(), s, atol=1e-12)
+
+
+def test_williamson_refuses_a_reconstruction_residual_above_tolerance(monkeypatch):
+    cm = gw.two_mode_squeezed(0.7).cm
+    assert gw.williamson(cm).residual > 0.0
+    monkeypatch.setattr(gw.symplectic, "TOL_RECON", 0.0)
+    with pytest.raises(ValueError, match="reconstruction residual"):
+        gw.williamson(cm)
