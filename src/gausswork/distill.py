@@ -82,10 +82,7 @@ def work_swap_demo(gamma_a: np.ndarray, gamma_b: np.ndarray) -> DistillationOutc
     wa, wb = quadratic_work(gamma_a), quadratic_work(gamma_b)
     if not wa > wb:
         raise ValueError(f"swap gains nothing: W(A) = {wa:.6g} <= W(B) = {wb:.6g}")
-    copy = GaussianState(np.zeros(4), np.block([
-        [gamma_a, np.zeros((2, 2))],
-        [np.zeros((2, 2)), gamma_b],
-    ]))
+    copy = tensor([GaussianState(np.zeros(2), gamma_a), GaussianState(np.zeros(2), gamma_b)])
     both = tensor([copy, copy])
     # Swap modes 1 and 2 (a theta = pi/2 beam splitter up to phases).
     perm = np.eye(8)[:, [0, 1, 4, 5, 2, 3, 6, 7]]

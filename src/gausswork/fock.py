@@ -34,7 +34,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import GaussianState, _mode_indices, _xlogx, thermal_entropy
+from .states import GaussianState, _bipartition, _mode_indices, _xlogx, thermal_entropy
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -257,8 +257,7 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
     cm_AA - cm_AB (cm_BB + gamma_meas)^{-1} cm_AB^T; the conditional mean
     uses outcome zero, extending the zero-displacement case.
     """
-    measured = sorted(set(int(m) for m in measured))
-    keep = [m for m in range(state.n_modes) if m not in measured]
+    measured, keep = _bipartition(state.n_modes, measured)
     if not measured or not keep:
         raise ValueError("measurement must cover a nonempty strict subset of modes")
     gamma_meas = np.asarray(gamma_meas, dtype=float)

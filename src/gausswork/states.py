@@ -156,21 +156,24 @@ def tensor(states) -> GaussianState:
     return GaussianState(d, cm)
 
 
-def _mode_indices(modes) -> np.ndarray:
+def _modes(n_modes: int, modes) -> list:
+    """Sorted distinct mode indices; ValueError unless each lies in 0..n_modes - 1."""
     modes = sorted(set(int(m) for m in modes))
-    idx = np.empty(2 * len(modes), dtype=int)
-    idx[0::2] = [2 * m for m in modes]
-    idx[1::2] = [2 * m + 1 for m in modes]
-    return idx
+    if modes and (modes[0] < 0 or modes[-1] >= n_modes):
+        raise ValueError(f"mode indices {modes} out of range for {n_modes} modes")
+    return modes
+
+
+def _mode_indices(modes) -> np.ndarray:
+    """Quadrature indices (2m, 2m + 1) of each mode m, in the given order."""
+    return (2 * np.asarray(modes, dtype=int).reshape(-1, 1) + [0, 1]).ravel()
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Reduced state on the ``keep`` modes (principal submatrix)."""
-    keep = sorted(set(int(m) for m in keep))
+    keep = _modes(state.n_modes, keep)
     if not keep:
         raise ValueError("must keep at least one mode")
-    if keep[0] < 0 or keep[-1] >= state.n_modes:
-        raise ValueError(f"mode indices {keep} out of range for {state.n_modes} modes")
     idx = _mode_indices(keep)
     return GaussianState(state.displacement[idx], state.cm[np.ix_(idx, idx)])
 
@@ -233,13 +236,11 @@ def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
 
 def _bipartition(n_modes: int, modes_a, modes_b=None):
     """Sorted mode lists of a bipartition; ``modes_b`` defaults to the complement."""
-    modes_a = sorted(set(int(m) for m in modes_a))
-    if modes_b is None:
-        modes_b = [m for m in range(n_modes) if m not in modes_a]
-    modes_b = sorted(set(int(m) for m in modes_b))
+    modes_a = _modes(n_modes, modes_a)
+    modes_b = [m for m in range(n_modes) if m not in modes_a] if modes_b is None else _modes(n_modes, modes_b)
     if set(modes_a) & set(modes_b):
         raise ValueError("bipartition blocks overlap")
-    if set(modes_a) | set(modes_b) != set(range(n_modes)):
+    if len(modes_a) + len(modes_b) != n_modes:
         raise ValueError("bipartition must cover all modes")
     return modes_a, modes_b
 

@@ -10,7 +10,7 @@ orthogonal ("orthosymplectic") exactly when it represents a passive
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -405,44 +405,28 @@ class PassiveCircuit:
     elements: tuple = field(default_factory=tuple)
 
 
-CircuitElement = Union[BeamSplitter, PhaseShifter]
-
-
-def beam_splitter_matrix(theta: float, modes: tuple, n_modes: int) -> np.ndarray:
-    i, j = modes
-    if not (0 <= i < n_modes and 0 <= j < n_modes) or i == j:
-        raise ValueError(f"beam splitter modes {modes} invalid for {n_modes} modes")
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.eye(2 * n_modes)
-    for a in range(2):
-        out[2 * i + a, 2 * i + a] = c
-        out[2 * j + a, 2 * j + a] = c
-        out[2 * i + a, 2 * j + a] = s
-        out[2 * j + a, 2 * i + a] = -s
-    return out
-
-
-def phase_shifter_matrix(phi: float, mode: int, n_modes: int) -> np.ndarray:
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"phase shifter mode {mode} invalid for {n_modes} modes")
-    out = np.eye(2 * n_modes)
-    out[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = rotation(phi)
-    return out
-
-
 def compile_passive_circuit(circuit: PassiveCircuit) -> np.ndarray:
     """Compile a passive circuit to its orthogonal symplectic matrix.
 
-    Elements are applied in list order, so the compiled matrix is the
-    product M_last @ ... @ M_first.
+    Each element acts on the rows of the N x N unitary u on annihilation
+    operators, in list order: a beam splitter on modes (i, j) sets rows
+    i, j to c u_i + s u_j and c u_j - s u_i, a phase shifter multiplies row
+    k by exp(i phi).  The result is the :func:`unitary_to_orthosymplectic`
+    image of u, the product M_last @ ... @ M_first of the element images.
     """
-    out = np.eye(2 * circuit.n_modes)
+    n = circuit.n_modes
+    u = np.eye(n, dtype=complex)
     for element in circuit.elements:
         if isinstance(element, BeamSplitter):
-            mat = beam_splitter_matrix(element.theta, tuple(element.modes), circuit.n_modes)
+            i, j = element.modes
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"beam splitter modes {tuple(element.modes)} invalid for {n} modes")
+            c, s = np.cos(element.theta), np.sin(element.theta)
+            u[i], u[j] = c * u[i] + s * u[j], c * u[j] - s * u[i]
         elif isinstance(element, PhaseShifter):
-            mat = phase_shifter_matrix(element.phi, element.mode, circuit.n_modes)
+            if not 0 <= element.mode < n:
+                raise ValueError(f"phase shifter mode {element.mode} invalid for {n} modes")
+            u[element.mode] *= np.exp(1j * element.phi)
         else:
             raise ValueError(f"unknown circuit element {element!r}")
-        out = mat @ out
-    return out
+    return _real_form(u)

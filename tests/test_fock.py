@@ -362,6 +362,8 @@ _BRIGHT_Q = gw.GaussianState(np.zeros(2), np.diag([1e7, 1e-7]))  # a gate diag(2
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [0, 1], 0.5 * np.eye(4)), "nonempty strict subset"),
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.5 * np.eye(4)), "wrong dimension"),
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.1 * np.eye(2)), "unphysical"),
+        (lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [5], 0.5 * np.eye(2)), r"indices \[5\] out of range"),
+        (lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [-1], 0.5 * np.eye(2)), r"indices \[-1\] out of range"),
         (
             lambda: gw.gaussian_postselect(gw.tensor([gw.vacuum(1), _BRIGHT_Q]), [1], _BRIGHT_Q.cm),
             "ill-conditioned",

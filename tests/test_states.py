@@ -295,6 +295,7 @@ def test_states_are_immutable():
         (lambda: gw.GaussianState(np.zeros(4), 0.5 * np.eye(2)), "displacement length 4"),
         (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
+        (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"indices \[5\] out of range for 2 modes"),
         (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
     ],
 )

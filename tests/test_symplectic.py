@@ -297,9 +297,19 @@ def test_compile_beam_splitter_inverse_pair():
     np.testing.assert_allclose(gw.compile_passive_circuit(circ), np.eye(4), atol=1e-12)
 
 
-def test_compile_rejects_bad_mode_index():
-    circ = gw.PassiveCircuit(n_modes=2, elements=(gw.PhaseShifter(0.1, 5),))
-    with pytest.raises(ValueError, match="mode"):
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        (gw.PhaseShifter(0.1, 5), "phase shifter mode 5 invalid"),
+        (gw.BeamSplitter(0.1, (0, 0)), r"beam splitter modes \(0, 0\) invalid"),
+        (gw.BeamSplitter(0.1, (0, 5)), r"beam splitter modes \(0, 5\) invalid"),
+        ("mirror", "unknown circuit element 'mirror'"),
+    ],
+    ids=["phase-shifter-out-of-range", "beam-splitter-same-mode", "beam-splitter-out-of-range", "unknown-element"],
+)
+def test_compile_rejects_bad_mode_index(element, message):
+    circ = gw.PassiveCircuit(n_modes=2, elements=(element,))
+    with pytest.raises(ValueError, match=message):
         gw.compile_passive_circuit(circ)
 
 
@@ -308,16 +318,24 @@ def test_compiled_circuits_are_orthosymplectic():
     for _ in range(20):
         n = int(rng.integers(2, 5))
         elements = []
+        u = np.eye(n, dtype=complex)  # the element unitaries multiplied directly, an oracle for the compiler
         for _ in range(8):
+            step = np.eye(n, dtype=complex)
             if rng.random() < 0.5:
                 i, j = rng.choice(n, size=2, replace=False)
-                elements.append(gw.BeamSplitter(rng.uniform(0, 2 * np.pi), (int(i), int(j))))
+                theta = rng.uniform(0, 2 * np.pi)
+                elements.append(gw.BeamSplitter(theta, (int(i), int(j))))
+                step[np.ix_([i, j], [i, j])] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
             else:
-                elements.append(gw.PhaseShifter(rng.uniform(0, 2 * np.pi), int(rng.integers(n))))
+                phi, k = rng.uniform(0, 2 * np.pi), int(rng.integers(n))
+                elements.append(gw.PhaseShifter(phi, k))
+                step[k, k] = np.exp(1j * phi)
+            u = step @ u
         out = gw.compile_passive_circuit(gw.PassiveCircuit(n_modes=n, elements=tuple(elements)))
         omega = gw.symplectic_form(n)
         assert np.linalg.norm(out @ out.T - np.eye(2 * n)) < 1e-10
         assert np.linalg.norm(out @ omega @ out.T - omega) < 1e-10
+        np.testing.assert_allclose(out, gw.unitary_to_orthosymplectic(u), rtol=0, atol=1e-14)
 
 
 def test_unitary_compilation_matches_bs_convention():
