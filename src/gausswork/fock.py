@@ -13,14 +13,14 @@ from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
 and ``KrausSet.unitarity_residual`` reports the largest residual of an
 accepted Kraus set.  ``thermal_loss_kraus`` checks and gathers each block
 as the recurrence yields it, so it holds one block at a time besides the
-stored diagonals; a refused block still raises before any Kraus set is
-returned.
+stored diagonals and one step temporary; a refused block still raises
+before any Kraus set is returned.
 
 Each thermal-loss Kraus operator K_mn is one shifted diagonal: it maps |n1>
 to |n1 + n - m>.  ``KrausSet`` stores only those diagonals, in one real
 array of (max_mn + 1) (n_max + 1) dim doubles, and ``apply_kraus_channel``
-works on them directly.  ``KrausSet.operators`` is a dense view built on
-each access, for inspection and tests.
+works on them in band, with no temporary above rho's size.  ``operators``
+is a dense view built on each access, for inspection and tests.
 
 ``fock_from_gaussian`` fills the Fock tensor of an N-mode Gaussian state by
 the Hermite recurrence on its Bargmann data (Quesada et al., PRA 100, 022341
@@ -105,7 +105,7 @@ class KrausSet:
     def completeness_diagonal(self) -> np.ndarray:
         """Diagonal of sum_K K^dag K (which has no other entries); deviation
         from 1 is the truncation deficit."""
-        return np.sum(self.diagonals**2, axis=(0, 1))
+        return np.einsum("mnk,mnk->k", self.diagonals, self.diagonals)
 
 
 def _check_eta(eta: float) -> None:
@@ -116,6 +116,10 @@ def _check_eta(eta: float) -> None:
 def _check_nbar(nbar_bath: float) -> None:
     if not 0.0 <= nbar_bath < math.inf:
         raise ValueError(f"bath mean photon number must be finite and nonnegative, got {nbar_bath}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
@@ -134,15 +138,15 @@ def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
     block = np.ones((1, 1))
     yield block
     for n in range(1, n_max + 1):
-        k = np.arange(n + 1)
-        up_a = np.zeros((n + 1, n))
-        up_a[1:] = np.sqrt(k[1:, None]) * block
-        up_b = np.zeros((n + 1, n))
-        up_b[:-1] = np.sqrt(n - k[:-1, None]) * block
-        block = np.zeros((n + 1, n + 1))
-        block[:, 1:] += np.sqrt(k[1:]) * (eta * up_a + tau * up_b)
-        block[:, :-1] += np.sqrt(n - k[:-1]) * (eta * up_b - tau * up_a)
-        block /= n
+        up = np.sqrt(np.arange(1, n + 1) / n)  # sqrt(k / N), k = 1..N; reversed, sqrt((N - k) / N), k = 0..N-1
+        new, term = np.zeros((n + 1, n + 1)), np.empty((n, n))
+        # Each shifted contribution of B_{N-1}: (row, column) offset, row weights, column weights.
+        for i, j, rows, cols in ((1, 1, eta * up, up), (0, 1, tau * up[::-1], up),
+                                 (0, 0, eta * up[::-1], up[::-1]), (1, 0, -tau * up, up[::-1])):
+            np.multiply.outer(rows, cols, out=term)
+            term *= block
+            new[i : i + n, j : j + n] += term
+        block = new
         yield block
 
 
@@ -154,7 +158,9 @@ def _unitarity_residual(block: np.ndarray, eta: float) -> float:
             UNITARITY_TOL * (N + 1).
     """
     size = len(block)
-    residual = float(np.linalg.norm(block @ block.T - np.eye(size)))
+    gram = block @ block.T
+    gram.flat[:: size + 1] -= 1.0
+    residual = float(np.linalg.norm(gram))
     if residual > UNITARITY_TOL * size:
         raise ValueError(
             f"beam-splitter block N = {size - 1} has unitarity residual {residual:.3e} above "
@@ -185,6 +191,9 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     needed; indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
     dropped, so nbar_bath = 0 reduces to the pure-loss set).
     """
+    for label, value in (("truncation dim", dim), ("max_mn", max_mn)):
+        if not _is_integer(value):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
     if dim < 2:
         raise ValueError(f"truncation dim must be at least 2, got {dim}")
     if max_mn < 0:
@@ -216,7 +225,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 
     The operators with shift k = n - m share one map: with A_k the stack of
     their diagonals, they send rho to (A_k^T A_k o rho) moved k places down
-    the diagonal (o the entrywise product).
+    the diagonal (o the entrywise product), formed on the in-range band only.
 
     The deficit is the operator norm of I - sum K^dag K restricted to the
     sub-block where the input has support (diagonal weight > 1e-12); that
@@ -229,12 +238,9 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     out = np.zeros_like(rho.matrix)
     for k in range(-max_mn, n_max + 1):
         n = np.arange(max(0, k), min(n_max, max_mn + k) + 1)
-        stack = kraus.diagonals[n - k, n]
-        term = (stack.T @ stack) * rho.matrix
-        if k >= 0:
-            out[k:, k:] += term[: dim - k, : dim - k]
-        else:
-            out[: dim + k, : dim + k] += term[-k:, -k:]
+        lo, hi = max(0, -k), min(dim, dim - k)  # input levels n1 whose output n1 + k is inside
+        stack = kraus.diagonals[n - k, n, lo:hi]
+        out[lo + k : hi + k, lo + k : hi + k] += (stack.T @ stack) * rho.matrix[lo:hi, lo:hi]
     support = np.real(np.diag(rho.matrix)) > 1e-12
     gap = np.abs(1.0 - kraus.completeness_diagonal()[support])
     deficit = float(gap.max()) if gap.size else 0.0
@@ -303,7 +309,7 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless dim >= 1
     is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise ValueError(f"truncation dim must be a positive integer, got {dim!r}")
     n, dim = state.n_modes, int(dim)
     if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:
@@ -355,6 +361,8 @@ def fock_single_mode_activity(rho: FockDensity, leak_tol: float = 1e-6) -> float
     """Activity of an arbitrary single-mode state: -S(rho) + g(nbar + 1/2)."""
     if rho.n_modes != 1:
         raise ValueError("single-mode activity requires a single-mode density")
+    if not 0.0 <= leak_tol < math.inf:
+        raise ValueError(f"leak tolerance must be finite and nonnegative, got {leak_tol}")
     leak = abs(1.0 - rho.trace)
     if leak > leak_tol:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {leak_tol:.1e}")

@@ -214,7 +214,7 @@ def test_channel_thermal_mean_photon_drift():
     assert nbar == pytest.approx(0.82, abs=1e-6)
 
 
-@pytest.mark.parametrize("dim,max_mn", [(20, 20), (40, 20), (40, 40)])
+@pytest.mark.parametrize("dim,max_mn", [(6, 0), (20, 20), (40, 20), (40, 40)])
 @pytest.mark.parametrize("eta", [0.5, 0.8, 0.95])
 @pytest.mark.parametrize("nbar", [0.0, 0.3])
 def test_apply_matches_dense_reference(dim, max_mn, eta, nbar):
@@ -277,7 +277,22 @@ def test_kraus_build_holds_one_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.2e6
+    assert peak < 0.85e6
+
+
+def test_apply_holds_no_kraus_sized_temporary():
+    # The (40, 40) diagonals take 0.54 MB; each shift's work is one band of
+    # rho, at most 25.6 KB as complex.  The untraced first apply warms up.
+    ks = gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
+    rho = gw.fock_from_gaussian(gw.coherent(0.9), 40)
+    gw.apply_kraus_channel(rho, ks)
+    tracemalloc.start()
+    try:
+        gw.apply_kraus_channel(rho, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
 
 
 def test_apply_kraus_rejects_dimension_mismatch():
@@ -353,6 +368,7 @@ def test_postselect_conditional_mean():
 
 
 _BRIGHT_Q = gw.GaussianState(np.zeros(2), np.diag([1e7, 1e-7]))  # a gate diag(2e7, 2e-7) with condition number 1e14
+_LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, refused at the default leak_tol
 
 
 @pytest.mark.parametrize(
@@ -373,6 +389,11 @@ _BRIGHT_Q = gw.GaussianState(np.zeros(2), np.diag([1e7, 1e-7]))  # a gate diag(2
         (lambda: gw.fock_single_mode_activity(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.0, 1, 0), "at least 2"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), "nonnegative"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40.5, 20), "truncation dim must be an integer, got 40.5"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40, 20.0), "max_mn must be an integer, got 20.0"),
+        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=math.nan), "leak tolerance .* got nan"),
+        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=math.inf), "leak tolerance .* got inf"),
+        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=-1.0), "leak tolerance .* got -1.0"),
         (lambda: gw.fock_number_state(4, 4), "does not fit"),
     ],
 )
