@@ -71,19 +71,28 @@ def _file_document(text: str):
         return fh.read()
 
 
+def _whole(value):
+    """An integral float as an int (the shorthand parses ``preset:fock:2`` as n = 2.0); any other value as is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def parse_state(text: str, fock_dim: int = 40):
     """Parse a state argument into a GaussianState or FockDensity."""
+    from .states import _is_integer
+
     try:
         if text.startswith("preset:"):
             doc = _shorthand(text)
         else:  # a file's document, or the inline JSON itself
             doc = json.loads(_file_document(text) or text)
         if "preset" in doc:
-            params = {k: v for k, v in doc.items() if k != "preset"}
+            params = {k: _whole(v) for k, v in doc.items() if k != "preset"}
             if doc["preset"] == "fock":
-                return gw.fock_number_state(int(params["n"]), fock_dim)
+                return gw.fock_number_state(params["n"], fock_dim)
             return gw.make_state(doc["preset"], **params)
-        modes = int(doc["modes"])
+        modes = _whole(doc["modes"])
+        if not _is_integer(modes) or modes < 1:
+            raise StateParseError(f"modes must be a positive integer, got {doc['modes']!r}")
         d = np.asarray(doc.get("displacement", [0.0] * (2 * modes)), dtype=float)
         cov = np.asarray(doc["covariance"], dtype=float)
         if cov.size != 4 * modes * modes:
@@ -179,7 +188,7 @@ def _cmd_relent(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     state = _gaussian(args)
-    dec = gw.symplectic._williamson(state.cm, state._spectrum)  # the spectrum validation kept
+    dec = gw.williamson(state)  # reuses the spectrum validation kept
     bm = gw.bloch_messiah(dec.symplectic)
     return {
         "symplectic_eigenvalues": dec.nu.tolist(),

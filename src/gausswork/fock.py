@@ -34,7 +34,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import GaussianState, _bipartition, _mode_indices, _xlogx, thermal_entropy
+from .states import GaussianState, _bipartition, _is_integer, _mode_indices, _xlogx, thermal_entropy
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -118,8 +118,9 @@ def _check_nbar(nbar_bath: float) -> None:
         raise ValueError(f"bath mean photon number must be finite and nonnegative, got {nbar_bath}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_dim(dim) -> None:
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"truncation dim must be a positive integer, got {dim!r}")
 
 
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
@@ -289,6 +290,9 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def fock_number_state(n: int, dim: int) -> FockDensity:
+    _check_dim(dim)
+    if not _is_integer(n):
+        raise ValueError(f"photon number must be an integer, got {n!r}")
     if not 0 <= n < dim:
         raise ValueError(f"number state {n} does not fit in dim {dim}")
     return FockDensity(np.diag(np.eye(dim)[n]), dim=dim)
@@ -297,6 +301,7 @@ def fock_number_state(n: int, dim: int) -> FockDensity:
 def fock_thermal(nbar: float, dim: int) -> FockDensity:
     if not 0.0 <= nbar < math.inf:
         raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
+    _check_dim(dim)
     x = nbar / (nbar + 1.0)
     weights = (1.0 - x) * x ** np.arange(dim)
     return FockDensity(np.diag(weights), dim=dim)
@@ -309,8 +314,7 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless dim >= 1
     is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
     """
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError(f"truncation dim must be a positive integer, got {dim!r}")
+    _check_dim(dim)
     n, dim = state.n_modes, int(dim)
     if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:
         raise ValueError(f"Fock conversion at dim {dim} for {n} modes needs {dim ** (2 * n)} entries, "
@@ -377,8 +381,11 @@ def fock_postselect_demo(dim: int = 8):
     """Send |1, 1> through a 50:50 beam splitter and keep vacuum on arm two.
 
     Returns the conditional output (the two-photon state), the success
-    probability 1/2, and the activity gain g(5/2) - g(3/2).
+    probability 1/2, and the activity gain g(5/2) - g(3/2).  ``dim`` must
+    be an integer of at least 3, so that the truncation holds |2>.
     """
+    if not _is_integer(dim) or dim < 3:
+        raise ValueError(f"post-selection demo needs an integer dim >= 3 to hold |2>, got {dim!r}")
     eta = 1.0 / math.sqrt(2.0)
     amps = np.array([bs_matrix_element(m1, 0, 1, 1, eta) for m1 in range(dim)])
     probability = float(amps @ amps)

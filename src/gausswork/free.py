@@ -35,10 +35,12 @@ def free_cm(nu, passive=None) -> FreeCovariance:
     """Build O @ (direct sum of nu_i I_2) @ O.T from thermal occupancies.
 
     Args:
-        nu: symplectic eigenvalues, all >= 1/2.
+        nu: symplectic eigenvalues, all finite and >= 1/2.
         passive: orthosymplectic matrix; identity when omitted.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    if not np.all(np.isfinite(nu)):
+        raise ValueError("thermal symplectic eigenvalues must be finite")
     if np.any(nu < 0.5):
         raise ValueError(f"thermal symplectic eigenvalues must be >= 1/2, got min {nu.min()}")
     if passive is None:

@@ -11,9 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _skew, _spectrum, require_valid_cm, rotation, symplectic_form
+from .symplectic import _congruence, _spectrum, require_valid_cm, rotation, symplectic_form
 
 EPS_PURE = 1e-8
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, never for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _xlogx(x):
@@ -65,6 +70,8 @@ class GaussianState:
 
 
 def vacuum(n_modes: int = 1) -> GaussianState:
+    if not _is_integer(n_modes) or n_modes < 1:
+        raise ValueError(f"number of modes must be a positive integer, got {n_modes!r}")
     return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -97,7 +104,7 @@ def two_mode_squeezed(r: float) -> GaussianState:
 
 
 _PRESETS = {
-    "vacuum": lambda modes=1: vacuum(int(modes)),
+    "vacuum": lambda modes=1: vacuum(modes),
     "thermal": lambda nbar: thermal(float(nbar)),
     "coherent": lambda alpha: coherent(alpha),
     "squeezed": lambda r, phi=0.0: squeezed(float(r), float(phi)),
@@ -184,18 +191,8 @@ def von_neumann_entropy(state: GaussianState) -> float:
 
 
 def _gibbs(spec) -> np.ndarray:
-    """Gibbs matrix -Omega S diag(2 arccoth(2 nu_k) I_2) S^T Omega of a spectrum with every nu > 1/2.
-
-    S = cm^{1/2} Q diag(nu^{-1/2}) with Q orthogonal and Q^T K^T K Q = diag(nu^2), K = cm^{1/2}
-    Omega cm^{1/2} (see :func:`williamson`), so S diag(f(nu)) S^T = cm^{1/2} h(K^T K) cm^{1/2} with
-    h(nu^2) = f(nu) / nu.  A matrix function does not depend on the basis chosen inside a
-    degenerate eigenspace, so the SVD K = U diag(sigma) V^T gives it as V h(sigma^2) V^T without
-    canonical pairs.  The singular values carry an absolute error of about eps nu_max, where the
-    eigenvalues of K^T K would carry eps nu_max^2.
-    """
-    _, sv, vt = np.linalg.svd(_skew(spec.root))
-    sv = np.maximum(sv, spec.nu[-1])  # each singular value is some nu_k up to rounding
-    core = spec.root @ ((vt.T * (2.0 * np.arctanh(0.5 / sv) / sv)) @ vt) @ spec.root
+    """Gibbs matrix -Omega S diag(2 arccoth(2 nu_k) I_2) S^T Omega of a spectrum with every nu > 1/2."""
+    core = _congruence(spec, lambda nu: 2.0 * np.arctanh(0.5 / nu))
     omega = symplectic_form(spec.nu.size)
     return -omega @ core @ omega
 

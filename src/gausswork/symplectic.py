@@ -123,7 +123,7 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
     values-only SVD of the real skew K = cm^{1/2} @ Omega @ cm^{1/2} gives
     each nu_k twice, and nu_k is the mean of its two copies.  Values in
     [1/2 - tol, 1/2) are set to 1/2.  No singular vectors are formed: only
-    :func:`_williamson` needs them.  ValueError unless cm is finite,
+    :func:`williamson` and :func:`_congruence` need them.  ValueError unless cm is finite,
     symmetric and has every eigenvalue >= 1e-12.
     """
     cm = np.asarray(cm, dtype=float)
@@ -217,8 +217,8 @@ class WilliamsonDecomposition:
         return self.symplectic @ self.diagonal @ self.symplectic.T
 
 
-def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form of a positive-definite matrix.
+def williamson(cm) -> WilliamsonDecomposition:
+    """Williamson normal form of a positive-definite matrix, or of a GaussianState from its kept spectrum.
 
     One SVD K = U diag(sigma) V^T of the real skew K = cm^{1/2} @ Omega @
     cm^{1/2} (the matrix :func:`symplectic_eigenvalues` reads) gives the
@@ -236,11 +236,9 @@ def williamson(cm: np.ndarray) -> WilliamsonDecomposition:
             reconstruction residual exceeds TOL_RECON max(1, ||cm||) or if
             the symplectic residual exceeds the :func:`is_symplectic` bound.
     """
-    cm = np.asarray(cm, dtype=float)
-    return _williamson(cm, _spectrum(cm))
-
-
-def _williamson(cm: np.ndarray, spec: _Spectrum) -> WilliamsonDecomposition:
+    spec = getattr(cm, "_spectrum", None)  # a GaussianState keeps the spectrum its validation computed
+    cm = np.asarray(cm if spec is None else cm.cm, dtype=float)
+    spec = _spectrum(cm) if spec is None else spec
     u, _, vt = np.linalg.svd(_skew(spec.root))
     polar = u @ vt  # K = polar @ (K^T K)^{1/2}: a complex structure that commutes with K^T K
     q = _canonical_pairs(vt.T, polar)
@@ -253,6 +251,18 @@ def _williamson(cm: np.ndarray, spec: _Spectrum) -> WilliamsonDecomposition:
     if symplectic_residual >= TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2):
         raise ValueError(f"williamson symplectic residual {symplectic_residual:.3e} exceeds tolerance")
     return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
+
+
+def _congruence(spec: _Spectrum, f) -> np.ndarray:
+    """S diag(f(nu_1), f(nu_1), ..., f(nu_N), f(nu_N)) S^T, the same for every Williamson factor S.
+
+    S = cm^{1/2} Q diag(nu^{-1/2}) with Q^T K^T K Q = diag(nu^2), so this is the matrix function
+    cm^{1/2} V diag(f(sigma) / sigma) V^T cm^{1/2} of the SVD K = U diag(sigma) V^T: no canonical pairs,
+    and an absolute error of about eps nu_max on sigma, where eigenvalues of K^T K would carry eps nu_max^2.
+    """
+    _, sv, vt = np.linalg.svd(_skew(spec.root))
+    sv = np.maximum(sv, spec.nu[-1])  # each singular value is some nu_k up to rounding
+    return spec.root @ ((vt.T * (f(sv) / sv)) @ vt) @ spec.root
 
 
 def _canonical_pairs(cand: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -312,24 +322,28 @@ class BlochMessiahDecomposition:
 
 
 def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
-    """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
-
-    The symmetric factor of the polar decomposition of S is diagonalised in
-    a symplectic orthonormal eigenbasis: for each singular value sigma > 1
-    with eigenvector u, the partner column -Omega @ u carries 1/sigma.
-    Singular values within PAIR_TOL of 1 span a passive subspace that
-    Omega maps to itself; :func:`_canonical_pairs` splits it into pairs
-    (Omega b, b), and it is absorbed into ``o_in``.
+    """Bloch-Messiah (Euler) decomposition of a symplectic matrix: :func:`_euler` of S S^T, o_in = Z(-r) o_out^T S.
 
     Raises:
         ValueError: if the input is not symplectic within TOL_SYMP or
             the singular values fail to pair as (sigma, 1/sigma).
     """
     s = np.asarray(s, dtype=float)
-    n = _even_square(s, "symplectic matrix")
+    _even_square(s, "symplectic matrix")
     if not is_symplectic(s, TOL_SYMP):
         raise ValueError("input matrix is not symplectic within tolerance")
-    lam, v = np.linalg.eigh(s @ s.T)
+    o_out, rs = _euler(s @ s.T)
+    return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=squeezer_direct_sum(-rs) @ o_out.T @ s)
+
+
+def _euler(sst: np.ndarray):
+    """(o_out, r) with sst = o_out Z(2r) o_out^T: the outer passive and squeezings of every S with S S^T = sst.
+
+    Each eigenvector u of sst with sigma^2 > 1 is paired with -Omega u, which carries 1/sigma^2; the
+    eigenspace of sigma within PAIR_TOL of 1 is passive and :func:`_canonical_pairs` splits it, r = 0.
+    """
+    n = sst.shape[0] // 2
+    lam, v = np.linalg.eigh(sst)
     sig = np.sqrt(np.clip(lam, 0.0, None))
     squeeze = np.flatnonzero(sig > 1.0 + PAIR_TOL)
     squeeze = squeeze[np.argsort(-sig[squeeze], kind="stable")]  # tied sigma keep eigh's column order
@@ -343,9 +357,7 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     o_out[:, 1 : 2 * m : 2] = _times_omega(v[:, squeeze].T).T  # the partners -Omega u
     if unit.size:
         o_out[:, 2 * m :] = _canonical_pairs(v[:, unit], symplectic_form(n))
-    rs = np.log(np.concatenate([sig[squeeze], np.ones(n - m)]))  # r = 0 on the passive pairs
-    o_in = squeezer_direct_sum(-rs) @ o_out.T @ s
-    return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=o_in)
+    return o_out, np.log(np.concatenate([sig[squeeze], np.ones(n - m)]))  # r = 0 on the passive pairs
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ The quadratic part of the extractable work is half the gap between the
 trace and the symplectic trace of the covariance matrix; the displacement
 part |d|^2 / 2 is reported separately since it is extracted trivially by
 local displacements.  The extraction protocol realises the maximum
-constructively: undo the displacement, apply the inverse outer passive of
-the Bloch-Messiah factorisation of the Williamson symplectic, then unsqueeze
-each mode; what remains is a free covariance matrix.
+constructively: undo the displacement, apply O_out^T of the Euler split S =
+O_out Z(r) O_in of a Williamson factor, then unsqueeze each mode; what remains
+is free.  O_out and r come from S S^T, the same for every factor: none is formed.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 
 from .free import TOL_FREE, FreeCovariance, is_free_cm
 from .states import GaussianState, _bipartition, _mode_indices
-from .symplectic import _williamson, bloch_messiah, require_valid_cm
+from .symplectic import _canonical_pairs, _congruence, _euler, require_valid_cm, squeezer_direct_sum, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,10 @@ class ExtractionProtocol:
     """Concrete circuit attaining the extractable work.
 
     Steps act in order: displace by ``displacement_step``, apply the passive
-    ``passive_step``, then squeeze each mode by ``squeezer_step`` (entries
-    within 1e-9 of zero are omitted, i.e. stored as exact zeros).  The final
-    covariance matrix is free and the realised energy drop equals the
-    reported work.
+    ``passive_step``, then squeeze each mode by ``squeezer_step`` (zero on passive
+    pairs).  ``final_cm`` is the free O diag(nu) O^T with the state's nu and an
+    orthosymplectic O; the steps reach it within 2 n eps kappa(cm) relative, and
+    its energy drop equals the reported work.
     """
 
     displacement_step: np.ndarray
@@ -58,18 +58,20 @@ class ExtractionProtocol:
 
 
 def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
-    dec = _williamson(state.cm, state._spectrum)
-    bm = bloch_messiah(dec.symplectic)
-    squeeze = -bm.r
-    squeeze[np.abs(squeeze) <= 1e-9] = 0.0
-    final = bm.o_in @ np.diag(np.repeat(dec.nu, 2)) @ bm.o_in.T
-    final_cm = FreeCovariance(cm=0.5 * (final + final.T), passive=bm.o_in, nu=dec.nu)
+    o_out, r = _euler(_congruence(state._spectrum, np.ones_like))  # S S^T of every Williamson factor S
+    steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
+    final = steps.T @ state.cm @ steps
+    # final is free; its Omega-commuting part has each eigenvalue 2 nu_k on planes Omega maps to itself.
+    omega = symplectic_form(state.n_modes)
+    witness = _canonical_pairs(np.linalg.eigh(final + omega @ final @ omega.T)[1][:, ::-1], omega)
+    nu = state._spectrum.nu
+    final = (witness * np.repeat(nu, 2)) @ witness.T
     report = extractable_work(state)
     return ExtractionProtocol(
         displacement_step=-state.displacement,
-        passive_step=bm.o_out.T,
-        squeezer_step=squeeze,
-        final_cm=final_cm,
+        passive_step=o_out.T,
+        squeezer_step=-r,
+        final_cm=FreeCovariance(cm=0.5 * (final + final.T), passive=witness, nu=nu),
         work_displacement=report.displacement,
         work_quadratic=report.quadratic,
     )

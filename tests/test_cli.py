@@ -406,6 +406,38 @@ def test_shorthand_refuses_more_values_than_its_preset_takes(capsys, shorthand, 
     assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("preset:fock:1.5", "photon number must be an integer, got 1.5"),
+        ('{"preset": "fock", "n": 2.7}', "photon number must be an integer, got 2.7"),
+        ("preset:vacuum:1.5", "number of modes must be a positive integer, got 1.5"),
+        ('{"preset": "vacuum", "modes": true}', "number of modes must be a positive integer, got True"),
+        ('{"modes": 1.5, "covariance": [1, 0, 0, 1]}', "modes must be a positive integer, got 1.5"),
+    ],
+)
+def test_a_count_that_is_not_an_integer_exits_2(capsys, state, message):
+    code, out, err = run_cli(capsys, "activity", "--state", state)
+    assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "state, n_modes",
+    [
+        ("preset:vacuum:2", 2),
+        ('{"preset": "vacuum", "modes": 2.0}', 2),
+        ('{"modes": 1.0, "covariance": [1, 0, 0, 1]}', 1),
+    ],
+)
+def test_an_integral_float_count_is_accepted(state, n_modes):
+    assert cli.parse_state(state).n_modes == n_modes
+
+
+def test_an_integral_float_photon_number_is_accepted():
+    rho = cli.parse_state('{"preset": "fock", "n": 2.0}', fock_dim=5)
+    assert rho.matrix[2, 2] == 1.0
+
+
 def test_sweep_refuses_a_negative_seed(capsys):
     code, out, err = run_cli(capsys, "sweep", "--count", "2", "--seed", "-1", "--json")
     assert (code, out) == (cli.EXIT_INVALID, "")

@@ -395,6 +395,14 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
         (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=math.inf), "leak tolerance .* got inf"),
         (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=-1.0), "leak tolerance .* got -1.0"),
         (lambda: gw.fock_number_state(4, 4), "does not fit"),
+        (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be a positive integer, got 2\.5"),
+        (lambda: gw.fock_number_state(1.5, 4), r"photon number must be an integer, got 1\.5"),
+        (lambda: gw.fock_number_state(True, 4), "photon number must be an integer, got True"),
+        (lambda: gw.fock_thermal(0.5, 2.5), r"truncation dim must be a positive integer, got 2\.5"),
+        (lambda: gw.fock_thermal(0.5, 0), "truncation dim must be a positive integer, got 0"),
+        (lambda: gw.fock_postselect_demo(2), r"needs an integer dim >= 3 to hold \|2>, got 2"),
+        (lambda: gw.fock_postselect_demo(0), r"needs an integer dim >= 3 to hold \|2>, got 0"),
+        (lambda: gw.fock_postselect_demo(8.0), r"needs an integer dim >= 3 to hold \|2>, got 8\.0"),
     ],
 )
 def test_fock_refusals(call, message):
@@ -591,6 +599,12 @@ def test_fock_density_refuses_non_finite(bad):
 def test_fock_thermal_refuses_non_finite_nbar(nbar):
     with pytest.raises(ValueError, match=f"mean photon number must be finite and nonnegative, got {nbar}"):
         gw.fock_thermal(nbar, 5)
+
+
+def test_postselect_demo_at_the_smallest_truncation_that_holds_two_photons():
+    output, probability, gain = gw.fock_postselect_demo(3)
+    assert probability == pytest.approx(0.5, abs=1e-12)
+    assert output.dim == 3 and np.real(output.matrix[2, 2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_postselect_demo():

@@ -192,6 +192,8 @@ def test_structural_form_refuses_a_block_that_mixes_rotation_and_reflection():
         (lambda: gw.free_cm([1.0, 2.0], np.eye(2)), "passive matrix dimension"),
         (lambda: gw.convex_combine([0.5, 0.5], [np.eye(2)]), "one weight per covariance"),
         (lambda: gw.convex_combine([0.5, 0.5], [np.eye(2), np.eye(4)]), "share the same dimension"),
+        (lambda: gw.free_cm([np.nan]), "^thermal symplectic eigenvalues must be finite$"),
+        (lambda: gw.free_cm([1.0, np.inf]), "^thermal symplectic eigenvalues must be finite$"),
     ],
 )
 def test_free_refusals(call, message):

@@ -1,9 +1,10 @@
 """One symplectic spectrum per covariance matrix: every layer gives the same verdict.
 
 The property tests cover the supported range stated in the README, pure
-states O1 Z(r) O2 with |r| <= 6 and N <= 4.  Their tolerances follow the
-physicality tolerance max(1e-9, 2 n eps kappa(cm)), n = 2N (its 1e-3 cap
-does not bind in this range).
+states O1 Z(r) O2 with |r| <= 6 and N <= 4, and the extraction protocol
+also mixed states O1 Z(r) O2 diag(nu) in the same range.  Their tolerances
+follow the physicality tolerance max(1e-9, 2 n eps kappa(cm)), n = 2N (its
+1e-3 cap does not bind in this range).
 """
 
 import ast
@@ -23,6 +24,11 @@ R_MAX = 6.0
 property_settings = settings(max_examples=60, deadline=None, derandomize=True)
 squeezings = st.integers(1, 4).flatmap(lambda n: st.lists(st.floats(-R_MAX, R_MAX), min_size=n, max_size=n))
 pure_states = st.tuples(squeezings, st.integers(0, 2**32 - 1))
+thermal_nus = st.sampled_from([0.5, 1.0, 3.0])
+mixed_states = st.tuples(
+    squeezings.flatmap(lambda rs: st.tuples(st.just(rs), st.lists(thermal_nus, min_size=len(rs), max_size=len(rs)))),
+    st.integers(0, 2**32 - 1),
+)
 
 
 def _pure(rs, seed):
@@ -31,6 +37,19 @@ def _pure(rs, seed):
     s = random_orthosymplectic(rng, n) @ gw.squeezer_direct_sum(rs) @ random_orthosymplectic(rng, n)
     cm = 0.5 * s @ s.T
     return rng, gw.GaussianState(rng.normal(size=2 * n), 0.5 * (cm + cm.T))
+
+
+def _mixed(squeezing_and_nu, seed):
+    """Displaced O1 Z(r) O2 diag(nu) with Haar-random passive O1, O2; None when GaussianState refuses it."""
+    rs, nu = squeezing_and_nu
+    rng = np.random.default_rng(seed)
+    n = len(rs)
+    s = random_orthosymplectic(rng, n) @ gw.squeezer_direct_sum(rs) @ random_orthosymplectic(rng, n)
+    cm = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    try:
+        return gw.GaussianState(rng.normal(size=2 * n), 0.5 * (cm + cm.T))
+    except ValueError:
+        return None
 
 
 def _nu_tol(cm):
@@ -87,6 +106,38 @@ def test_work_and_entropy_are_invariant_under_passive_maps(case):
     )
 
 
+def check_protocol(state):
+    """The protocol's witness is orthosymplectic, its final cm free, and the energy it releases is W.
+
+    Running the steps on the state lands on the free cm within the state's own rounding, 2 n eps
+    kappa(cm) relative, which the factor 2 covers.
+    """
+    protocol = gw.extraction_protocol(state)
+    final = protocol.final_cm
+    assert gw.is_orthosymplectic(final.passive)
+    assert gw.is_free_cm(final.cm).spectral_free
+    np.testing.assert_array_equal(final.nu, gw.symplectic_eigenvalues(state.cm))
+    e = gw.energy(state)
+    assert abs(e - 0.5 * np.trace(final.cm) - gw.extractable_work(state).total) <= 1e-10 * (1.0 + e)
+    z = gw.squeezer_direct_sum(protocol.squeezer_step)
+    ran = z @ protocol.passive_step @ state.cm @ protocol.passive_step.T @ z
+    assert np.linalg.norm(ran - final.cm) <= 2.0 * _nu_tol(state.cm) * max(1.0, np.linalg.norm(final.cm))
+
+
+@property_settings
+@given(case=mixed_states)
+def test_protocol_accepts_every_accepted_state_and_ends_free(case):
+    state = _mixed(*case)
+    if state is not None:
+        check_protocol(state)
+
+
+@pytest.mark.parametrize("nu_max", [0.5, 3.0], ids=["pure", "mixed"])
+def test_protocol_at_64_modes(nu_max):
+    rng = np.random.default_rng(12)
+    check_protocol(gw.GaussianState(rng.normal(size=128), random_cm(rng, 64, nu_max=nu_max, r_max=2.0)))
+
+
 def _counting(monkeypatch):
     """Record (solver, complex input?, vectors?) for every numpy eigh, eigvalsh and svd call."""
     calls = []
@@ -121,6 +172,21 @@ def test_relative_entropy_reads_the_gibbs_matrix_from_one_real_eigh(monkeypatch)
     calls = _counting(monkeypatch)
     gw.relative_entropy(rho, sigma)
     assert calls == [("svd", False, True)]
+
+
+def test_protocol_takes_s_st_from_one_svd_with_no_williamson_factor(monkeypatch):
+    # S S^T from one SVD of K, its Euler split from one eigh, the witness from one eigh of the final cm.
+    state = _mixed(([0.8, -0.3, 1.5], [0.5, 1.0, 3.0]), 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol needs no Williamson factor and no Bloch-Messiah split")
+
+    for name in ("williamson", "bloch_messiah"):
+        monkeypatch.setattr(gw.symplectic, name, refuse)
+        monkeypatch.setattr(gw, name, refuse, raising=False)
+    calls = _counting(monkeypatch)
+    gw.extraction_protocol(state)
+    assert calls == [("svd", False, True), ("eigh", False, True), ("eigh", False, True)]
 
 
 _SOLVERS = [

@@ -297,6 +297,9 @@ def test_states_are_immutable():
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
         (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"indices \[5\] out of range for 2 modes"),
         (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
+        (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
+        (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
+        (lambda: gw.make_state("vacuum", modes=2.0), r"number of modes must be a positive integer, got 2\.0"),
     ],
 )
 def test_state_refusals(call, message):

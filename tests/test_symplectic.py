@@ -198,6 +198,25 @@ def test_williamson_symplectic_residual_is_within_the_is_symplectic_bound():
         assert dec.symplectic_residual < gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
 
 
+def test_williamson_of_a_state_reuses_its_kept_spectrum(monkeypatch):
+    # The state's validation kept cm^{1/2} and nu: the factor needs only the SVD of K with vectors.
+    state = gw.GaussianState(np.zeros(6), random_cm(np.random.default_rng(19), 3))
+    ref = gw.williamson(state.cm)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    dec = gw.williamson(state)
+    assert calls == [True]
+    assert np.array_equal(dec.symplectic, ref.symplectic) and np.array_equal(dec.nu, ref.nu)
+    assert (dec.residual, dec.symplectic_residual) == (ref.residual, ref.symplectic_residual)
+
+
 def test_williamson_refuses_a_wrong_pairing(monkeypatch):
     # Swapping a and b in every pair keeps the basis orthogonal, so cm is still reconstructed;
     # only the symplectic residual sees that the canonical form changed sign.

@@ -81,6 +81,23 @@ def test_protocol_energy_ledger():
         assert gw.is_free_cm(protocol.final_cm.cm).gap < 1e-8
 
 
+def test_protocol_refuses_nothing_at_strong_squeezing():
+    """README "Numerical range": 600 states O1 Z(r) O2 diag(nu) with |r| <= 6, nu per mode from {1/2, 1, 3}.
+
+    The protocol accepts each one and its witness is orthosymplectic, though `williamson` refuses 80 of
+    them: the protocol forms no Williamson factor.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        rs = rng.uniform(-6.0, 6.0, size=n)
+        nu = rng.choice([0.5, 1.0, 3.0], size=n)
+        s = random_orthosymplectic(rng, n) @ gw.squeezer_direct_sum(rs) @ random_orthosymplectic(rng, n)
+        cm = s @ np.diag(np.repeat(nu, 2)) @ s.T
+        protocol = gw.extraction_protocol(gw.GaussianState(np.zeros(2 * n), 0.5 * (cm + cm.T)))
+        assert gw.is_orthosymplectic(protocol.final_cm.passive)
+
+
 def test_superadditivity_product_is_tight():
     rng = np.random.default_rng(63)
     a, b = random_cm(rng, 1), random_cm(rng, 2)
