@@ -14,7 +14,7 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import require_valid_cm, rotation, unitary_to_orthosymplectic
+from .symplectic import TOL_PHYS, require_valid_cm, rotation, unitary_to_orthosymplectic
 from .work import quadratic_work
 
 
@@ -96,13 +96,13 @@ def work_swap_demo(gamma_a: np.ndarray, gamma_b: np.ndarray) -> DistillationOutc
     )
 
 
-def conversion_rate_bound(rho: GaussianState, sigma: GaussianState, atol: float = 1e-9) -> float:
+def conversion_rate_bound(rho: GaussianState, sigma: GaussianState) -> float:
     """Upper bound A(rho)/A(sigma) on the copies-out-per-copies-in rate.
 
-    Returns +inf when the target activity is below ``atol`` (unbounded).
+    Returns +inf (unbounded) when the target activity is at most TOL_PHYS = 1e-9.
     """
     target = local_activity(sigma).value
     source = local_activity(rho).value
-    if target <= atol:
+    if target <= TOL_PHYS:
         return math.inf
     return source / target

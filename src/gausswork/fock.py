@@ -34,10 +34,12 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import GaussianState, _bipartition, _is_integer, _mode_indices, _xlogx, thermal_entropy
+from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_integer, _is_integer, _mode_indices,
+                     _xlogx, thermal_entropy)
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
+LEAK_TOL = 1e-6  # largest truncation leak 1 - trace that fock_single_mode_activity accepts
 _FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
 
 
@@ -50,6 +52,8 @@ class FockDensity:
     n_modes: int = 1
 
     def __post_init__(self):
+        _check_positive_integer(self.dim, "truncation dim")
+        _check_positive_integer(self.n_modes, "number of modes")
         mat = np.array(self.matrix, dtype=complex)
         expected = self.dim**self.n_modes
         if mat.shape != (expected, expected):
@@ -113,16 +117,6 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
 
 
-def _check_nbar(nbar_bath: float) -> None:
-    if not 0.0 <= nbar_bath < math.inf:
-        raise ValueError(f"bath mean photon number must be finite and nonnegative, got {nbar_bath}")
-
-
-def _check_dim(dim) -> None:
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError(f"truncation dim must be a positive integer, got {dim!r}")
-
-
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
     """Yield the blocks B_N[m1, n1] = <m1, N - m1| U_bs |n1, N - n1>, N = 0..n_max.
 
@@ -173,15 +167,15 @@ def _unitarity_residual(block: np.ndarray, eta: float) -> float:
 def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
     """Amplitude <m1, m| U_bs(eta) |n1, n>; zero unless m1 + m == n1 + n."""
     for label, idx in (("m1", m1), ("m", m), ("n1", n1), ("n", n)):
-        if idx < 0 or idx != int(idx):
-            raise ValueError(f"photon number {label} must be a nonnegative integer, got {idx}")
+        if not _is_integer(idx) or idx < 0:
+            raise ValueError(f"photon number {label} must be a nonnegative integer, got {idx!r}")
     _check_eta(eta)
     if m1 + m != n1 + n:
         return 0.0
-    for block in _bs_blocks(float(eta), int(n1 + n)):  # hold one block at a time
+    for block in _bs_blocks(float(eta), n1 + n):  # hold one block at a time
         pass
     _unitarity_residual(block, eta)
-    return float(block[int(m1), int(n1)])
+    return float(block[m1, n1])
 
 
 def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> KrausSet:
@@ -202,7 +196,7 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     if max_mn > dim:
         raise ValueError(f"truncation dim {dim} too small for max_mn {max_mn}")
     _check_eta(eta)
-    _check_nbar(nbar_bath)
+    _check_nbar(nbar_bath, "bath mean photon number")
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
@@ -251,7 +245,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
     """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I."""
     _check_eta(eta)
-    _check_nbar(nbar_bath)
+    _check_nbar(nbar_bath, "bath mean photon number")
     dim = state.cm.shape[0]
     cm = eta**2 * state.cm + (1.0 - eta**2) * (nbar_bath + 0.5) * np.eye(dim)
     return GaussianState(eta * state.displacement, cm)
@@ -285,12 +279,8 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
     return GaussianState(d_new, 0.5 * (cm_new + cm_new.T))
 
 
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
 def fock_number_state(n: int, dim: int) -> FockDensity:
-    _check_dim(dim)
+    _check_positive_integer(dim, "truncation dim")
     if not _is_integer(n):
         raise ValueError(f"photon number must be an integer, got {n!r}")
     if not 0 <= n < dim:
@@ -299,9 +289,8 @@ def fock_number_state(n: int, dim: int) -> FockDensity:
 
 
 def fock_thermal(nbar: float, dim: int) -> FockDensity:
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"mean photon number must be finite and nonnegative, got {nbar}")
-    _check_dim(dim)
+    _check_nbar(nbar, "mean photon number")
+    _check_positive_integer(dim, "truncation dim")
     x = nbar / (nbar + 1.0)
     weights = (1.0 - x) * x ** np.arange(dim)
     return FockDensity(np.diag(weights), dim=dim)
@@ -314,7 +303,7 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless dim >= 1
     is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
     """
-    _check_dim(dim)
+    _check_positive_integer(dim, "truncation dim")
     n, dim = state.n_modes, int(dim)
     if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:
         raise ValueError(f"Fock conversion at dim {dim} for {n} modes needs {dim ** (2 * n)} entries, "
@@ -345,15 +334,15 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
 
 
 def fock_moments(rho: FockDensity):
-    """First and second quadrature moments (d, cm) of a single-mode density."""
+    """First and second quadrature moments (d, cm) of a single-mode density.
+
+    <a>, <a^2> and <n> are read from the -1, -2 and main diagonals of rho: O(dim), no ladder matrix."""
     if rho.n_modes != 1:
         raise ValueError("moment extraction implemented for single-mode states")
-    a = annihilation(rho.dim)
-    mat = rho.matrix
-    tr = np.real(np.trace(mat))
-    mean_a = np.trace(mat @ a) / tr
-    mean_aa = np.trace(mat @ a @ a) / tr
-    mean_n = np.real(np.trace(mat @ (a.T @ a))) / tr
+    mat, tr, root = rho.matrix, rho.trace, np.sqrt(np.arange(rho.dim))
+    mean_a = np.diagonal(mat, -1) @ root[1:] / tr
+    mean_aa = np.diagonal(mat, -2) @ (root[1:-1] * root[2:]) / tr
+    mean_n = np.real(np.diagonal(mat)) @ np.arange(rho.dim) / tr
     d = math.sqrt(2.0) * np.array([mean_a.real, mean_a.imag])
     qq = mean_aa.real + mean_n + 0.5 - d[0] ** 2
     pp = -mean_aa.real + mean_n + 0.5 - d[1] ** 2
@@ -361,15 +350,13 @@ def fock_moments(rho: FockDensity):
     return d, np.array([[qq, qp], [qp, pp]])
 
 
-def fock_single_mode_activity(rho: FockDensity, leak_tol: float = 1e-6) -> float:
-    """Activity of an arbitrary single-mode state: -S(rho) + g(nbar + 1/2)."""
+def fock_single_mode_activity(rho: FockDensity) -> float:
+    """Activity -S(rho) + g(nbar + 1/2) of any single-mode state; ValueError if its leak |1 - trace| > LEAK_TOL."""
     if rho.n_modes != 1:
         raise ValueError("single-mode activity requires a single-mode density")
-    if not 0.0 <= leak_tol < math.inf:
-        raise ValueError(f"leak tolerance must be finite and nonnegative, got {leak_tol}")
     leak = abs(1.0 - rho.trace)
-    if leak > leak_tol:
-        raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {leak_tol:.1e}")
+    if leak > LEAK_TOL:
+        raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {LEAK_TOL:.1e}")
     # The real form of rho holds each eigenvalue twice; a real solver keeps complex LAPACK out of the process.
     evals = np.clip(np.linalg.eigvalsh(_real_form(rho.matrix))[0::2], 0.0, None)
     entropy = float(-np.sum(_xlogx(evals)))

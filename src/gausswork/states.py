@@ -21,6 +21,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_positive_integer(value, label: str) -> None:
+    """ValueError naming ``label`` unless ``value`` is a positive integer (never a bool or a float)."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{label} must be a positive integer, got {value!r}")
+
+
+def _check_nbar(nbar, label: str) -> None:
+    """ValueError naming ``label`` unless the mean photon number ``nbar`` is finite and nonnegative."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"{label} must be finite and nonnegative, got {nbar}")
+
+
 def _xlogx(x):
     """Elementwise x ln x with 0 ln 0 = 0."""
     x = np.asarray(x, dtype=float)
@@ -70,14 +82,12 @@ class GaussianState:
 
 
 def vacuum(n_modes: int = 1) -> GaussianState:
-    if not _is_integer(n_modes) or n_modes < 1:
-        raise ValueError(f"number of modes must be a positive integer, got {n_modes!r}")
+    _check_positive_integer(n_modes, "number of modes")
     return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
 def thermal(nbar: float) -> GaussianState:
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
+    _check_nbar(nbar, "mean photon number")
     return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 

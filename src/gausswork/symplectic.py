@@ -377,7 +377,7 @@ def _real_form(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYMP) -> np.ndarray:
+def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
     """Phase-space representation of a passive Gaussian unitary.
 
     The N x N unitary acting on annihilation operators maps to a 2N x 2N
@@ -388,7 +388,7 @@ def unitary_to_orthosymplectic(u: np.ndarray, tol: float = TOL_SYMP) -> np.ndarr
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     n = u.shape[0]
-    if np.linalg.norm(u @ u.conj().T - np.eye(n)) >= max(tol, 1e3 * n * np.finfo(float).eps):
+    if np.linalg.norm(u @ u.conj().T - np.eye(n)) >= max(TOL_SYMP, 1e3 * n * np.finfo(float).eps):
         raise ValueError("input matrix is not unitary within tolerance")
     return _real_form(u)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free import TOL_FREE, FreeCovariance, is_free_cm
+from .free import FreeCovariance, free_cm, is_free_cm
 from .states import GaussianState, _bipartition, _mode_indices
 from .symplectic import _canonical_pairs, _congruence, _euler, require_valid_cm, squeezer_direct_sum, symplectic_form
 
@@ -44,9 +44,10 @@ class ExtractionProtocol:
 
     Steps act in order: displace by ``displacement_step``, apply the passive
     ``passive_step``, then squeeze each mode by ``squeezer_step`` (zero on passive
-    pairs).  ``final_cm`` is the free O diag(nu) O^T with the state's nu and an
-    orthosymplectic O; the steps reach it within 2 n eps kappa(cm) relative, and
-    its energy drop equals the reported work.
+    pairs).  ``final_cm`` is ``free_cm(nu, O)`` with the state's nu and the witness
+    O read from the steps' output, so O passes the same orthosymplectic check as
+    every other free covariance; the steps reach it within 2 n eps kappa(cm)
+    relative, and its energy drop equals the reported work.
     """
 
     displacement_step: np.ndarray
@@ -64,14 +65,12 @@ def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
     # final is free; its Omega-commuting part has each eigenvalue 2 nu_k on planes Omega maps to itself.
     omega = symplectic_form(state.n_modes)
     witness = _canonical_pairs(np.linalg.eigh(final + omega @ final @ omega.T)[1][:, ::-1], omega)
-    nu = state._spectrum.nu
-    final = (witness * np.repeat(nu, 2)) @ witness.T
     report = extractable_work(state)
     return ExtractionProtocol(
         displacement_step=-state.displacement,
         passive_step=o_out.T,
         squeezer_step=-r,
-        final_cm=FreeCovariance(cm=0.5 * (final + final.T), passive=witness, nu=nu),
+        final_cm=free_cm(state._spectrum.nu, witness),  # ValueError if the witness is not orthosymplectic
         work_displacement=report.displacement,
         work_quadratic=report.quadratic,
     )
@@ -85,6 +84,6 @@ def superadditivity_gap(cm: np.ndarray, modes_a, modes_b) -> float:
     return quadratic_work(cm) - quadratic_work(cm[np.ix_(ia, ia)]) - quadratic_work(cm[np.ix_(ib, ib)])
 
 
-def is_work_free(cm: np.ndarray, tol: float = TOL_FREE) -> bool:
-    """True when no quadratic work is extractable; matches the spectral freeness test."""
-    return is_free_cm(cm, tol_free=tol).spectral_free
+def is_work_free(cm: np.ndarray) -> bool:
+    """True when no quadratic work is extractable: the spectral freeness test at TOL_FREE."""
+    return is_free_cm(cm).spectral_free

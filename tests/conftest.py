@@ -11,7 +11,7 @@ from scipy.special import xlogy
 from scipy.stats import unitary_group
 
 import gausswork as gw
-from gausswork.fock import _bs_blocks, annihilation
+from gausswork.fock import _bs_blocks
 from gausswork.symplectic import TOL_PHYS
 
 
@@ -178,7 +178,7 @@ def expm_fock_from_gaussian(state: gw.GaussianState, dim):
     bm = gw.bloch_messiah(s)
     psi = math.atan2(bm.o_out[1, 0], bm.o_out[0, 0])
     work = max(2 * dim, dim + 32)
-    a = annihilation(work)
+    a = np.diag(np.sqrt(np.arange(1.0, work)), 1)  # annihilation operator on the padded space
     adag = a.T
     rho = gw.fock_thermal(nu - 0.5, work).matrix.astype(complex)
     alpha = (state.displacement[0] + 1j * state.displacement[1]) / math.sqrt(2.0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -368,7 +369,7 @@ def test_postselect_conditional_mean():
 
 
 _BRIGHT_Q = gw.GaussianState(np.zeros(2), np.diag([1e7, 1e-7]))  # a gate diag(2e7, 2e-7) with condition number 1e14
-_LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, refused at the default leak_tol
+_LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, refused at LEAK_TOL = 1e-6
 
 
 @pytest.mark.parametrize(
@@ -391,9 +392,15 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
         (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), "nonnegative"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40.5, 20), "truncation dim must be an integer, got 40.5"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40, 20.0), "max_mn must be an integer, got 20.0"),
-        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=math.nan), "leak tolerance .* got nan"),
-        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=math.inf), "leak tolerance .* got inf"),
-        (lambda: gw.fock_single_mode_activity(_LEAKY, leak_tol=-1.0), "leak tolerance .* got -1.0"),
+        (lambda: gw.bs_matrix_element(True, 0, 1, 0, 0.5), "photon number m1 must be a nonnegative integer, got True"),
+        (lambda: gw.bs_matrix_element(1.0, 0, 1, 0, 0.5), r"photon number m1 must be a nonnegative integer, got 1\.0"),
+        (lambda: gw.FockDensity(np.eye(2) / 2, dim=2.0), r"truncation dim must be a positive integer, got 2\.0"),
+        (lambda: gw.FockDensity(np.eye(2) / 2, dim=True), "truncation dim must be a positive integer, got True"),
+        (
+            lambda: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=2.0),
+            r"number of modes must be a positive integer, got 2\.0",
+        ),
+        (lambda: gw.FockDensity(np.eye(1), dim=2, n_modes=0), "number of modes must be a positive integer, got 0"),
         (lambda: gw.fock_number_state(4, 4), "does not fit"),
         (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be a positive integer, got 2\.5"),
         (lambda: gw.fock_number_state(1.5, 4), r"photon number must be an integer, got 1\.5"),
@@ -437,6 +444,20 @@ def test_fock_activity_squeezed_matches_gaussian_form():
     )
 
 
+def test_single_value_tolerances_are_module_constants(monkeypatch):
+    """The leak bound is fock.LEAK_TOL, read at each call; the other single-value knobs are gone too."""
+    for func, name in ((gw.fock_single_mode_activity, "leak_tol"), (gw.unitary_to_orthosymplectic, "tol"),
+                       (gw.conversion_rate_bound, "atol"), (gw.is_work_free, "tol")):
+        assert name not in inspect.signature(func).parameters
+    with pytest.raises(ValueError, match=r"truncation leak 1\.00\de-01 exceeds tolerance 1\.0e-06"):
+        gw.fock_single_mode_activity(_LEAKY)
+    monkeypatch.setattr("gausswork.fock.LEAK_TOL", 0.2)
+    assert math.isfinite(gw.fock_single_mode_activity(_LEAKY))
+    monkeypatch.setattr("gausswork.fock.LEAK_TOL", 0.05)
+    with pytest.raises(ValueError, match="exceeds tolerance 5.0e-02"):
+        gw.fock_single_mode_activity(_LEAKY)
+
+
 def test_fock_activity_rejects_leaky_truncation():
     leaky = gw.fock_from_gaussian(gw.squeezed(1.8), 10)
     with pytest.raises(ValueError, match="leak"):
@@ -463,6 +484,52 @@ def test_fock_from_gaussian_accepts_pure_squeezed_states():
         d, cm = gw.fock_moments(rho)
         np.testing.assert_allclose(d, state.displacement, atol=1e-6)
         np.testing.assert_allclose(cm, state.cm, atol=1e-6)
+
+
+def dense_ladder_moments(rho: gw.FockDensity):
+    """(d, cm) from traces against the dense dim x dim annihilation matrix."""
+    a = np.diag(np.sqrt(np.arange(1.0, rho.dim)), 1)
+    mat, tr = rho.matrix, np.real(np.trace(rho.matrix))
+    mean_a, mean_aa = np.trace(mat @ a) / tr, np.trace(mat @ a @ a) / tr
+    mean_n = np.real(np.trace(mat @ a.T @ a)) / tr
+    d = math.sqrt(2.0) * np.array([mean_a.real, mean_a.imag])
+    qq, pp = mean_n + 0.5 + mean_aa.real - d[0] ** 2, mean_n + 0.5 - mean_aa.real - d[1] ** 2
+    qp = mean_aa.imag - d[0] * d[1]
+    return d, np.array([[qq, qp], [qp, pp]])
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        gw.fock_number_state(0, 1),
+        gw.fock_thermal(0.7, 1),
+        gw.fock_number_state(1, 2),
+        gw.FockDensity(np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]]), dim=2),
+        gw.fock_number_state(3, 40),
+        gw.fock_thermal(1.5, 40),
+        gw.fock_from_gaussian(gw.apply_gaussian_unitary(gw.squeezed(0.6, 0.9), np.eye(2), [0.8, -1.1]), 40),
+        gw.fock_from_gaussian(gw.coherent(1.2 - 0.7j), 40),
+    ],
+)
+def test_fock_moments_match_the_dense_ladder_reference(rho):
+    d, cm = gw.fock_moments(rho)
+    d_ref, cm_ref = dense_ladder_moments(rho)
+    bound = 1e-14 * (1.0 + np.linalg.norm(cm_ref))
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(cm, cm_ref, rtol=0, atol=bound)
+
+
+def test_fock_moments_hold_no_dim_by_dim_temporary():
+    # At dim 200 one dense ladder matrix takes 320 KB and one complex product 640 KB; the diagonals take 3.2 KB.
+    rho = gw.fock_from_gaussian(gw.coherent(1.2 - 0.7j), 200)
+    gw.fock_moments(rho)
+    tracemalloc.start()
+    try:
+        gw.fock_moments(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05e6
 
 
 @pytest.mark.parametrize("dim", [20, 40])

@@ -70,8 +70,6 @@ def test_is_free_cm_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
     # A NaN tolerance used to call a thermal state neither spectrally nor structurally free.
     with pytest.raises(ValueError, match="freeness tolerance must be positive and finite"):
         gw.is_free_cm(1.5 * np.eye(2), tol_free=tol)
-    with pytest.raises(ValueError, match="freeness tolerance must be positive and finite"):
-        gw.is_work_free(1.5 * np.eye(2), tol=tol)
 
 
 def test_convex_combine_trivial_weights():

@@ -300,6 +300,8 @@ def test_states_are_immutable():
         (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
         (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
         (lambda: gw.make_state("vacuum", modes=2.0), r"number of modes must be a positive integer, got 2\.0"),
+        (lambda: gw.thermal(math.nan), "mean photon number must be finite and nonnegative, got nan"),
+        (lambda: gw.thermal(math.inf), "mean photon number must be finite and nonnegative, got inf"),
     ],
 )
 def test_state_refusals(call, message):

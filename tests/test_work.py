@@ -98,6 +98,23 @@ def test_protocol_refuses_nothing_at_strong_squeezing():
         assert gw.is_orthosymplectic(protocol.final_cm.passive)
 
 
+def test_protocol_final_cm_is_free_cm_of_its_own_witness():
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 3, 8):
+        state = random_state(rng, n, r_max=2.0)
+        final = gw.extraction_protocol(state).final_cm
+        rebuilt = gw.free_cm(state._spectrum.nu, final.passive)
+        np.testing.assert_array_equal(final.cm, rebuilt.cm)
+        np.testing.assert_array_equal(final.nu, rebuilt.nu)
+
+
+def test_protocol_refuses_a_witness_that_is_not_orthosymplectic(monkeypatch):
+    # 1.01 I is symplectic only up to a 2% scale, and not orthogonal: free_cm must refuse it.
+    monkeypatch.setattr("gausswork.work._canonical_pairs", lambda vecs, omega: np.eye(len(vecs)) * 1.01)
+    with pytest.raises(ValueError, match="passive matrix is not orthogonal symplectic"):
+        gw.extraction_protocol(gw.two_mode_squeezed(0.5))
+
+
 def test_superadditivity_product_is_tight():
     rng = np.random.default_rng(63)
     a, b = random_cm(rng, 1), random_cm(rng, 2)
