@@ -1,9 +1,11 @@
-"""Relative entropy of local activity for Gaussian states.
+"""Relative entropy of local activity for Gaussian states and Fock densities.
 
 The monotone is the minimum relative entropy from a state to the free set
-(thermal products under linear interferometers).  For a fixed passive
-unitary U the optimal thermal occupancies are the photon numbers of the
-interferometer-conjugated state, the diagonal of U^T M U^* with M the
+(thermal products under linear interferometers).  The log of a free state
+is quadratic and number-conserving, so for any rho, Gaussian or not, the
+relative entropy to it reads only S(rho) and <a_i^dag a_j>.  For a fixed
+passive unitary U the optimal thermal occupancies are the photon numbers of
+the interferometer-conjugated state, the diagonal of U^T M U^* with M the
 mode-overlap matrix plus I/2, so A = -S(rho) + min_U sum_i g(diag_i).
 The diagonal of a Hermitian matrix is majorised by its spectrum
 (Schur-Horn) and g is concave, so the sum is Schur-concave and is
@@ -12,7 +14,8 @@ minimised at the eigenbasis of M:
     A(rho) = -S(rho) + sum_i g(lambda_i(M)).
 
 One real eigendecomposition gives the value and the closest free state
-for every mode count; the eigen-residual certifies it.
+for every mode count; the eigen-residual certifies it.  A ``FockDensity``
+gives M through ``fock_moments`` and S from its own spectrum.
 """
 
 import math
@@ -42,9 +45,13 @@ class ActivityReport:
     certified: bool = True
 
 
-def photon_overlap_matrix(state: GaussianState) -> np.ndarray:
-    """Hermitian N x N matrix of mode overlaps <a_i^dag a_j>, displacement included."""
-    cm, d = state.cm, state.displacement
+def photon_overlap_matrix(state) -> np.ndarray:
+    """Hermitian N x N matrix of mode overlaps <a_i^dag a_j>, displacement included (of rho / Tr rho if Fock)."""
+    if isinstance(state, GaussianState):
+        cm, d = state.cm, state.displacement
+    else:  # the Fock layer loads only here
+        from .fock import fock_moments
+        d, cm = fock_moments(state)
     qq = cm[0::2, 0::2]
     pp = cm[1::2, 1::2]
     qp = cm[0::2, 1::2]
@@ -54,8 +61,8 @@ def photon_overlap_matrix(state: GaussianState) -> np.ndarray:
     return 0.5 * (qq + pp + 1j * (qp - pq)) - 0.5 * np.eye(n) + np.outer(np.conj(amp), amp)
 
 
-def local_activity(state: GaussianState) -> ActivityReport:
-    """Activity -S + sum_i g(lambda_i) from the spectrum of M = overlap + I/2.
+def local_activity(state) -> ActivityReport:
+    """Activity -S + sum_i g(lambda_i) of a GaussianState or FockDensity, from the spectrum of M = overlap + I/2.
 
     One real ``eigh`` of the 2N x 2N real form of conj(M), which holds each
     eigenvalue of M twice, gives the occupancies; its eigenvectors, paired
@@ -71,8 +78,14 @@ def local_activity(state: GaussianState) -> ActivityReport:
         ValueError: if an eigenvalue of M lies below 1/2 - max(TOL_PHYS,
             1e3 n eps max(1, ||M||)), which no physical state allows (the
             overlap matrix is positive semidefinite); eigenvalues within
-            tolerance are set to 1/2.
+            tolerance are set to 1/2.  A FockDensity is refused first if its
+            leak exceeds ``fock.LEAK_TOL`` or it is not positive semidefinite.
     """
+    if isinstance(state, GaussianState):
+        entropy = von_neumann_entropy(state)
+    else:
+        from .fock import _fock_entropy
+        entropy = _fock_entropy(state)
     n = state.n_modes
     m = photon_overlap_matrix(state) + 0.5 * np.eye(n)
     m_real = _real_form(np.conj(m))
@@ -92,7 +105,7 @@ def local_activity(state: GaussianState) -> ActivityReport:
         params["theta"] = -0.5 * math.atan2(2.0 * abs(m[0, 1]), float(m[0, 0].real - m[1, 1].real))
         params["delta_phi"] = float(np.angle(m[0, 1]))
     return ActivityReport(
-        value=float(np.sum(thermal_entropy(b))) - von_neumann_entropy(state),
+        value=float(np.sum(thermal_entropy(b))) - entropy,
         closest_free=free_cm(b, witness),
         params=params,
         certified=certified,

@@ -157,16 +157,14 @@ def _emit(args, outputs: dict):
 
 def _cmd_activity(args) -> dict:
     state = parse_state(args.state, fock_dim=args.fock_dim)
-    if not isinstance(state, gw.GaussianState):
-        return {"activity": gw.fock_single_mode_activity(state), "route": "fock"}
     report = gw.local_activity(state)
-    outputs = {
-        "activity": report.value,
-        "certified": report.certified,
-        "coherence": gw.gaussian_coherence(state),
-        "b": report.params["b"].tolist(),
-        "eig_residual": report.params["eig_residual"],
-    }
+    outputs = {"activity": report.value, "certified": report.certified}
+    if isinstance(state, gw.GaussianState):
+        outputs["coherence"] = gw.gaussian_coherence(state)
+    else:
+        outputs.update(route="fock", leak=1.0 - state.trace)
+    outputs["b"] = report.params["b"].tolist()
+    outputs["eig_residual"] = report.params["eig_residual"]
     if state.n_modes == 2:
         outputs["theta"] = report.params["theta"]
         outputs["delta_phi"] = report.params["delta_phi"]

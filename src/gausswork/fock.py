@@ -1,6 +1,6 @@
 """Truncated Fock-space machinery: beam-splitter amplitudes, lossy-channel
-Kraus operators, Gaussian post-selection, moment extraction and single-mode
-activity of non-Gaussian states.
+Kraus operators, Gaussian post-selection, and the N-mode moments and entropy
+from which ``local_activity`` takes the activity of any FockDensity.
 
 ``eta`` is the *amplitude* transmittance throughout, matching the
 beam-splitter amplitude split (eta, sqrt(1 - eta^2)); the intensity
@@ -35,7 +35,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_integer, _is_integer, _mode_indices,
-                     _xlogx, thermal_entropy)
+                     _xlogx)
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -334,43 +334,62 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
 
 
 def fock_moments(rho: FockDensity):
-    """First and second quadrature moments (d, cm) of a single-mode density.
+    """First and second quadrature moments (d, cm) of an N-mode density rho / Tr rho.
 
-    <a>, <a^2> and <n> are read from the -1, -2 and main diagonals of rho: O(dim), no ladder matrix."""
-    if rho.n_modes != 1:
-        raise ValueError("moment extraction implemented for single-mode states")
-    mat, tr, root = rho.matrix, rho.trace, np.sqrt(np.arange(rho.dim))
-    mean_a = np.diagonal(mat, -1) @ root[1:] / tr
-    mean_aa = np.diagonal(mat, -2) @ (root[1:-1] * root[2:]) / tr
-    mean_n = np.real(np.diagonal(mat)) @ np.arange(rho.dim) / tr
-    d = math.sqrt(2.0) * np.array([mean_a.real, mean_a.imag])
-    qq = mean_aa.real + mean_n + 0.5 - d[0] ** 2
-    pp = -mean_aa.real + mean_n + 0.5 - d[1] ** 2
-    qp = mean_aa.imag - d[0] * d[1]
-    return d, np.array([[qq, qp], [qp, pp]])
+    An X sending |k> to c(k) |k + s> (flat basis index k) has Tr(rho X) = sum_k c(k) rho[k, k + s], one weighted
+    sum over a shifted diagonal: O(dim^N) per moment and no dim^N x dim^N temporary.  c(k) is zero where X leaves
+    the truncation, which also drops the entries where the offset carries into another mode's digit."""
+    n, dim, mat, tr = rho.n_modes, rho.dim, rho.matrix, rho.trace
+    occ = np.indices((dim,) * n).reshape(n, -1)  # occ[i, k]: photons in mode i of basis state k
+    root, stride = np.sqrt(occ), dim ** np.arange(n - 1, -1, -1)
+
+    def mean(offset, weight):  # Tr(rho X) / Tr(rho) for X |k> = weight[k] |k + offset>
+        lo = max(0, -offset)
+        return np.einsum("k,k->", np.diagonal(mat, offset), weight[lo : lo + len(mat) - abs(offset)]) / tr
+
+    a = np.array([mean(-stride[j], root[j]) for j in range(n)])
+    aa, ada = np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    for i, j in np.ndindex(n, n):
+        left = occ[i] - (i == j)  # photons in mode i once a_j has acted
+        aa[i, j] = mean(-stride[i] - stride[j], root[j] * np.sqrt(np.maximum(left, 0)))
+        ada[i, j] = mean(stride[i] - stride[j], root[j] * np.sqrt(left + 1.0) * (left + 1 < dim))
+    # Block (i, j) of cm is [[Re(N + A), Im(N + A)], [Im(A - N), Re(N - A)]] for the central A = <a_i a_j> and
+    # N = <a_i^dag a_j>: the real form of conj(N) plus that of conj(A) with its p rows negated.
+    ada, aa = ada - np.outer(a.conj(), a), aa - np.outer(a, a)
+    cm = _real_form(np.conj(ada)) + np.tile([1.0, -1.0], n)[:, None] * _real_form(np.conj(aa))
+    return math.sqrt(2.0) * np.column_stack([a.real, a.imag]).reshape(-1), 0.5 * (cm + cm.T) + 0.5 * np.eye(2 * n)
 
 
-def fock_single_mode_activity(rho: FockDensity) -> float:
-    """Activity -S(rho) + g(nbar + 1/2) of any single-mode state; ValueError if its leak |1 - trace| > LEAK_TOL."""
-    if rho.n_modes != 1:
-        raise ValueError("single-mode activity requires a single-mode density")
+def _fock_entropy(rho: FockDensity) -> float:
+    """Entropy of rho / Tr rho; ValueError if the leak |1 - trace| exceeds LEAK_TOL (read at each call) or an
+    eigenvalue of rho / Tr rho lies below -1e3 D eps (D = dim^N), which no density allows."""
     leak = abs(1.0 - rho.trace)
     if leak > LEAK_TOL:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {LEAK_TOL:.1e}")
     # The real form of rho holds each eigenvalue twice; a real solver keeps complex LAPACK out of the process.
-    evals = np.clip(np.linalg.eigvalsh(_real_form(rho.matrix))[0::2], 0.0, None)
-    entropy = float(-np.sum(_xlogx(evals)))
-    nbar = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.dim))
-    return -entropy + float(thermal_entropy(nbar + 0.5))
+    evals = np.linalg.eigvalsh(_real_form(rho.matrix))[0::2] / rho.trace
+    if evals[0] < -1e3 * evals.size * np.finfo(float).eps:
+        raise ValueError(f"density eigenvalue {evals[0]:.3e} is below -1e3 D eps: rho is not positive semidefinite")
+    return float(-np.sum(_xlogx(np.clip(evals, 0.0, None))))
+
+
+def fock_single_mode_activity(rho: FockDensity) -> float:
+    """``local_activity(rho).value`` of a single-mode density."""
+    from .activity import local_activity
+    if rho.n_modes != 1:
+        raise ValueError("single-mode activity requires a single-mode density")
+    return local_activity(rho).value
 
 
 def fock_postselect_demo(dim: int = 8):
     """Send |1, 1> through a 50:50 beam splitter and keep vacuum on arm two.
 
     Returns the conditional output (the two-photon state), the success
-    probability 1/2, and the activity gain g(5/2) - g(3/2).  ``dim`` must
-    be an integer of at least 3, so that the truncation holds |2>.
+    probability 1/2, and the activity gain A(output) - A(|1>), which is
+    g(5/2) - g(3/2).  ``dim`` must be an integer of at least 3, so that the
+    truncation holds |2>.
     """
+    from .activity import local_activity
     if not _is_integer(dim) or dim < 3:
         raise ValueError(f"post-selection demo needs an integer dim >= 3 to hold |2>, got {dim!r}")
     eta = 1.0 / math.sqrt(2.0)
@@ -378,5 +397,5 @@ def fock_postselect_demo(dim: int = 8):
     probability = float(amps @ amps)
     vec = amps / math.sqrt(probability)
     output = FockDensity(np.outer(vec, vec), dim=dim)
-    gain = float(thermal_entropy(2.5) - thermal_entropy(1.5))
+    gain = local_activity(output).value - local_activity(fock_number_state(1, dim)).value
     return output, probability, gain

@@ -60,17 +60,17 @@ def _even_square(mat: np.ndarray, what: str) -> int:
     return mat.shape[0] // 2
 
 
-def is_symplectic(s: np.ndarray, tol: float = TOL_SYMP) -> bool:
+def is_symplectic(s: np.ndarray) -> bool:
     n = _even_square(s, "symplectic candidate")
     omega = symplectic_form(n)
-    return bool(np.linalg.norm(s @ omega @ s.T - omega) < tol * max(1.0, np.linalg.norm(s) ** 2))
+    return bool(np.linalg.norm(s @ omega @ s.T - omega) < TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2))
 
 
-def is_orthosymplectic(o: np.ndarray, tol: float = TOL_SYMP) -> bool:
+def is_orthosymplectic(o: np.ndarray) -> bool:
     n = _even_square(o, "orthosymplectic candidate")
-    if np.linalg.norm(o @ o.T - np.eye(2 * n)) >= tol:
+    if np.linalg.norm(o @ o.T - np.eye(2 * n)) >= TOL_SYMP:
         return False
-    return is_symplectic(o, tol)
+    return is_symplectic(o)
 
 
 # Rounding error on nu grows with kappa(cm): over pure states O1 Z(r) O2 with
@@ -330,7 +330,7 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     """
     s = np.asarray(s, dtype=float)
     _even_square(s, "symplectic matrix")
-    if not is_symplectic(s, TOL_SYMP):
+    if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
     o_out, rs = _euler(s @ s.T)
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=squeezer_direct_sum(-rs) @ o_out.T @ s)

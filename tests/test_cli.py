@@ -99,6 +99,10 @@ def test_activity_fock_preset(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["outputs"]["activity"] == pytest.approx(gw.preset_activity("fock", 2), abs=1e-9)
+    # The Fock route reports through local_activity too: certificate, occupancy, residual and leak.
+    assert record["outputs"]["certified"] is True and record["outputs"]["route"] == "fock"
+    assert record["outputs"]["b"] == [pytest.approx(2.5, abs=1e-14)] and record["outputs"]["leak"] == 0.0
+    assert 0.0 <= record["outputs"]["eig_residual"] < 1e-12
 
 
 def test_relent_command(capsys):
@@ -296,7 +300,11 @@ DECOMPOSE_KEYS = {
     [
         (["activity", "--state", "preset:squeezed:0.5"], "activity", ACTIVITY_KEYS),
         (["activity", "--state", "preset:tms:0.5"], "activity", ACTIVITY_KEYS | {"theta", "delta_phi"}),
-        (["activity", "--state", "preset:fock:2", "--fock-dim", "20"], "activity", {"activity", "route"}),
+        (
+            ["activity", "--state", "preset:fock:2", "--fock-dim", "20"],
+            "activity",
+            {"activity", "certified", "b", "eig_residual", "route", "leak"},
+        ),
         (["work", "--state", "preset:tms:0.5"], "work", {"quadratic", "displacement", "total"}),
         (["entropy", "--state", "preset:thermal:1"], "entropy", {"entropy"}),
         (["decompose", "--state", "preset:tms:0.5"], "decompose", DECOMPOSE_KEYS),
@@ -547,8 +555,14 @@ def run_probe(probe):
             None,
             {"gausswork.fock", "gausswork.distill"},
         ),
+        # The Fock layer loads only for a FockDensity.
+        (
+            "import gausswork.cli\ngausswork.cli.main(['activity', '--state', 'preset:tms:0.5'])",
+            None,
+            {"gausswork.fock", "gausswork.distill"},
+        ),
     ],
-    ids=["every-layer", "namespace", "parser", "entropy"],
+    ids=["every-layer", "namespace", "parser", "entropy", "activity"],
 )
 def test_import_loads_no_scipy(probe, package, absent):
     """Each call loads the gausswork modules ``package`` (when given) and no ``absent`` module."""

@@ -386,8 +386,19 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             "ill-conditioned",
         ),
         (lambda: gw.FockDensity(np.eye(4), dim=3), "does not match dim 3"),
-        (lambda: gw.fock_moments(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
         (lambda: gw.fock_single_mode_activity(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
+        (
+            lambda: gw.local_activity(gw.FockDensity(np.diag([1.5, -0.5]), dim=2)),
+            r"density eigenvalue -5\.000e-01 is below -1e3 D eps: rho is not positive semidefinite",
+        ),
+        (
+            lambda: gw.fock_single_mode_activity(gw.FockDensity(np.diag([1.5, -0.5]), dim=2)),
+            "not positive semidefinite",
+        ),
+        (
+            lambda: gw.local_activity(gw.FockDensity(np.diag([0.6, 0.6, -0.2, 0.0]), dim=2, n_modes=2)),
+            r"density eigenvalue -2\.000e-01 is below",
+        ),
         (lambda: gw.thermal_loss_kraus(0.8, 0.0, 1, 0), "at least 2"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), "nonnegative"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40.5, 20), "truncation dim must be an integer, got 40.5"),
@@ -445,9 +456,11 @@ def test_fock_activity_squeezed_matches_gaussian_form():
 
 
 def test_single_value_tolerances_are_module_constants(monkeypatch):
-    """The leak bound is fock.LEAK_TOL, read at each call; the other single-value knobs are gone too."""
+    """The leak bound is fock.LEAK_TOL and the symplectic bound TOL_SYMP, each read at each call; the other
+    single-value knobs are gone too."""
     for func, name in ((gw.fock_single_mode_activity, "leak_tol"), (gw.unitary_to_orthosymplectic, "tol"),
-                       (gw.conversion_rate_bound, "atol"), (gw.is_work_free, "tol")):
+                       (gw.conversion_rate_bound, "atol"), (gw.is_work_free, "tol"), (gw.is_symplectic, "tol"),
+                       (gw.is_orthosymplectic, "tol")):
         assert name not in inspect.signature(func).parameters
     with pytest.raises(ValueError, match=r"truncation leak 1\.00\de-01 exceeds tolerance 1\.0e-06"):
         gw.fock_single_mode_activity(_LEAKY)
@@ -456,12 +469,52 @@ def test_single_value_tolerances_are_module_constants(monkeypatch):
     monkeypatch.setattr("gausswork.fock.LEAK_TOL", 0.05)
     with pytest.raises(ValueError, match="exceeds tolerance 5.0e-02"):
         gw.fock_single_mode_activity(_LEAKY)
+    nearly = np.eye(2) + 1e-12 * np.array([[1.0, 0.0], [0.0, 0.0]])  # off symplectic and orthogonal by 1e-12
+    assert gw.is_symplectic(nearly) and gw.is_orthosymplectic(nearly)
+    monkeypatch.setattr("gausswork.symplectic.TOL_SYMP", 1e-14)
+    assert not gw.is_symplectic(nearly) and not gw.is_orthosymplectic(nearly)
 
 
 def test_fock_activity_rejects_leaky_truncation():
     leaky = gw.fock_from_gaussian(gw.squeezed(1.8), 10)
     with pytest.raises(ValueError, match="leak"):
         gw.fock_single_mode_activity(leaky)
+
+
+@pytest.mark.parametrize(
+    "n_modes, dims, count, sampler",
+    [
+        (1, (20, 40, 60, 80), 8, dict(nu_max=1.5, r_max=0.5, d_scale=0.5)),
+        (2, (16, 20, 24, 28), 3, dict(nu_max=0.8, r_max=0.2, d_scale=0.3)),
+    ],
+)
+def test_fock_activity_matches_the_gaussian_route(n_modes, dims, count, sampler):
+    """local_activity of fock_from_gaussian(s, dim) equals that of s, at the smallest dim whose leak is below 1e-12."""
+    rng = np.random.default_rng(96 + n_modes)
+    for _ in range(count):
+        state = random_state(rng, n_modes, **sampler)
+        rho = next(r for r in (gw.fock_from_gaussian(state, d) for d in dims) if abs(1.0 - r.trace) < 1e-12)
+        fock, gauss = gw.local_activity(rho), gw.local_activity(state)
+        assert fock.certified and rho.n_modes == n_modes
+        assert fock.value == pytest.approx(gauss.value, abs=1e-10)
+        np.testing.assert_allclose(fock.params["b"], gauss.params["b"], rtol=0, atol=1e-10)
+
+
+def test_two_photon_pair_activity_is_invariant_under_a_beam_splitter():
+    """A(|1,1>) = 2 g(3/2), and a 50:50 beam splitter from bs_matrix_element, which is passive, keeps it."""
+    dim = 4
+    pair = np.zeros(dim * dim)
+    pair[dim + 1] = 1.0
+    rho = gw.FockDensity(np.outer(pair, pair), dim=dim, n_modes=2)
+    assert gw.local_activity(rho).value == pytest.approx(2.0 * gw.thermal_entropy(1.5), abs=1e-15)
+    for eta in (1.0 / math.sqrt(2.0), 0.3):
+        unitary = np.array([[gw.bs_matrix_element(*divmod(k, dim), *divmod(col, dim), eta) for col in range(dim**2)]
+                            for k in range(dim**2)])
+        out = gw.FockDensity(unitary @ rho.matrix @ unitary.T, dim=dim, n_modes=2)
+        assert out.trace == pytest.approx(1.0, abs=1e-14)
+        report = gw.local_activity(out)
+        assert report.value == pytest.approx(2.0 * gw.thermal_entropy(1.5), abs=1e-12)
+        np.testing.assert_allclose(report.params["b"], [1.5, 1.5], rtol=0, atol=1e-14)
 
 
 def test_fock_from_gaussian_moment_roundtrip():
@@ -517,6 +570,45 @@ def test_fock_moments_match_the_dense_ladder_reference(rho):
     bound = 1e-14 * (1.0 + np.linalg.norm(cm_ref))
     np.testing.assert_allclose(d, d_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(cm, cm_ref, rtol=0, atol=bound)
+
+
+def two_mode_ladder_moments(rho: gw.FockDensity):
+    """(d, cm) of a two-mode density from traces against dense dim^2 x dim^2 ladder matrices a_1, a_2."""
+    lower = np.diag(np.sqrt(np.arange(1.0, rho.dim)), 1)
+    ops = [np.kron(lower, np.eye(rho.dim)), np.kron(np.eye(rho.dim), lower)]
+    mat = rho.matrix / np.real(np.trace(rho.matrix))
+    a = np.array([np.trace(mat @ op) for op in ops])
+    aa = np.array([[np.trace(mat @ x @ y) for y in ops] for x in ops]) - np.outer(a, a)
+    ada = np.array([[np.trace(mat @ x.T @ y) for y in ops] for x in ops]) - np.outer(a.conj(), a)
+    d, cm = np.zeros(4), np.zeros((4, 4))
+    for i in range(2):
+        d[2 * i : 2 * i + 2] = math.sqrt(2.0) * a[i].real, math.sqrt(2.0) * a[i].imag
+        for j in range(2):
+            # <q_i q_j>, <q_i p_j>, <p_i q_j>, <p_i p_j>, symmetrised, with [a_i, a_j^dag] = delta_ij.
+            half = 0.5 if i == j else 0.0
+            cm[2 * i, 2 * j] = (aa[i, j] + ada[i, j]).real + half
+            cm[2 * i, 2 * j + 1] = (aa[i, j] + ada[i, j]).imag
+            cm[2 * i + 1, 2 * j] = (aa[i, j] - ada[i, j]).imag
+            cm[2 * i + 1, 2 * j + 1] = (ada[i, j] - aa[i, j]).real + half
+    return d, cm
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        gw.fock_from_gaussian(gw.vacuum(2), 2),
+        gw.FockDensity(np.kron(gw.fock_number_state(1, 3).matrix, gw.fock_thermal(0.4, 3).matrix), dim=3, n_modes=2),
+        gw.fock_from_gaussian(gw.two_mode_squeezed(0.4), 12),
+        gw.fock_from_gaussian(random_state(np.random.default_rng(102), 2, nu_max=1.5, r_max=0.5, d_scale=0.6), 10),
+    ],
+)
+def test_two_mode_fock_moments_match_the_dense_ladder_reference(rho):
+    d, cm = gw.fock_moments(rho)
+    d_ref, cm_ref = two_mode_ladder_moments(rho)
+    bound = 1e-14 * (1.0 + np.linalg.norm(cm_ref))
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(cm, cm_ref, rtol=0, atol=bound)
+    assert np.array_equal(cm, cm.T)
 
 
 def test_fock_moments_hold_no_dim_by_dim_temporary():

@@ -263,8 +263,8 @@ def test_bloch_messiah_recovers_squeezing():
         bm = gw.bloch_messiah(s)
         np.testing.assert_allclose(bm.r, rs, atol=1e-9)
         assert np.linalg.norm(bm.reconstruct() - s) < 1e-9
-        assert gw.is_orthosymplectic(bm.o_out, tol=1e-8)
-        assert gw.is_orthosymplectic(bm.o_in, tol=1e-8)
+        assert gw.is_orthosymplectic(bm.o_out)
+        assert gw.is_orthosymplectic(bm.o_in)
 
 
 def test_bloch_messiah_rejects_non_symplectic():
