@@ -11,16 +11,15 @@ Beam-splitter amplitudes come from one recurrence in total photon number N
 unitarity residual ||B_N B_N^T - I|| is checked before anything is built
 from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
 and ``KrausSet.unitarity_residual`` reports the largest residual of an
-accepted Kraus set.  ``thermal_loss_kraus`` checks and gathers each block
+accepted Kraus set.  ``thermal_loss_kraus`` checks and scatters each block
 as the recurrence yields it, so it holds one block at a time besides the
-stored diagonals and one step temporary; a refused block still raises
+stored entries and one step temporary; a refused block still raises
 before any Kraus set is returned.
 
 Each thermal-loss Kraus operator K_mn is one shifted diagonal: it maps |n1>
-to |n1 + n - m>.  ``KrausSet`` stores only those diagonals, in one real
-array of (max_mn + 1) (n_max + 1) dim doubles, and ``apply_kraus_channel``
-works on them in band, with no temporary above rho's size.  ``operators``
-is a dense view built on each access, for inspection and tests.
+to |n1 + n - m>.  ``KrausSet`` keeps, per shift n - m, one stack of their
+in-range entries, with no padding, and ``apply_kraus_channel`` reads each
+stack in place.  ``operators`` is a dense view built on each access.
 
 ``fock_from_gaussian`` fills the Fock tensor of an N-mode Gaussian state by
 the Hermite recurrence on its Bargmann data (Quesada et al., PRA 100, 022341
@@ -54,17 +53,18 @@ class FockDensity:
     def __post_init__(self):
         _check_positive_integer(self.dim, "truncation dim")
         _check_positive_integer(self.n_modes, "number of modes")
-        mat = np.array(self.matrix, dtype=complex)
+        mat = self.matrix  # kept as is only if complex, owning and read-only: no caller can still write to it
+        if not (isinstance(mat, np.ndarray) and mat.dtype == complex and mat.flags.owndata and not mat.flags.writeable):
+            mat = np.array(mat, dtype=complex)
+            mat.setflags(write=False)
         expected = self.dim**self.n_modes
         if mat.shape != (expected, expected):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}^{self.n_modes}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix must be finite")
-        residual = mat.conj().T  # the one temporary of the check: a conjugate copy, then subtract in place
-        residual -= mat
-        if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(mat)):
+        re, im = mat.real, mat.imag  # ||mat^dag - mat|| from real temporaries of half the matrix's size
+        if math.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T)) > 1e-10 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("density matrix is not Hermitian")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -72,44 +72,52 @@ class FockDensity:
         return float(np.real(np.trace(self.matrix)))
 
 
+def _shift_layout(dim: int, max_mn: int, n_max: int):
+    """(k, first, rows, lo, width, start), entry i for the shift k = i - max_mn = n - m: its stack has rows n = first..
+    (m = n - k), columns n1 = lo.. (output n1 + k inside), and starts at start[i] of start[-1] doubles."""
+    # Built from Python ints: numpy's integer max, min and abs loops would page in code no other Fock step runs.
+    k, first, rows, lo, width = np.array([(k, max(k, 0), min(n_max, max_mn + k) - max(k, 0) + 1, max(-k, 0),
+                                           dim - abs(k)) for k in range(-max_mn, n_max + 1)]).T
+    return k, first, rows, lo, width, np.concatenate(([0], np.cumsum(rows * width)))
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Thermal-loss Kraus operators K_{mn}, indexed by bath (out, in) photons.
 
-    ``diagonals[m, n, n1]`` is K_{mn}[n1 + n - m, n1], the only nonzero entry
-    of column n1, and zero where row n1 + n - m falls outside the
-    truncation; m runs over 0..max_mn and n over the bath photon numbers
-    with nonzero weight.  ``operators`` is the dense dim x dim view of the
-    same set, built on each access and not cached.
+    K_{mn} maps |n1> to |n1 + k>, k = n - m.  ``stacks`` holds one read-only
+    (#n_k, dim - |k|) view per shift k = -max_mn..n_max into one flat buffer:
+    entry (n - max(0, k), n1 - max(0, -k)) is K_{n-k,n}[n1 + k, n1], n <= n_max
+    of nonzero bath weight.  ``operators`` is a dense view built on each access.
 
     ``unitarity_residual`` is the largest ||B_N B_N^T - I|| over the
     beam-splitter blocks the operators were gathered from.
     """
 
-    diagonals: np.ndarray
+    stacks: Tuple[np.ndarray, ...]
+    dim: int
+    max_mn: int
+    n_max: int
     eta: float
     nbar_bath: float
     unitarity_residual: float
 
     @property
-    def dim(self) -> int:
-        return self.diagonals.shape[2]
-
-    @property
     def operators(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Dense K_{mn} for every stored (m, n), built afresh on each access."""
-        m, n, n1 = np.indices(self.diagonals.shape, sparse=True)
-        rows = n1 + n - m
-        inside = (rows >= 0) & (rows < self.dim)
-        dense = np.zeros(self.diagonals.shape + (self.dim,))
-        i, j, col = np.nonzero(inside)
-        dense[i, j, rows[inside], col] = self.diagonals[inside]
-        return {(a, b): dense[a, b] for a in range(dense.shape[0]) for b in range(dense.shape[1])}
+        k, first, _, lo, _, _ = _shift_layout(self.dim, self.max_mn, self.n_max)
+        dense = np.zeros((self.max_mn + 1, self.n_max + 1, self.dim, self.dim))
+        for shift, n0, a, stack in zip(k, first, lo, self.stacks):
+            n, n1 = n0 + np.arange(len(stack))[:, None], a + np.arange(stack.shape[1])
+            dense[n - shift, n, n1 + shift, n1] = stack
+        return {(m, n): dense[m, n] for m, n in np.ndindex(dense.shape[:2])}
 
     def completeness_diagonal(self) -> np.ndarray:
-        """Diagonal of sum_K K^dag K (which has no other entries); deviation
-        from 1 is the truncation deficit."""
-        return np.einsum("mnk,mnk->k", self.diagonals, self.diagonals)
+        """Diagonal of sum_K K^dag K (no other entries), summed from each stack's squared columns."""
+        comp = np.zeros(self.dim)
+        for a, stack in zip(_shift_layout(self.dim, self.max_mn, self.n_max)[3], self.stacks):
+            comp[a : a + stack.shape[1]] += np.einsum("ij,ij->j", stack, stack)
+        return comp
 
 
 def _check_eta(eta: float) -> None:
@@ -138,9 +146,10 @@ def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
         # Each shifted contribution of B_{N-1}: (row, column) offset, row weights, column weights.
         for i, j, rows, cols in ((1, 1, eta * up, up), (0, 1, tau * up[::-1], up),
                                  (0, 0, eta * up[::-1], up[::-1]), (1, 0, -tau * up, up[::-1])):
-            np.multiply.outer(rows, cols, out=term)
+            term[:] = cols  # numpy buffers every broadcast or strided operand: at most one per operation here
+            term *= rows[:, None]
             term *= block
-            new[i : i + n, j : j + n] += term
+            np.copyto(new[i : i + n, j : j + n], np.add(term, new[i : i + n, j : j + n], out=term))
         block = new
         yield block
 
@@ -200,27 +209,29 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
-    # Each block is checked and gathered as it is produced, so only one is
-    # held at a time.  Block N feeds every (m, n, n1) with n1 + n = N, from
-    # B_N[m1, n1] at m1 = N - m: one outer-indexed write over the m1 and n1
-    # in range.
-    diagonals = np.zeros((max_mn + 1, n_max + 1, dim))
+    # Each block is checked and scattered as it is produced, so only one is held at a time.  Block N feeds
+    # every (m, n, n1) with n1 + n = N from B_N[m1, n1], m1 = N - m, in the stack of shift k = m1 - n1:
+    # one flat-index write over the m1 and n1 in range.
+    _, first, rows, lo, width, start = _shift_layout(dim, max_mn, n_max)
+    flat = np.zeros(start[-1])
     residual = 0.0
     for total, block in enumerate(_bs_blocks(float(eta), dim - 1 + n_max)):
         residual = max(residual, _unitarity_residual(block, eta))
-        m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)
+        m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)[:, None]
         n1 = np.arange(max(0, total - n_max), min(dim - 1, total) + 1)
-        diagonals[total - m1[:, None], total - n1, n1] = root_p[total - n1] * block[np.ix_(m1, n1)]
-    diagonals.setflags(write=False)
-    return KrausSet(diagonals=diagonals, eta=eta, nbar_bath=nbar_bath, unitarity_residual=residual)
+        s = m1 - n1 + max_mn  # the layout index of k = m1 - n1
+        flat[start[s] + (total - n1 - first[s]) * width[s] + n1 - lo[s]] = root_p[total - n1] * block[m1, n1]
+    flat.setflags(write=False)
+    stacks = tuple(flat[a : a + r * w].reshape(r, w) for a, r, w in zip(start, rows, width))
+    return KrausSet(stacks, dim, max_mn, n_max, eta=eta, nbar_bath=nbar_bath, unitarity_residual=residual)
 
 
 def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     """Apply sum_K K rho K^dag; returns the output and the completeness deficit.
 
-    The operators with shift k = n - m share one map: with A_k the stack of
-    their diagonals, they send rho to (A_k^T A_k o rho) moved k places down
-    the diagonal (o the entrywise product), formed on the in-range band only.
+    The operators with shift k = n - m share one map: with A_k their stack,
+    they send rho to (A_k^T A_k o rho) moved k places down the diagonal
+    (o the entrywise product), formed on the in-range band only.
 
     The deficit is the operator norm of I - sum K^dag K restricted to the
     sub-block where the input has support (diagonal weight > 1e-12); that
@@ -228,18 +239,15 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     """
     if rho.n_modes != 1 or rho.matrix.shape[0] != kraus.dim:
         raise ValueError("input dimension does not match the Kraus set")
-    dim = kraus.dim
-    max_mn, n_max = kraus.diagonals.shape[0] - 1, kraus.diagonals.shape[1] - 1
     out = np.zeros_like(rho.matrix)
-    for k in range(-max_mn, n_max + 1):
-        n = np.arange(max(0, k), min(n_max, max_mn + k) + 1)
-        lo, hi = max(0, -k), min(dim, dim - k)  # input levels n1 whose output n1 + k is inside
-        stack = kraus.diagonals[n - k, n, lo:hi]
-        out[lo + k : hi + k, lo + k : hi + k] += (stack.T @ stack) * rho.matrix[lo:hi, lo:hi]
+    k, _, _, lo, width, _ = _shift_layout(kraus.dim, kraus.max_mn, kraus.n_max)
+    for b, a, w, stack in zip(k + lo, lo, width, kraus.stacks):  # input levels a.. land on b = a + k..
+        out[b : b + w, b : b + w] += (stack.T @ stack) * rho.matrix[a : a + w, a : a + w]
     support = np.real(np.diag(rho.matrix)) > 1e-12
     gap = np.abs(1.0 - kraus.completeness_diagonal()[support])
     deficit = float(gap.max()) if gap.size else 0.0
-    return FockDensity(out, dim=dim), deficit
+    out.setflags(write=False)  # handed over without a copy
+    return FockDensity(out, dim=kraus.dim), deficit
 
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
@@ -317,7 +325,8 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     a = np.roll(np.eye(2 * n) - inv, n, axis=0).conj()  # X (I - sigma^-1)*
     gamma = w @ state.displacement
     b = inv @ gamma
-    rho = np.zeros((dim,) * (2 * n), dtype=complex)
+    mat = np.zeros((dim**n, dim**n), dtype=complex)
+    rho = mat.reshape((dim,) * (2 * n))  # a view: the recurrence fills mat in place
     rho[(0,) * (2 * n)] = math.exp(-0.5 * np.real(gamma.conj() @ b)) / math.sqrt(np.prod(lam))
     root = np.sqrt(np.arange(dim))
     for i in range(2 * n):
@@ -330,7 +339,8 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
                 skip, scale = (slice(None),) * j, root[1:].reshape((-1,) + (1,) * (i - j - 1))
                 step[skip + (slice(1, None),)] += a[i, j] * scale * slab[skip + (slice(None, -1),)]
             rho[head + (v + 1,) + tail] = step / root[v + 1]
-    return FockDensity(rho.reshape(dim**n, dim**n), dim=dim, n_modes=n)
+    mat.setflags(write=False)  # handed over without a copy
+    return FockDensity(mat, dim=dim, n_modes=n)
 
 
 def fock_moments(rho: FockDensity):

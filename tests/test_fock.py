@@ -5,6 +5,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gausswork as gw
 from gausswork.fock import _bs_blocks
@@ -229,18 +231,52 @@ def test_apply_matches_dense_reference(dim, max_mn, eta, nbar):
         assert deficit == pytest.approx(want_deficit, rel=0, abs=1e-13)
 
 
+# (dim, max_mn) with 0 <= max_mn <= dim, so both ends (one shift at max_mn = 0, |k| = dim at max_mn = dim) are drawn.
+kraus_sizes = st.integers(2, 24).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(0, dim)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(eta=st.floats(0.0, 1.0, exclude_min=True), nbar=st.floats(0.0, 2.0), size=kraus_sizes,
+       seed=st.integers(0, 2**32 - 1))
+@example(eta=0.7, nbar=0.0, size=(9, 4), seed=1)  # n_max = 0: the shifts k <= 0 only
+@example(eta=0.5, nbar=1.3, size=(7, 0), seed=2)  # the one shift k = 0
+@example(eta=0.9, nbar=0.4, size=(6, 6), seed=3)  # max_mn = dim: an empty stack at k = -dim
+@example(eta=1.0, nbar=2.0, size=(24, 24), seed=4)
+def test_property_stacks_match_the_dense_operators(eta, nbar, size, seed):
+    dim, max_mn = size
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    rho = gw.FockDensity(vecs @ vecs.conj().T / np.sum(np.abs(vecs) ** 2), dim=dim)
+    ks = gw.thermal_loss_kraus(eta, nbar, dim, max_mn)
+    out, deficit = gw.apply_kraus_channel(rho, ks)
+    want, want_deficit = dense_kraus_apply(rho, ks)
+    np.testing.assert_allclose(out.matrix, want, rtol=0, atol=1e-13)
+    assert deficit == pytest.approx(want_deficit, rel=0, abs=1e-13)
+    comp = sum(op.T @ op for op in ks.operators.values())
+    assert np.array_equal(comp, np.diag(np.diag(comp)))  # shifted diagonals: sum K^T K has no other entry
+    np.testing.assert_allclose(ks.completeness_diagonal(), np.diag(comp), rtol=0, atol=1e-14)
+
+
 def test_operators_view_matches_diagonals():
-    ks = gw.thermal_loss_kraus(0.8, 0.5, 12, 4)
+    # Stack k = n - m holds K_mn[n1 + k, n1] at row n - max(0, k), column n1 - max(0, -k),
+    # for the n1 whose output n1 + k is inside; every other entry of K_mn is zero.
+    dim, max_mn = 12, 4
+    ks = gw.thermal_loss_kraus(0.8, 0.5, dim, max_mn)
     ops = ks.operators
     assert set(ops) == {(m, n) for m in range(5) for n in range(5)}
+    assert len(ks.stacks) == 2 * max_mn + 1
     for (m, n), op in ops.items():
-        for n1 in range(12):
-            row = n1 + n - m
-            want = np.zeros(12)
-            if 0 <= row < 12:
-                want[row] = ks.diagonals[m, n, n1]
+        k = n - m
+        stack = ks.stacks[k + max_mn]
+        assert stack.shape == (min(max_mn, max_mn + k) - max(0, k) + 1, dim - abs(k))
+        for n1 in range(dim):
+            row = n1 + k
+            want = np.zeros(dim)
+            if 0 <= row < dim:
+                want[row] = stack[n - max(0, k), n1 - max(0, -k)]
             assert np.array_equal(op[:, n1], want)
     assert not np.shares_memory(ks.operators[(1, 0)], ops[(1, 0)])
+    assert not any(stack.flags.writeable for stack in ks.stacks)
 
 
 @pytest.mark.parametrize("dim,max_mn", [(20, 20), (40, 20), (40, 40)])
@@ -263,12 +299,18 @@ def test_kraus_storage_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ks.diagonals.nbytes == (max_mn + 1) * (max_mn + 1) * dim * 8
+    # Only the in-range entries are stored: sum_k #n_k (dim - |k|), #n_k = max_mn + 1 - |k| at n_max = max_mn.
+    stored = sum((max_mn + 1 - abs(k)) * (dim - abs(k)) for k in range(-max_mn, max_mn + 1))
+    assert stored == 44280
+    assert sum(stack.size for stack in ks.stacks) == stored
+    buffer = ks.stacks[0].base
+    assert buffer.nbytes == stored * 8 and all(stack.base is buffer for stack in ks.stacks)
     assert peak < 4e6
 
 
 def test_kraus_build_holds_one_block_at_a_time():
-    # The blocks B_0..B_79 together take 1.4 MB; the stored diagonals 0.54 MB.
+    # The blocks B_0..B_79 together take 1.4 MB; the stored stacks 0.35 MB.
+    # The peak comes while B_79 is computed: three blocks and one numpy iterator buffer.
     # The untraced first build imports the layer, whose compilation would
     # dominate the peak.
     gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
@@ -278,11 +320,11 @@ def test_kraus_build_holds_one_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.85e6
+    assert peak < 0.65e6
 
 
 def test_apply_holds_no_kraus_sized_temporary():
-    # The (40, 40) diagonals take 0.54 MB; each shift's work is one band of
+    # The (40, 40) stacks take 0.35 MB; each shift's work is one band of
     # rho, at most 25.6 KB as complex.  The untraced first apply warms up.
     ks = gw.thermal_loss_kraus(0.8, 0.5, 40, 40)
     rho = gw.fock_from_gaussian(gw.coherent(0.9), 40)
@@ -721,9 +763,9 @@ def test_fock_from_gaussian_refuses_over_budget():
 
 
 def test_fock_from_gaussian_peaks_at_three_tensors():
-    # The recurrence's tensor, the density's defensive copy and the one
-    # temporary of the Hermitian check; the last recurrence slab (0.43 MB)
-    # and a ufunc buffer (0.13 MB) stay within the tenth of a tensor allowed.
+    # The recurrence's tensor, which FockDensity keeps without a copy, and the
+    # real half-size temporaries of the Hermitian check, one at a time; the
+    # recurrence slabs and ufunc buffers stay within the rest allowed.
     state = gw.two_mode_squeezed(0.5)
     tracemalloc.start()
     try:
@@ -732,7 +774,33 @@ def test_fock_from_gaussian_peaks_at_three_tensors():
     finally:
         tracemalloc.stop()
     assert rho.matrix.nbytes == 30**4 * 16
-    assert peak <= 3.1 * rho.matrix.nbytes
+    assert peak <= 2.1 * rho.matrix.nbytes
+
+
+def _read_only_view_of_a_writable_array():
+    view = np.diag([0.7, 0.3]).astype(complex)[:, :]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: np.diag([0.7, 0.3]), lambda: np.diag([0.7, 0.3]).astype(complex), _read_only_view_of_a_writable_array],
+    ids=["real", "complex-writable", "read-only-view"],
+)
+def test_fock_density_is_not_changed_through_the_callers_array(make):
+    mat = make()
+    rho = gw.FockDensity(mat, dim=2)
+    assert not rho.matrix.flags.writeable
+    owner = mat if mat.base is None else mat.base
+    owner[...] = 5.0
+    np.testing.assert_array_equal(rho.matrix, np.diag([0.7, 0.3]))
+
+
+def test_fock_density_keeps_an_owning_read_only_complex_array():
+    mat = np.diag([0.7, 0.3]).astype(complex)
+    mat.setflags(write=False)
+    assert gw.FockDensity(mat, dim=2).matrix is mat
 
 
 def test_fock_density_refuses_non_hermitian():
