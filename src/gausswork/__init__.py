@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # Public names by the layer module that defines them.
 _EXPORTS = {
-    "activity": """ActivityReport gaussian_coherence local_activity photon_overlap_matrix
-        preset_activity relaxed_subadditivity_gap""",
+    "activity": "ActivityReport gaussian_coherence local_activity photon_overlap_matrix relaxed_subadditivity_gap",
     "distill": """DistillationOutcome activity_distillation_demo conversion_rate_bound
         dft_unitary process_two_copies_single_mode work_swap_demo""",
     "fock": """FockDensity KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian
@@ -31,9 +30,8 @@ _EXPORTS = {
     "symplectic": """BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
         WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
         is_symplectic rotation squeezer squeezer_direct_sum symplectic_eigenvalues
-        symplectic_form symplectic_trace unitary_to_orthosymplectic validate_cm williamson""",
-    "work": """ExtractionProtocol WorkReport extractable_work extraction_protocol is_work_free
-        quadratic_work superadditivity_gap""",
+        symplectic_form unitary_to_orthosymplectic validate_cm williamson""",
+    "work": "ExtractionProtocol WorkReport extractable_work extraction_protocol superadditivity_gap",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 

@@ -121,26 +121,6 @@ def gaussian_coherence(state: GaussianState) -> float:
     return float(np.sum(thermal_entropy(occ)) - np.sum(thermal_entropy(state._spectrum.nu)))
 
 
-def preset_activity(kind: str, value) -> float:
-    """Closed-form activity of the standard resource states.
-
-    fock(n) -> g(n + 1/2); squeezed(r) -> g(sinh^2 r + 1/2);
-    coherent(alpha) -> g(|alpha|^2 + 1/2); tms(r) -> 2 g(sinh^2 r + 1/2).
-    """
-    if kind == "fock":
-        n = int(value)
-        if n < 0 or n != value:
-            raise ValueError(f"fock preset needs a nonnegative integer, got {value!r}")
-        return float(thermal_entropy(n + 0.5))
-    if kind == "squeezed":
-        return float(thermal_entropy(math.sinh(float(value)) ** 2 + 0.5))
-    if kind == "coherent":
-        return float(thermal_entropy(abs(complex(value)) ** 2 + 0.5))
-    if kind == "tms":
-        return float(2.0 * thermal_entropy(math.sinh(float(value)) ** 2 + 0.5))
-    raise ValueError(f"unknown preset kind {kind!r}")
-
-
 def relaxed_subadditivity_gap(state: GaussianState, modes_a, modes_b=None) -> float:
     """A(rho_A) + A(rho_B) + I(A:B) - A(rho_AB); nonnegative by monotonicity."""
     modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)

@@ -262,16 +262,12 @@ def _cmd_sweep(args) -> dict:
         theta = rng.uniform(0, 2 * np.pi)
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
-        base_act = _cm_activity(gamma)
-        base_work = gw.quadratic_work(gamma)
-        for out in (g1, g2):
-            worst_activity = max(worst_activity, _cm_activity(out) - base_act)
-            worst_work = max(worst_work, gw.quadratic_work(out) - base_work)
+        base, *outs = (gw.GaussianState(np.zeros(2), cm) for cm in (gamma, g1, g2))
+        base_act, base_work = gw.local_activity(base).value, gw.extractable_work(base).quadratic
+        for out in outs:
+            worst_activity = max(worst_activity, gw.local_activity(out).value - base_act)
+            worst_work = max(worst_work, gw.extractable_work(out).quadratic - base_work)
     return {"instances": args.count, "max_activity_gain": worst_activity, "max_work_gain": worst_work}
-
-
-def _cm_activity(gamma: np.ndarray) -> float:
-    return gw.local_activity(gw.GaussianState(np.zeros(2), gamma)).value
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,7 +15,7 @@ import numpy as np
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
 from .symplectic import TOL_PHYS, require_valid_cm, rotation, unitary_to_orthosymplectic
-from .work import quadratic_work
+from .work import extractable_work
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +77,19 @@ def work_swap_demo(gamma_a: np.ndarray, gamma_b: np.ndarray) -> DistillationOutc
     Requires W(gamma_a) > W(gamma_b); the first output pair (A ⊕ A) then
     holds more work than one input copy (A ⊕ B).
     """
-    gamma_a = np.asarray(gamma_a, dtype=float)
-    gamma_b = np.asarray(gamma_b, dtype=float)
-    wa, wb = quadratic_work(gamma_a), quadratic_work(gamma_b)
+    state_a, state_b = (GaussianState(np.zeros(2), gamma) for gamma in (gamma_a, gamma_b))
+    wa, wb = extractable_work(state_a).quadratic, extractable_work(state_b).quadratic
     if not wa > wb:
         raise ValueError(f"swap gains nothing: W(A) = {wa:.6g} <= W(B) = {wb:.6g}")
-    copy = tensor([GaussianState(np.zeros(2), gamma_a), GaussianState(np.zeros(2), gamma_b)])
+    copy = tensor([state_a, state_b])
     both = tensor([copy, copy])
     # Swap modes 1 and 2 (a theta = pi/2 beam splitter up to phases).
     perm = np.eye(8)[:, [0, 1, 4, 5, 2, 3, 6, 7]]
     swapped = apply_gaussian_unitary(both, perm.T)
     first_pair = partial_trace(swapped, [0, 1])
     return DistillationOutcome(
-        input_value=quadratic_work(copy.cm),
-        output_value=quadratic_work(first_pair.cm),
+        input_value=extractable_work(copy).quadratic,
+        output_value=extractable_work(first_pair).quadratic,
         circuit=perm.T,
         output_state=first_pair,
     )

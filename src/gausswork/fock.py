@@ -38,13 +38,20 @@ from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_i
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
-LEAK_TOL = 1e-6  # largest truncation leak 1 - trace that fock_single_mode_activity accepts
+LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that local_activity accepts of a FockDensity
 _FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
+
+
+class _Fresh:
+    """A complex array made in this module and held by no caller: FockDensity keeps it without a copy."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensity:
-    """Density matrix on a truncated Fock space (dim levels per mode)."""
+    """Density matrix on a truncated Fock space (dim levels per mode); it keeps a read-only copy of the matrix."""
 
     matrix: np.ndarray
     dim: int
@@ -53,10 +60,8 @@ class FockDensity:
     def __post_init__(self):
         _check_positive_integer(self.dim, "truncation dim")
         _check_positive_integer(self.n_modes, "number of modes")
-        mat = self.matrix  # kept as is only if complex, owning and read-only: no caller can still write to it
-        if not (isinstance(mat, np.ndarray) and mat.dtype == complex and mat.flags.owndata and not mat.flags.writeable):
-            mat = np.array(mat, dtype=complex)
-            mat.setflags(write=False)
+        mat = self.matrix.array if isinstance(self.matrix, _Fresh) else np.array(self.matrix, dtype=complex)
+        mat.setflags(write=False)
         expected = self.dim**self.n_modes
         if mat.shape != (expected, expected):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}^{self.n_modes}")
@@ -89,6 +94,8 @@ class KrausSet:
     (#n_k, dim - |k|) view per shift k = -max_mn..n_max into one flat buffer:
     entry (n - max(0, k), n1 - max(0, -k)) is K_{n-k,n}[n1 + k, n1], n <= n_max
     of nonzero bath weight.  ``operators`` is a dense view built on each access.
+    ``completeness`` is the diagonal of sum_K K^dag K, which has no other
+    entries, summed once at build from each stack's squared columns.
 
     ``unitarity_residual`` is the largest ||B_N B_N^T - I|| over the
     beam-splitter blocks the operators were gathered from.
@@ -101,6 +108,7 @@ class KrausSet:
     eta: float
     nbar_bath: float
     unitarity_residual: float
+    completeness: np.ndarray
 
     @property
     def operators(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -111,13 +119,6 @@ class KrausSet:
             n, n1 = n0 + np.arange(len(stack))[:, None], a + np.arange(stack.shape[1])
             dense[n - shift, n, n1 + shift, n1] = stack
         return {(m, n): dense[m, n] for m, n in np.ndindex(dense.shape[:2])}
-
-    def completeness_diagonal(self) -> np.ndarray:
-        """Diagonal of sum_K K^dag K (no other entries), summed from each stack's squared columns."""
-        comp = np.zeros(self.dim)
-        for a, stack in zip(_shift_layout(self.dim, self.max_mn, self.n_max)[3], self.stacks):
-            comp[a : a + stack.shape[1]] += np.einsum("ij,ij->j", stack, stack)
-        return comp
 
 
 def _check_eta(eta: float) -> None:
@@ -223,7 +224,11 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
         flat[start[s] + (total - n1 - first[s]) * width[s] + n1 - lo[s]] = root_p[total - n1] * block[m1, n1]
     flat.setflags(write=False)
     stacks = tuple(flat[a : a + r * w].reshape(r, w) for a, r, w in zip(start, rows, width))
-    return KrausSet(stacks, dim, max_mn, n_max, eta=eta, nbar_bath=nbar_bath, unitarity_residual=residual)
+    comp = np.zeros(dim)
+    for a, stack in zip(lo, stacks):
+        comp[a : a + stack.shape[1]] += np.einsum("ij,ij->j", stack, stack)
+    comp.setflags(write=False)
+    return KrausSet(stacks, dim, max_mn, n_max, eta, nbar_bath, residual, comp)
 
 
 def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
@@ -244,10 +249,9 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     for b, a, w, stack in zip(k + lo, lo, width, kraus.stacks):  # input levels a.. land on b = a + k..
         out[b : b + w, b : b + w] += (stack.T @ stack) * rho.matrix[a : a + w, a : a + w]
     support = np.real(np.diag(rho.matrix)) > 1e-12
-    gap = np.abs(1.0 - kraus.completeness_diagonal()[support])
+    gap = np.abs(1.0 - kraus.completeness[support])
     deficit = float(gap.max()) if gap.size else 0.0
-    out.setflags(write=False)  # handed over without a copy
-    return FockDensity(out, dim=kraus.dim), deficit
+    return FockDensity(_Fresh(out), dim=kraus.dim), deficit
 
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
@@ -339,8 +343,7 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
                 skip, scale = (slice(None),) * j, root[1:].reshape((-1,) + (1,) * (i - j - 1))
                 step[skip + (slice(1, None),)] += a[i, j] * scale * slab[skip + (slice(None, -1),)]
             rho[head + (v + 1,) + tail] = step / root[v + 1]
-    mat.setflags(write=False)  # handed over without a copy
-    return FockDensity(mat, dim=dim, n_modes=n)
+    return FockDensity(_Fresh(mat), dim=dim, n_modes=n)
 
 
 def fock_moments(rho: FockDensity):
@@ -394,18 +397,18 @@ def fock_single_mode_activity(rho: FockDensity) -> float:
 def fock_postselect_demo(dim: int = 8):
     """Send |1, 1> through a 50:50 beam splitter and keep vacuum on arm two.
 
-    Returns the conditional output (the two-photon state), the success
-    probability 1/2, and the activity gain A(output) - A(|1>), which is
-    g(5/2) - g(3/2).  ``dim`` must be an integer of at least 3, so that the
-    truncation holds |2>.
+    Photon number is conserved, so the only amplitude into |m1, 0> is
+    <2, 0|U|1, 1> = B_2[2, 1], read from the one block B_2.  Returns the
+    conditional output |2>, the success probability B_2[2, 1]^2 = 1/2, and
+    the activity gain A(output) - A(|1>), which is g(5/2) - g(3/2).  ``dim``
+    must be an integer of at least 3, so that the truncation holds |2>.
     """
     from .activity import local_activity
     if not _is_integer(dim) or dim < 3:
         raise ValueError(f"post-selection demo needs an integer dim >= 3 to hold |2>, got {dim!r}")
     eta = 1.0 / math.sqrt(2.0)
-    amps = np.array([bs_matrix_element(m1, 0, 1, 1, eta) for m1 in range(dim)])
-    probability = float(amps @ amps)
-    vec = amps / math.sqrt(probability)
-    output = FockDensity(np.outer(vec, vec), dim=dim)
+    *_, block = _bs_blocks(eta, 2)
+    _unitarity_residual(block, eta)
+    output = fock_number_state(2, dim)
     gain = local_activity(output).value - local_activity(fock_number_state(1, dim)).value
-    return output, probability, gain
+    return output, float(block[2, 1] ** 2), gain

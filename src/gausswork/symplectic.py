@@ -188,11 +188,6 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     return _spectrum(cm).nu
 
 
-def symplectic_trace(cm: np.ndarray) -> float:
-    """Twice the sum of the symplectic eigenvalues of ``cm``."""
-    return float(2.0 * np.sum(symplectic_eigenvalues(cm)))
-
-
 @dataclass(frozen=True, eq=False)
 class WilliamsonDecomposition:
     """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T.

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free import FreeCovariance, free_cm, is_free_cm
-from .states import GaussianState, _bipartition, _mode_indices
-from .symplectic import _canonical_pairs, _congruence, _euler, require_valid_cm, squeezer_direct_sum, symplectic_form
+from .free import FreeCovariance, free_cm
+from .states import GaussianState, _bipartition, partial_trace
+from .symplectic import _canonical_pairs, _congruence, _euler, squeezer_direct_sum, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,6 @@ class WorkReport:
     quadratic: float
     displacement: float
     total: float
-
-
-def quadratic_work(cm: np.ndarray) -> float:
-    """(Tr cm - Str cm) / 2 for a bare covariance matrix."""
-    cm = np.asarray(cm, dtype=float)
-    return 0.5 * float(np.trace(cm)) - float(np.sum(require_valid_cm(cm).nu))
 
 
 def extractable_work(state: GaussianState) -> WorkReport:
@@ -76,14 +70,8 @@ def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
     )
 
 
-def superadditivity_gap(cm: np.ndarray, modes_a, modes_b) -> float:
-    """W(joint) - W(A) - W(B) for a bipartition of the modes; nonnegative."""
-    cm = np.asarray(cm, dtype=float)
-    modes_a, modes_b = _bipartition(cm.shape[0] // 2, modes_a, modes_b)
-    ia, ib = _mode_indices(modes_a), _mode_indices(modes_b)
-    return quadratic_work(cm) - quadratic_work(cm[np.ix_(ia, ia)]) - quadratic_work(cm[np.ix_(ib, ib)])
-
-
-def is_work_free(cm: np.ndarray) -> bool:
-    """True when no quadratic work is extractable: the spectral freeness test at TOL_FREE."""
-    return is_free_cm(cm).spectral_free
+def superadditivity_gap(state: GaussianState, modes_a, modes_b) -> float:
+    """W(joint) - W(A) - W(B) of the quadratic work for a bipartition of the modes; nonnegative."""
+    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
+    parts = (partial_trace(state, modes_a), partial_trace(state, modes_b))
+    return extractable_work(state).quadratic - sum(extractable_work(part).quadratic for part in parts)

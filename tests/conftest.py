@@ -12,7 +12,38 @@ from scipy.stats import unitary_group
 
 import gausswork as gw
 from gausswork.fock import _bs_blocks
+from gausswork.states import thermal_entropy
 from gausswork.symplectic import TOL_PHYS
+
+
+def quadratic_work(cm):
+    """W = (Tr cm - Str cm) / 2 of a bare covariance matrix, through ``extractable_work``."""
+    return gw.extractable_work(gw.GaussianState(np.zeros(len(cm)), cm)).quadratic
+
+
+def symplectic_trace(cm):
+    """Str cm, twice the sum of the symplectic eigenvalues."""
+    return float(2.0 * np.sum(gw.symplectic_eigenvalues(cm)))
+
+
+def preset_activity(kind: str, value) -> float:
+    """Closed-form activity of the standard resource states.
+
+    fock(n) -> g(n + 1/2); squeezed(r) -> g(sinh^2 r + 1/2);
+    coherent(alpha) -> g(|alpha|^2 + 1/2); tms(r) -> 2 g(sinh^2 r + 1/2).
+    """
+    if kind == "fock":
+        n = int(value)
+        if n < 0 or n != value:
+            raise ValueError(f"fock preset needs a nonnegative integer, got {value!r}")
+        return float(thermal_entropy(n + 0.5))
+    if kind == "squeezed":
+        return float(thermal_entropy(math.sinh(float(value)) ** 2 + 0.5))
+    if kind == "coherent":
+        return float(thermal_entropy(abs(complex(value)) ** 2 + 0.5))
+    if kind == "tms":
+        return float(2.0 * thermal_entropy(math.sinh(float(value)) ** 2 + 0.5))
+    raise ValueError(f"unknown preset kind {kind!r}")
 
 
 def random_unitary(rng, n):

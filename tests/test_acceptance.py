@@ -10,6 +10,7 @@ import gausswork as gw
 from conftest import (
     fock_relative_entropy,
     powell_activity,
+    quadratic_work,
     random_cm,
     random_free_cm,
     random_orthosymplectic,
@@ -82,12 +83,13 @@ def test_criterion_04_work_functional_properties():
         cms.append(random_cm(rng, n))
     for cm in cms:
         n = cm.shape[0] // 2
-        assert gw.quadratic_work(cm) >= -1e-9
+        assert quadratic_work(cm) >= -1e-9
         o = random_orthosymplectic(rng, n)
-        assert abs(gw.quadratic_work(o @ cm @ o.T) - gw.quadratic_work(cm)) < 1e-9
+        assert abs(quadratic_work(o @ cm @ o.T) - quadratic_work(cm)) < 1e-9
         if n >= 2:
             split = int(rng.integers(1, n))
-            assert gw.superadditivity_gap(cm, range(split), range(split, n)) >= -1e-9
+            state = gw.GaussianState(np.zeros(2 * n), cm)
+            assert gw.superadditivity_gap(state, range(split), range(split, n)) >= -1e-9
     for i in range(0, 999, 3):
         group = [c for c in cms[i : i + 3]]
         dim = group[0].shape[0]
@@ -96,14 +98,14 @@ def test_criterion_04_work_functional_properties():
             continue
         p = rng.dirichlet(np.ones(len(group)))
         mixed = gw.convex_combine(p, group)
-        bound = sum(w * gw.quadratic_work(c) for w, c in zip(p, group))
-        assert gw.quadratic_work(mixed) <= bound + 1e-9
+        bound = sum(w * quadratic_work(c) for w, c in zip(p, group))
+        assert quadratic_work(mixed) <= bound + 1e-9
     for i in range(0, 998, 2):
         a, b = cms[i], cms[i + 1]
         joint = np.zeros((a.shape[0] + b.shape[0],) * 2)
         joint[: a.shape[0], : a.shape[0]] = a
         joint[a.shape[0] :, a.shape[0] :] = b
-        assert abs(gw.quadratic_work(joint) - gw.quadratic_work(a) - gw.quadratic_work(b)) < 1e-9
+        assert abs(quadratic_work(joint) - quadratic_work(a) - quadratic_work(b)) < 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(f"\nPASS criterion 4: work properties on 1000 random CMs (N <= 5) within 1e-9 in {elapsed:.1f}s")
@@ -215,12 +217,11 @@ def test_criterion_08_no_go_sweeps():
         theta = rng.uniform(0, 2 * np.pi)
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
-        base_act = gw.local_activity(gw.GaussianState(np.zeros(2), gamma)).value
-        base_work = gw.quadratic_work(gamma)
-        for out in (g1, g2):
-            out_act = gw.local_activity(gw.GaussianState(np.zeros(2), out)).value
-            worst_act = max(worst_act, out_act - base_act)
-            worst_work = max(worst_work, gw.quadratic_work(out) - base_work)
+        base, *outs = (gw.GaussianState(np.zeros(2), cm) for cm in (gamma, g1, g2))
+        base_act, base_work = gw.local_activity(base).value, gw.extractable_work(base).quadratic
+        for out in outs:
+            worst_act = max(worst_act, gw.local_activity(out).value - base_act)
+            worst_work = max(worst_work, gw.extractable_work(out).quadratic - base_work)
     assert worst_act <= 1e-9
     assert worst_work <= 1e-9
     print(

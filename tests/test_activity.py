@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import gausswork as gw
 from conftest import (
     powell_activity,
+    preset_activity,
     random_free_cm,
     random_orthosymplectic,
     random_state,
@@ -28,7 +29,7 @@ def test_single_mode_thermal_is_free():
 def test_single_mode_squeezed():
     report = gw.local_activity(gw.squeezed(1.0))
     assert report.value == pytest.approx(A_SQUEEZED_1, abs=1e-12)
-    assert report.value == pytest.approx(gw.preset_activity("squeezed", 1.0), abs=1e-12)
+    assert report.value == pytest.approx(preset_activity("squeezed", 1.0), abs=1e-12)
 
 
 def test_single_mode_coherent():
@@ -163,9 +164,9 @@ def test_numeric_matches_two_mode_closed_form():
 
 def test_numeric_tms_preset():
     numeric = powell_activity(gw.two_mode_squeezed(0.5), restarts=8, seed=4)
-    assert numeric == pytest.approx(gw.preset_activity("tms", 0.5), abs=1e-5)
+    assert numeric == pytest.approx(preset_activity("tms", 0.5), abs=1e-5)
     assert gw.local_activity(gw.two_mode_squeezed(0.5)).value == pytest.approx(
-        gw.preset_activity("tms", 0.5), abs=1e-12
+        preset_activity("tms", 0.5), abs=1e-12
     )
 
 
@@ -262,14 +263,14 @@ def test_gaussian_coherence_equals_activity_for_tms():
 
 
 def test_preset_activity_values():
-    assert gw.preset_activity("fock", 0) == pytest.approx(0.0, abs=1e-12)
-    assert gw.preset_activity("fock", 2) == pytest.approx(A_FOCK_2, abs=1e-12)
-    assert gw.preset_activity("tms", 0.7) == pytest.approx(2 * gw.preset_activity("squeezed", 0.7), abs=1e-12)
-    assert gw.preset_activity("coherent", 1.0) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert preset_activity("fock", 0) == pytest.approx(0.0, abs=1e-12)
+    assert preset_activity("fock", 2) == pytest.approx(A_FOCK_2, abs=1e-12)
+    assert preset_activity("tms", 0.7) == pytest.approx(2 * preset_activity("squeezed", 0.7), abs=1e-12)
+    assert preset_activity("coherent", 1.0) == pytest.approx(2 * math.log(2), abs=1e-12)
     with pytest.raises(ValueError):
-        gw.preset_activity("fock", -1)
+        preset_activity("fock", -1)
     with pytest.raises(ValueError):
-        gw.preset_activity("weird", 1)
+        preset_activity("weird", 1)
 
 
 def test_relaxed_subadditivity_product_states():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
+from conftest import preset_activity
 from gausswork import cli
 
 
@@ -72,7 +73,7 @@ def test_activity_command_reports_spectrum(capsys):
     code, out, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.5", "--json")
     assert code == 0
     outputs = json.loads(out)["outputs"]
-    assert outputs["activity"] == pytest.approx(gw.preset_activity("tms", 0.5), abs=1e-12)
+    assert outputs["activity"] == pytest.approx(preset_activity("tms", 0.5), abs=1e-12)
     assert outputs["certified"] is True
     np.testing.assert_allclose(outputs["b"], [math.cosh(1.0) / 2] * 2, atol=1e-12)
     assert {"theta", "delta_phi", "eig_residual"} <= outputs.keys()
@@ -98,7 +99,7 @@ def test_activity_fock_preset(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["outputs"]["activity"] == pytest.approx(gw.preset_activity("fock", 2), abs=1e-9)
+    assert record["outputs"]["activity"] == pytest.approx(preset_activity("fock", 2), abs=1e-9)
     # The Fock route reports through local_activity too: certificate, occupancy, residual and leak.
     assert record["outputs"]["certified"] is True and record["outputs"]["route"] == "fock"
     assert record["outputs"]["b"] == [pytest.approx(2.5, abs=1e-14)] and record["outputs"]["leak"] == 0.0
@@ -509,7 +510,7 @@ LAYERS = ("activity", "distill", "fock", "free", "states", "symplectic", "work")
 
 # The public namespace: every layer function and class, then the layers.
 PUBLIC = set(
-    """ActivityReport gaussian_coherence local_activity photon_overlap_matrix preset_activity
+    """ActivityReport gaussian_coherence local_activity photon_overlap_matrix
     relaxed_subadditivity_gap DistillationOutcome activity_distillation_demo
     conversion_rate_bound dft_unitary process_two_copies_single_mode work_swap_demo FockDensity
     KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian fock_moments
@@ -521,9 +522,8 @@ PUBLIC = set(
     von_neumann_entropy BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
     WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
     is_symplectic rotation squeezer squeezer_direct_sum symplectic_eigenvalues symplectic_form
-    symplectic_trace unitary_to_orthosymplectic validate_cm williamson ExtractionProtocol
-    WorkReport extractable_work extraction_protocol is_work_free quadratic_work
-    superadditivity_gap""".split()
+    unitary_to_orthosymplectic validate_cm williamson ExtractionProtocol WorkReport
+    extractable_work extraction_protocol superadditivity_gap""".split()
 ) | set(LAYERS)
 
 
@@ -582,7 +582,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 79
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 75
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import random_state
+from conftest import quadratic_work, random_state
 
 # Frozen closed-form demo values (0.7621 and 1.0019 at four decimals).
 DEMO_INPUT = 0.7620733682642727
@@ -68,11 +68,11 @@ def test_no_go_sweep():
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
         base_state = gw.GaussianState(np.zeros(2), gamma)
         base_activity = gw.local_activity(base_state).value
-        base_work = gw.quadratic_work(gamma)
+        base_work = gw.extractable_work(base_state).quadratic
         for out in (g1, g2):
             out_state = gw.GaussianState(np.zeros(2), out)
             assert gw.local_activity(out_state).value <= base_activity + 1e-9
-            assert gw.quadratic_work(out) <= base_work + 1e-9
+            assert gw.extractable_work(out_state).quadratic <= base_work + 1e-9
 
 
 def test_activity_demo_reference_values():
@@ -111,7 +111,7 @@ def test_work_swap_gain_equals_work_difference():
     for _ in range(10):
         ga = random_state(rng, 1, displaced=False, nu_min=0.6, r_max=1.0).cm
         gb = random_state(rng, 1, displaced=False, nu_min=0.6, r_max=0.3).cm
-        wa, wb = gw.quadratic_work(ga), gw.quadratic_work(gb)
+        wa, wb = quadratic_work(ga), quadratic_work(gb)
         if wa <= wb:
             continue
         outcome = gw.work_swap_demo(ga, gb)
@@ -121,10 +121,10 @@ def test_work_swap_gain_equals_work_difference():
 def test_work_swap_conserves_total_work():
     ga, gb = gw.squeezed(0.9).cm, gw.thermal(0.4).cm
     outcome = gw.work_swap_demo(ga, gb)
-    total_before = 2 * (gw.quadratic_work(ga) + gw.quadratic_work(gb))
+    total_before = 2 * (quadratic_work(ga) + quadratic_work(gb))
     copies = gw.tensor([gw.GaussianState(np.zeros(2), c) for c in (ga, gb, ga, gb)])
     swapped = gw.apply_gaussian_unitary(copies, outcome.circuit)
-    assert gw.quadratic_work(swapped.cm) == pytest.approx(total_before, abs=1e-9)
+    assert gw.extractable_work(swapped).quadratic == pytest.approx(total_before, abs=1e-9)
 
 
 def test_work_swap_rejects_no_gain():

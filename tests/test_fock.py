@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from conftest import (
     expm_fock_from_gaussian,
     fock_entropy,
     mp_fock_from_gaussian,
+    preset_activity,
     random_state,
     scatter_kraus_operators,
 )
@@ -185,8 +187,15 @@ def test_kraus_requires_dim_at_least_max_mn():
 
 def test_kraus_completeness_on_low_block():
     ks = gw.thermal_loss_kraus(0.9, 0.5, 40, 40)
-    comp = ks.completeness_diagonal()
+    comp = ks.completeness
     assert np.max(np.abs(1 - comp[:20])) < 1e-6
+
+
+def test_apply_reads_the_completeness_stored_at_build():
+    ks = gw.thermal_loss_kraus(0.9, 0.5, 12, 4)
+    assert not ks.completeness.flags.writeable
+    forged = dataclasses.replace(ks, completeness=np.full(12, 0.75))
+    assert gw.apply_kraus_channel(gw.fock_thermal(0.3, 12), forged)[1] == 0.25
 
 
 def test_apply_identity_channel():
@@ -254,7 +263,7 @@ def test_property_stacks_match_the_dense_operators(eta, nbar, size, seed):
     assert deficit == pytest.approx(want_deficit, rel=0, abs=1e-13)
     comp = sum(op.T @ op for op in ks.operators.values())
     assert np.array_equal(comp, np.diag(np.diag(comp)))  # shifted diagonals: sum K^T K has no other entry
-    np.testing.assert_allclose(ks.completeness_diagonal(), np.diag(comp), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ks.completeness, np.diag(comp), rtol=0, atol=1e-14)
 
 
 def test_operators_view_matches_diagonals():
@@ -481,7 +490,7 @@ def test_fock_activity_number_states():
     for n in range(4):
         rho = gw.fock_number_state(n, 30)
         assert gw.fock_single_mode_activity(rho) == pytest.approx(
-            gw.preset_activity("fock", n), abs=1e-10
+            preset_activity("fock", n), abs=1e-10
         )
 
 
@@ -493,7 +502,7 @@ def test_fock_activity_thermal_is_free():
 def test_fock_activity_squeezed_matches_gaussian_form():
     rho = gw.fock_from_gaussian(gw.squeezed(0.5), 60)
     assert gw.fock_single_mode_activity(rho) == pytest.approx(
-        gw.preset_activity("squeezed", 0.5), abs=1e-5
+        preset_activity("squeezed", 0.5), abs=1e-5
     )
 
 
@@ -501,8 +510,7 @@ def test_single_value_tolerances_are_module_constants(monkeypatch):
     """The leak bound is fock.LEAK_TOL and the symplectic bound TOL_SYMP, each read at each call; the other
     single-value knobs are gone too."""
     for func, name in ((gw.fock_single_mode_activity, "leak_tol"), (gw.unitary_to_orthosymplectic, "tol"),
-                       (gw.conversion_rate_bound, "atol"), (gw.is_work_free, "tol"), (gw.is_symplectic, "tol"),
-                       (gw.is_orthosymplectic, "tol")):
+                       (gw.conversion_rate_bound, "atol"), (gw.is_symplectic, "tol"), (gw.is_orthosymplectic, "tol")):
         assert name not in inspect.signature(func).parameters
     with pytest.raises(ValueError, match=r"truncation leak 1\.00\de-01 exceeds tolerance 1\.0e-06"):
         gw.fock_single_mode_activity(_LEAKY)
@@ -783,24 +791,27 @@ def _read_only_view_of_a_writable_array():
     return view
 
 
+def _read_only_owning_array():
+    mat = np.diag([0.7, 0.3]).astype(complex)
+    mat.setflags(write=False)  # its owner may make it writable again
+    return mat
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda: np.diag([0.7, 0.3]), lambda: np.diag([0.7, 0.3]).astype(complex), _read_only_view_of_a_writable_array],
-    ids=["real", "complex-writable", "read-only-view"],
+    [lambda: np.diag([0.7, 0.3]), lambda: np.diag([0.7, 0.3]).astype(complex), _read_only_view_of_a_writable_array,
+     _read_only_owning_array],
+    ids=["real", "complex-writable", "read-only-view", "read-only-owner"],
 )
 def test_fock_density_is_not_changed_through_the_callers_array(make):
     mat = make()
     rho = gw.FockDensity(mat, dim=2)
-    assert not rho.matrix.flags.writeable
+    assert not rho.matrix.flags.writeable and not np.shares_memory(rho.matrix, mat)
     owner = mat if mat.base is None else mat.base
+    owner.setflags(write=True)
     owner[...] = 5.0
     np.testing.assert_array_equal(rho.matrix, np.diag([0.7, 0.3]))
-
-
-def test_fock_density_keeps_an_owning_read_only_complex_array():
-    mat = np.diag([0.7, 0.3]).astype(complex)
-    mat.setflags(write=False)
-    assert gw.FockDensity(mat, dim=2).matrix is mat
+    assert rho.trace == 1.0
 
 
 def test_fock_density_refuses_non_hermitian():
@@ -839,6 +850,6 @@ def test_postselect_demo():
     assert probability == pytest.approx(0.5, abs=1e-12)
     assert np.real(output.matrix[2, 2]) == pytest.approx(1.0, abs=1e-12)
     assert gain == pytest.approx(
-        gw.preset_activity("fock", 2) - gw.preset_activity("fock", 1), abs=1e-12
+        preset_activity("fock", 2) - preset_activity("fock", 1), abs=1e-12
     )
     assert gain > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import random_cm, random_free_cm, random_orthosymplectic
+from conftest import random_cm, random_free_cm, random_orthosymplectic, symplectic_trace
 
 
 def test_free_cm_thermal():
@@ -112,7 +112,7 @@ def test_convex_combine_random_free_pairs_stay_free():
         n = int(rng.integers(1, 4))
         p = rng.uniform(0.05, 0.95)
         mixed = gw.convex_combine([p, 1 - p], [random_free_cm(rng, n), random_free_cm(rng, n)])
-        assert np.trace(mixed) - gw.symplectic_trace(mixed) < 1e-9
+        assert np.trace(mixed) - symplectic_trace(mixed) < 1e-9
 
 
 def test_convex_combine_rejects_bad_weights():

@@ -220,7 +220,6 @@ def test_no_complex_array_reaches_a_linalg_solver(monkeypatch):
         dec = gw.williamson(state.cm)
         gw.bloch_messiah(dec.symplectic)
         gw.extractable_work(state)
-        gw.quadratic_work(state.cm)
         gw.is_free_cm(state.cm)
         gw.extraction_protocol(state)
         gw.von_neumann_entropy(state)
@@ -288,7 +287,7 @@ def test_every_layer_refuses_with_one_message(cm, message):
     valid, value = gw.validate_cm(cm)
     assert not valid
     messages = set()
-    for layer in (lambda m: gw.GaussianState(np.zeros(2), m), gw.quadratic_work, gw.is_free_cm):
+    for layer in (lambda m: gw.GaussianState(np.zeros(2), m), gw.is_free_cm):
         with pytest.raises(ValueError) as err:
             layer(cm)
         messages.add(str(err.value))

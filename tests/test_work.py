@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import random_cm, random_free_cm, random_orthosymplectic, random_state
+from conftest import quadratic_work, random_cm, random_free_cm, random_orthosymplectic, random_state
 
 
 def test_free_state_has_no_work():
@@ -22,7 +22,7 @@ def test_squeezed_work_is_sinh_squared():
 
 
 def test_demo_cm_quadratic_work():
-    assert gw.quadratic_work(np.diag([1.0, 16.0, 1.0, 1.0]) / 2) == pytest.approx(2.25, abs=1e-9)
+    assert quadratic_work(np.diag([1.0, 16.0, 1.0, 1.0]) / 2) == pytest.approx(2.25, abs=1e-9)
 
 
 def test_displacement_work_reported_separately():
@@ -35,7 +35,7 @@ def test_displacement_work_reported_separately():
 
 def test_quadratic_work_rejects_invalid():
     with pytest.raises(ValueError, match="invalid"):
-        gw.quadratic_work(0.3 * np.eye(2))
+        quadratic_work(0.3 * np.eye(2))
 
 
 def test_protocol_squeezed_state():
@@ -121,11 +121,11 @@ def test_superadditivity_product_is_tight():
     joint = np.zeros((6, 6))
     joint[:2, :2] = a
     joint[2:, 2:] = b
-    assert gw.superadditivity_gap(joint, [0], [1, 2]) == pytest.approx(0.0, abs=1e-9)
+    assert gw.superadditivity_gap(gw.GaussianState(np.zeros(6), joint), [0], [1, 2]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_superadditivity_tms_split():
-    gap = gw.superadditivity_gap(gw.two_mode_squeezed(1.0).cm, [0], [1])
+    gap = gw.superadditivity_gap(gw.two_mode_squeezed(1.0), [0], [1])
     assert gap == pytest.approx(2 * math.sinh(1.0) ** 2, abs=1e-9)
 
 
@@ -135,28 +135,38 @@ def test_superadditivity_random_sweep():
         n = int(rng.integers(2, 5))
         cm = random_cm(rng, n)
         split = int(rng.integers(1, n))
-        assert gw.superadditivity_gap(cm, range(split), range(split, n)) >= -1e-9
+        state = gw.GaussianState(np.zeros(2 * n), cm)
+        assert gw.superadditivity_gap(state, range(split), range(split, n)) >= -1e-9
+
+
+def test_superadditivity_gap_ignores_displacement():
+    # The displacement work |d|^2 / 2 is additive over any bipartition, so it cancels from the gap.
+    rng = np.random.default_rng(72)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        displaced = random_state(rng, n, d_scale=2.0)
+        centred = gw.GaussianState(np.zeros(2 * n), displaced.cm)
+        split = int(rng.integers(1, n))
+        modes_a, modes_b = range(split), range(split, n)
+        gap = gw.superadditivity_gap(displaced, modes_a, modes_b)
+        assert gap == pytest.approx(gw.superadditivity_gap(centred, modes_a, modes_b), abs=1e-12)
+        parts = (gw.partial_trace(displaced, modes) for modes in (modes_a, modes_b))
+        total_gap = gw.extractable_work(displaced).total - sum(gw.extractable_work(part).total for part in parts)
+        assert total_gap == pytest.approx(gap, abs=1e-9)
 
 
 def test_is_work_free_examples():
     rng = np.random.default_rng(65)
-    assert gw.is_work_free(random_free_cm(rng, 2))
-    assert not gw.is_work_free(gw.two_mode_squeezed(0.5).cm)
+    assert gw.is_free_cm(random_free_cm(rng, 2)).spectral_free
+    assert not gw.is_free_cm(gw.two_mode_squeezed(0.5).cm).spectral_free
     mix = gw.convex_combine([0.3, 0.7], [random_free_cm(rng, 2), random_free_cm(rng, 2)])
-    assert gw.is_work_free(mix)
-
-
-def test_is_work_free_agrees_with_spectral_flag():
-    rng = np.random.default_rng(66)
-    for _ in range(30):
-        cm = random_cm(rng, 2, r_max=0.4) if rng.random() < 0.5 else random_free_cm(rng, 2)
-        assert gw.is_work_free(cm) == gw.is_free_cm(cm).spectral_free
+    assert gw.is_free_cm(mix).spectral_free
 
 
 def test_work_nonnegative_sweep():
     rng = np.random.default_rng(67)
     for _ in range(200):
-        assert gw.quadratic_work(random_cm(rng, int(rng.integers(1, 5)))) >= -1e-9
+        assert quadratic_work(random_cm(rng, int(rng.integers(1, 5)))) >= -1e-9
 
 
 def test_work_convexity_sweep():
@@ -166,8 +176,8 @@ def test_work_convexity_sweep():
         cms = [random_cm(rng, n) for _ in range(3)]
         p = rng.dirichlet(np.ones(3))
         mixed = gw.convex_combine(p, cms)
-        bound = sum(w * gw.quadratic_work(c) for w, c in zip(p, cms))
-        assert gw.quadratic_work(mixed) <= bound + 1e-9
+        bound = sum(w * quadratic_work(c) for w, c in zip(p, cms))
+        assert quadratic_work(mixed) <= bound + 1e-9
 
 
 def test_work_invariant_under_orthosymplectic():
@@ -176,7 +186,7 @@ def test_work_invariant_under_orthosymplectic():
         n = int(rng.integers(1, 4))
         cm = random_cm(rng, n)
         o = random_orthosymplectic(rng, n)
-        assert gw.quadratic_work(o @ cm @ o.T) == pytest.approx(gw.quadratic_work(cm), abs=1e-9)
+        assert quadratic_work(o @ cm @ o.T) == pytest.approx(quadratic_work(cm), abs=1e-9)
 
 
 def test_work_additive_on_direct_sums():
@@ -186,8 +196,8 @@ def test_work_additive_on_direct_sums():
         joint = np.zeros((6, 6))
         joint[:2, :2] = a
         joint[2:, 2:] = b
-        assert gw.quadratic_work(joint) == pytest.approx(
-            gw.quadratic_work(a) + gw.quadratic_work(b), abs=1e-9
+        assert quadratic_work(joint) == pytest.approx(
+            quadratic_work(a) + quadratic_work(b), abs=1e-9
         )
 
 
@@ -200,4 +210,4 @@ def test_work_monotone_under_partial_trace():
         idx = np.empty(2 * len(keep), dtype=int)
         idx[0::2] = [2 * m for m in keep]
         idx[1::2] = [2 * m + 1 for m in keep]
-        assert gw.quadratic_work(cm[np.ix_(idx, idx)]) <= gw.quadratic_work(cm) + 1e-9
+        assert quadratic_work(cm[np.ix_(idx, idx)]) <= quadratic_work(cm) + 1e-9
