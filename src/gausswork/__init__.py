@@ -24,12 +24,12 @@ _EXPORTS = {
         fock_moments fock_number_state fock_postselect_demo fock_single_mode_activity
         fock_thermal gaussian_postselect phase_space_loss_channel thermal_loss_kraus""",
     "free": "FreeCovariance FreenessReport convex_combine free_cm is_free_cm",
-    "states": """GaussianState apply_gaussian_unitary coherent energy gibbs_matrix make_state
+    "states": """GaussianState apply_gaussian_unitary coherent energy gibbs_matrix
         mean_photon_numbers mutual_information partial_trace relative_entropy squeezed tensor
         thermal thermal_entropy two_mode_squeezed vacuum von_neumann_entropy""",
     "symplectic": """BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
         WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
-        is_symplectic rotation squeezer squeezer_direct_sum symplectic_eigenvalues
+        is_symplectic rotation squeezer_direct_sum symplectic_eigenvalues
         symplectic_form unitary_to_orthosymplectic validate_cm williamson""",
     "work": "ExtractionProtocol WorkReport extractable_work extraction_protocol superadditivity_gap",
 }

@@ -1,12 +1,12 @@
 """Command-line front end.
 
-State inputs are JSON documents (a file path or an inline ``{...}`` string)
-with either ``{"preset": name, ...params}`` or explicit ``{"modes": N,
-"displacement": [2N floats], "covariance": [4N^2 floats, row-major]}``;
-the shorthand ``preset:name:arg1[,arg2]`` stands for the preset document.
-Each command returns its outputs; one emitter prints them as an aligned
-table, or as a JSON record under ``--json`` that round-trips at full double
-precision.
+State inputs are JSON documents (a file path or an inline ``{...}`` string) with either
+``{"preset": name, ...params}`` or explicit ``{"modes": N, "displacement": [2N floats],
+"covariance": [4N^2 floats, row-major]}``; the shorthand ``preset:name:arg1[,arg2]`` stands for the
+preset document, and one table, ``_PRESETS``, builds and refuses both preset forms alike.  Each
+command returns its outputs; one emitter prints them as an aligned table, or as a JSON record under
+``--json`` that round-trips at full double precision.  Only ``sweep`` takes a ``--seed``; every
+other record carries ``"seed": null``.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 activity
 eigendecomposition residual above tolerance, 64 usage errors.
@@ -29,14 +29,14 @@ EXIT_INVALID = 2
 EXIT_UNCERTIFIED = 3
 EXIT_USAGE = 64
 
-# Parameter names of the ``preset:name:a,b`` shorthand, in order; ``fock`` builds a number state.
-_SHORTHAND = {
-    "fock": ("n",),
-    "vacuum": ("modes",),
-    "thermal": ("nbar",),
-    "coherent": ("alpha",),
-    "squeezed": ("r", "phi"),
-    "tms": ("r",),
+# Each preset's library builder, its parameter names in ``preset:name:a,b`` order and how many lead and are required.
+_PRESETS = {
+    "fock": ("fock_number_state", ("n",), 1),  # in --fock-dim dimensions
+    "vacuum": ("vacuum", ("modes",), 0),
+    "thermal": ("thermal", ("nbar",), 1),
+    "coherent": ("coherent", ("alpha",), 1),
+    "squeezed": ("squeezed", ("r", "phi"), 1),
+    "tms": ("two_mode_squeezed", ("r",), 1),
 }
 
 
@@ -48,23 +48,31 @@ class StateValidationError(ValueError):
     pass
 
 
+def _number(text: str):
+    """A shorthand value as a float; text that is no number stays text, for the preset check to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _shorthand(text: str) -> dict:
     """The ``{"preset": name, ...}`` document that ``preset:name:a,b`` stands for."""
-    parts = text.split(":")
-    name = parts[1].lower()
-    if name not in _SHORTHAND:
-        raise StateParseError(f"unknown preset {name!r}")
-    values = [float(a) for a in parts[2].split(",")] if len(parts) > 2 and parts[2] else []
-    most = 2 if name == "coherent" else len(_SHORTHAND[name])  # preset:coherent:re,im
+    _, name, *values = text.split(":", 2)
+    if name not in _PRESETS:  # refused with the JSON document's message
+        return {"preset": name}
+    names = _PRESETS[name][1]
+    values = [_number(a) for a in values[0].split(",")] if values and values[0] else []
+    most = 2 if name == "coherent" else len(names)  # preset:coherent:re,im
     if len(values) > most:
         raise StateParseError(f"preset {name!r} takes at most {most} value(s), got {len(values)}")
-    if len(values) == 2 and name == "coherent":
-        values = [complex(*values)]
-    return {"preset": name, **dict(zip(_SHORTHAND[name], values))}
+    if len(values) == 2 and name == "coherent":  # text that is no number goes on, to be refused
+        values = [v for v in values if isinstance(v, str)][:1] or [complex(*values)]
+    return {"preset": name, **dict(zip(names, values))}
 
 
 def _file_document(text: str):
-    """The document a state file holds; None for a ``preset:`` shorthand or inline JSON."""
+    """The text of the state file ``text`` names; None for a ``preset:`` shorthand or inline JSON."""
     if text.startswith("preset:") or text.lstrip().startswith("{"):
         return None
     with open(text, "r", encoding="utf-8") as fh:
@@ -76,23 +84,28 @@ def _whole(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def parse_state(text: str, fock_dim: int = 40):
-    """Parse a state argument into a GaussianState or FockDensity."""
-    from .states import _is_integer
+def parse_state(text: str, fock_dim: int = 40, document=None):
+    """Parse a state argument into a GaussianState or FockDensity; ``document`` is its state file's text, if read."""
+    from .states import _check_positive_integer
 
     try:
-        if text.startswith("preset:"):
-            doc = _shorthand(text)
-        else:  # a file's document, or the inline JSON itself
-            doc = json.loads(_file_document(text) or text)
+        doc = _shorthand(text) if text.startswith("preset:") else json.loads(document or _file_document(text) or text)
         if "preset" in doc:
-            params = {k: _whole(v) for k, v in doc.items() if k != "preset"}
-            if doc["preset"] == "fock":
-                return gw.fock_number_state(params["n"], fock_dim)
-            return gw.make_state(doc["preset"], **params)
+            name, params = doc["preset"], {k: v for k, v in doc.items() if k != "preset"}
+            if name not in _PRESETS:
+                raise StateParseError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}")
+            builder, names, required = _PRESETS[name]
+            for key in [*params, *names[:required]]:
+                if key not in names:
+                    raise StateParseError(f"preset {name!r} takes no parameter {key!r}; it takes {', '.join(names)}")
+                if key not in params:
+                    raise StateParseError(f"preset {name!r} needs parameter {key!r}")
+                if not isinstance(params[key], (int, float, complex)):  # complex only from preset:coherent:re,im
+                    raise StateParseError(f"preset {name!r} parameter {key!r} must be a number, got {params[key]!r}")
+            values = [_whole(params[k]) for k in names if k in params]
+            return getattr(gw, builder)(*values, *([fock_dim] if name == "fock" else []))
         modes = _whole(doc["modes"])
-        if not _is_integer(modes) or modes < 1:
-            raise StateParseError(f"modes must be a positive integer, got {doc['modes']!r}")
+        _check_positive_integer(modes, "modes")
         d = np.asarray(doc.get("displacement", [0.0] * (2 * modes)), dtype=float)
         cov = np.asarray(doc["covariance"], dtype=float)
         if cov.size != 4 * modes * modes:
@@ -116,18 +129,15 @@ def serialize_state(state: "gw.GaussianState") -> str:
     )
 
 
-def _gaussian(args, key="state") -> "gw.GaussianState":
-    """Parse the state argument ``key`` and refuse a non-Gaussian state."""
-    state = parse_state(getattr(args, key), fock_dim=args.fock_dim)
-    if not isinstance(state, gw.GaussianState):
+def _state(args, key="state", gaussian=True):
+    """Parse the state argument ``key``, refusing a non-Gaussian state if ``gaussian``."""
+    text = getattr(args, key)
+    document = _file_document(text)  # read once: the digest covers a state file as its name and the text parsed
+    setattr(args, key, text if document is None else (text, document))
+    state = parse_state(text, args.fock_dim, document)
+    if gaussian and not isinstance(state, gw.GaussianState):
         raise StateValidationError(f"{args.command} command expects a Gaussian state")
     return state
-
-
-def _digested(key: str, value):
-    """An argument as the digest covers it: a state file as its name and the document it holds."""
-    document = _file_document(value) if key in ("state", "state2") else None
-    return value if document is None else (value, document)
 
 
 def _emit(args, outputs: dict):
@@ -136,13 +146,13 @@ def _emit(args, outputs: dict):
         import hashlib
 
         # Every parsed argument but the output switch, the seed (a field of its own) and the handler.
-        inputs = sorted((k, _digested(k, v)) for k, v in vars(args).items() if k not in ("json", "seed", "func"))
+        inputs = sorted((k, v) for k, v in vars(args).items() if k not in ("json", "seed", "func"))
         record = {
             "command": " ".join([args.command, *(getattr(args, k) for k in ("which", "kind") if hasattr(args, k))]),
             "inputs_digest": hashlib.sha256(repr(inputs).encode()).hexdigest()[:16],
             "outputs": outputs,
             "version": __version__,
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),
         }
         print(json.dumps(record, indent=2, sort_keys=True))
         return
@@ -156,7 +166,7 @@ def _emit(args, outputs: dict):
 
 
 def _cmd_activity(args) -> dict:
-    state = parse_state(args.state, fock_dim=args.fock_dim)
+    state = _state(args, gaussian=False)
     report = gw.local_activity(state)
     outputs = {"activity": report.value, "certified": report.certified}
     if isinstance(state, gw.GaussianState):
@@ -172,20 +182,20 @@ def _cmd_activity(args) -> dict:
 
 
 def _cmd_work(args) -> dict:
-    return asdict(gw.extractable_work(_gaussian(args)))
+    return asdict(gw.extractable_work(_state(args)))
 
 
 def _cmd_entropy(args) -> dict:
-    return {"entropy": gw.von_neumann_entropy(_gaussian(args))}
+    return {"entropy": gw.von_neumann_entropy(_state(args))}
 
 
 def _cmd_relent(args) -> dict:
-    value = gw.relative_entropy(_gaussian(args), _gaussian(args, "state2"))
+    value = gw.relative_entropy(_state(args), _state(args, "state2"))
     return {"relative_entropy": value if math.isfinite(value) else "inf"}
 
 
 def _cmd_decompose(args) -> dict:
-    state = _gaussian(args)
+    state = _state(args)
     dec = gw.williamson(state)  # reuses the spectrum validation kept
     bm = gw.bloch_messiah(dec.symplectic)
     return {
@@ -200,18 +210,18 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_freecheck(args) -> dict:
-    return asdict(gw.is_free_cm(_gaussian(args).cm, tol_free=args.tol))
+    return asdict(gw.is_free_cm(_state(args).cm, tol_free=args.tol))
 
 
 def _cmd_channel(args) -> dict:
     if not args.kraus:
-        out = gw.phase_space_loss_channel(_gaussian(args), args.eta, args.nbar_bath)
+        out = gw.phase_space_loss_channel(_state(args), args.eta, args.nbar_bath)
         return {
             "route": "phase-space",
             "displacement": out.displacement.tolist(),
             "covariance": out.cm.reshape(-1).tolist(),
         }
-    state = parse_state(args.state, fock_dim=args.fock_dim)
+    state = _state(args, gaussian=False)
     if isinstance(state, gw.GaussianState):
         if state.n_modes != 1:  # refused before a dim^(2N) Fock tensor is built
             raise ValueError(f"the Kraus channel acts on one mode, got {state.n_modes}")
@@ -258,7 +268,7 @@ def _cmd_sweep(args) -> dict:
         nu = rng.uniform(0.5, 2.5)
         r = rng.uniform(0.0, 1.0)
         rot = gw.rotation(rng.uniform(0, 2 * np.pi))
-        gamma = rot @ gw.squeezer(r) @ (nu * np.eye(2)) @ gw.squeezer(r) @ rot.T
+        gamma = rot @ gw.squeezer_direct_sum(r) @ (nu * np.eye(2)) @ gw.squeezer_direct_sum(r) @ rot.T
         theta = rng.uniform(0, 2 * np.pi)
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)
@@ -287,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         if state:
             p.add_argument("--state", required=True, help="state file, inline JSON, or preset:name:args")
             p.add_argument("--fock-dim", type=int, default=40)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="emit a JSON result record")
         p.set_defaults(func=func)
         return p
@@ -313,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", _cmd_sweep, "seeded property sweeps", state=False)
     p.add_argument("--kind", choices=["nogo"], default="nogo")
     p.add_argument("--count", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -324,7 +334,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         outputs = args.func(args)
-    except ValueError as exc:  # StateParseError and StateValidationError included
+    except (ValueError, OSError) as exc:  # StateParseError, StateValidationError and an unreadable state file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _emit(args, outputs)

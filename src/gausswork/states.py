@@ -33,6 +33,12 @@ def _check_nbar(nbar, label: str) -> None:
         raise ValueError(f"{label} must be finite and nonnegative, got {nbar}")
 
 
+def _check_squeezing(r, phi=0.0) -> None:
+    """ValueError unless ``phi`` is finite and so is e^{4|r|}, the scale of the squared covariance entries."""
+    if not (abs(r) <= 177.0 and math.isfinite(phi)):
+        raise ValueError(f"squeezing must be finite with |r| <= 177, got r = {r}" + (f", phi = {phi}" if phi else ""))
+
+
 def _xlogx(x):
     """Elementwise x ln x with 0 ln 0 = 0."""
     x = np.asarray(x, dtype=float)
@@ -99,6 +105,7 @@ def coherent(alpha: complex) -> GaussianState:
 
 def squeezed(r: float, phi: float = 0.0) -> GaussianState:
     """Squeezed vacuum; for phi = 0 the q variance is e^{2r}/2."""
+    _check_squeezing(r, phi)
     cm = 0.5 * np.diag([np.exp(2 * r), np.exp(-2 * r)])
     if phi != 0.0:
         rot = rotation(phi)
@@ -107,28 +114,11 @@ def squeezed(r: float, phi: float = 0.0) -> GaussianState:
 
 
 def two_mode_squeezed(r: float) -> GaussianState:
+    _check_squeezing(r)
     ch, sh = np.cosh(2 * r), np.sinh(2 * r)
     z = np.diag([1.0, -1.0])
     cm = 0.5 * np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
     return GaussianState(np.zeros(4), cm)
-
-
-_PRESETS = {
-    "vacuum": lambda modes=1: vacuum(modes),
-    "thermal": lambda nbar: thermal(float(nbar)),
-    "coherent": lambda alpha: coherent(alpha),
-    "squeezed": lambda r, phi=0.0: squeezed(float(r), float(phi)),
-    "tms": lambda r: two_mode_squeezed(float(r)),
-}
-
-
-def make_state(kind: str, **params) -> GaussianState:
-    """Build a preset Gaussian state (vacuum, thermal, coherent, squeezed, tms)."""
-    try:
-        factory = _PRESETS[kind]
-    except KeyError:
-        raise ValueError(f"unknown state preset {kind!r}; choose from {sorted(_PRESETS)}") from None
-    return factory(**params)
 
 
 def energy(state: GaussianState) -> float:

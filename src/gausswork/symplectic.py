@@ -40,13 +40,8 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def squeezer(r: float) -> np.ndarray:
-    """Single-mode squeezer diag(e^r, e^-r)."""
-    return np.diag([np.exp(r), np.exp(-r)])
-
-
 def squeezer_direct_sum(rs: Sequence[float]) -> np.ndarray:
-    """Direct sum of single-mode squeezers, one per mode."""
+    """Direct sum of single-mode squeezers diag(e^r, e^-r), one per mode; a scalar r gives one mode."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     return np.diag(np.exp(np.outer(rs, [1.0, -1.0]).ravel()))
 
@@ -60,10 +55,15 @@ def _even_square(mat: np.ndarray, what: str) -> int:
     return mat.shape[0] // 2
 
 
+def _symplectic_residual(s: np.ndarray) -> tuple:
+    """||S Omega S^T - Omega|| and the bound TOL_SYMP max(1, ||S||^2) below which S counts as symplectic."""
+    omega = symplectic_form(_even_square(s, "symplectic candidate"))
+    return float(np.linalg.norm(_times_omega(s) @ s.T - omega)), TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
+
+
 def is_symplectic(s: np.ndarray) -> bool:
-    n = _even_square(s, "symplectic candidate")
-    omega = symplectic_form(n)
-    return bool(np.linalg.norm(s @ omega @ s.T - omega) < TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2))
+    residual, bound = _symplectic_residual(np.asarray(s, dtype=float))
+    return residual < bound
 
 
 def is_orthosymplectic(o: np.ndarray) -> bool:
@@ -242,8 +242,8 @@ def williamson(cm) -> WilliamsonDecomposition:
     residual = float(np.linalg.norm((s * d) @ s.T - cm))
     if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
-    symplectic_residual = float(np.linalg.norm(_times_omega(s) @ s.T - symplectic_form(spec.nu.size)))
-    if symplectic_residual >= TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2):
+    symplectic_residual, bound = _symplectic_residual(s)
+    if symplectic_residual >= bound:
         raise ValueError(f"williamson symplectic residual {symplectic_residual:.3e} exceeds tolerance")
     return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
 
@@ -324,7 +324,6 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
             the singular values fail to pair as (sigma, 1/sigma).
     """
     s = np.asarray(s, dtype=float)
-    _even_square(s, "symplectic matrix")
     if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
     o_out, rs = _euler(s @ s.T)

@@ -350,7 +350,8 @@ def test_every_route_emits_one_record_shape(capsys, argv, command, keys):
     assert record.keys() == {"command", "inputs_digest", "outputs", "seed", "version"}
     assert record["command"] == command
     assert record["outputs"].keys() == keys
-    assert record["version"] == gw.__version__ and record["seed"] == 0
+    # Only sweep reads a seed; every other record carries null.
+    assert record["version"] == gw.__version__ and record["seed"] == (0 if command == "sweep nogo" else None)
     if argv[-1] == "preset:vacuum":
         assert record["outputs"]["relative_entropy"] == "inf"
 
@@ -393,6 +394,23 @@ def test_inputs_digest_covers_the_document_of_a_state_file(capsys, tmp_path):
         path.write_text(json.dumps({"preset": "thermal", "nbar": nbar}))
         digests.append(record_of(capsys, "entropy", "--state", str(path))["inputs_digest"])
     assert digests[0] != digests[1]
+
+
+def test_inputs_digest_covers_the_document_parsed_from_a_state_file(capsys, tmp_path, monkeypatch):
+    """A state file rewritten while the command runs: the digest is that of the document parsed."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"preset": "thermal", "nbar": 1.0}))
+    expected = record_of(capsys, "entropy", "--state", str(path))["inputs_digest"]
+    entropy = gw.von_neumann_entropy
+
+    def rewrite_then_entropy(state):
+        path.write_text(json.dumps({"preset": "thermal", "nbar": 2.0}))
+        return entropy(state)
+
+    monkeypatch.setattr(gw, "von_neumann_entropy", rewrite_then_entropy)
+    record = record_of(capsys, "entropy", "--state", str(path))
+    assert record["inputs_digest"] == expected
+    assert record["outputs"]["entropy"] == entropy(gw.thermal(1.0))
 
 
 def test_inputs_digest_of_inline_and_preset_states_is_unchanged(capsys):
@@ -447,6 +465,13 @@ def test_an_integral_float_photon_number_is_accepted():
     assert rho.matrix[2, 2] == 1.0
 
 
+@pytest.mark.parametrize("argv", [["work", "--state", "preset:vacuum"], ["demo", "distill-work"]])
+def test_only_sweep_takes_a_seed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "unrecognized arguments: --seed 1" in err
+
+
 def test_sweep_refuses_a_negative_seed(capsys):
     code, out, err = run_cli(capsys, "sweep", "--count", "2", "--seed", "-1", "--json")
     assert (code, out) == (cli.EXIT_INVALID, "")
@@ -463,6 +488,57 @@ def test_sweep_refuses_a_negative_seed(capsys):
 def test_parse_refusals(text, message):
     with pytest.raises(cli.StateParseError, match=message):
         cli.parse_state(text)
+
+
+PRESETS = "fock, vacuum, thermal, coherent, squeezed, tms"
+NOT_A_NUMBER = "preset '{}' parameter '{}' must be a number, got '{}'"
+
+
+@pytest.mark.parametrize(
+    "shorthand, document, message",
+    [
+        ("preset:cat", '{"preset": "cat"}', f"unknown preset 'cat'; choose from {PRESETS}"),
+        ("preset:cat:1", '{"preset": "cat", "r": 1}', f"unknown preset 'cat'; choose from {PRESETS}"),
+        (None, '{"preset": "fock", "n": 2, "dim": 3}', "preset 'fock' takes no parameter 'dim'; it takes n"),
+        (None, '{"preset": "squeezed", "r": 1, "t": 0}', "preset 'squeezed' takes no parameter 't'; it takes r, phi"),
+        ("preset:squeezed", '{"preset": "squeezed", "phi": 0.3}', "preset 'squeezed' needs parameter 'r'"),
+        ("preset:thermal", '{"preset": "thermal"}', "preset 'thermal' needs parameter 'nbar'"),
+        ("preset:thermal:abc", '{"preset": "thermal", "nbar": "abc"}', NOT_A_NUMBER.format("thermal", "nbar", "abc")),
+        (
+            "preset:squeezed:1,x",
+            '{"preset": "squeezed", "r": 1, "phi": "x"}',
+            NOT_A_NUMBER.format("squeezed", "phi", "x"),
+        ),
+        ("preset:coherent:1,x", '{"preset": "coherent", "alpha": "x"}', NOT_A_NUMBER.format("coherent", "alpha", "x")),
+        # A preset parameter is a JSON number: numeric text is refused, as the shorthand's text is parsed.
+        (None, '{"preset": "thermal", "nbar": "1"}', NOT_A_NUMBER.format("thermal", "nbar", "1")),
+        (None, '{"preset": "fock", "n": "2"}', NOT_A_NUMBER.format("fock", "n", "2")),
+    ],
+    ids=[
+        "unknown-preset",
+        "unknown-preset-with-values",
+        "unknown-parameter-fock-dim",
+        "unknown-parameter",
+        "missing-parameter",
+        "missing-only-parameter",
+        "not-a-number",
+        "not-a-number-second",
+        "not-a-number-coherent",
+        "numeric-text",
+        "numeric-text-fock",
+    ],
+)
+def test_both_state_inputs_share_one_preset_refusal(capsys, shorthand, document, message):
+    """The shorthand and the JSON document of one fault give one text.
+
+    The shorthand names no parameter, so it cannot hold an unknown one: those rows run the document alone.
+    """
+    for text in filter(None, (shorthand, document)):
+        with pytest.raises(cli.StateParseError) as refused:
+            cli.parse_state(text)
+        assert str(refused.value) == message
+        code, out, err = run_cli(capsys, "activity", "--state", text)
+        assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
 
 
 def test_parse_coherent_shorthand_takes_real_and_imaginary_parts():
@@ -486,8 +562,8 @@ def test_freecheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, t
 
 
 def test_json_records_are_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--seed", "7", "--json")
-    _, out2, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--seed", "7", "--json")
+    _, out1, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--json")
+    _, out2, _ = run_cli(capsys, "activity", "--state", "preset:tms:0.4", "--json")
     assert out1 == out2
 
 
@@ -517,11 +593,11 @@ PUBLIC = set(
     fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
     gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
     FreenessReport convex_combine free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
-    energy gibbs_matrix make_state mean_photon_numbers mutual_information partial_trace
+    energy gibbs_matrix mean_photon_numbers mutual_information partial_trace
     relative_entropy squeezed tensor thermal thermal_entropy two_mode_squeezed vacuum
     von_neumann_entropy BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
     WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
-    is_symplectic rotation squeezer squeezer_direct_sum symplectic_eigenvalues symplectic_form
+    is_symplectic rotation squeezer_direct_sum symplectic_eigenvalues symplectic_form
     unitary_to_orthosymplectic validate_cm williamson ExtractionProtocol WorkReport
     extractable_work extraction_protocol superadditivity_gap""".split()
 ) | set(LAYERS)
@@ -582,7 +658,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 75
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 73
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):

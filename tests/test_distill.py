@@ -62,7 +62,7 @@ def test_no_go_sweep():
         nu = rng.uniform(0.5, 2.5)
         r = rng.uniform(0.0, 1.2)
         rot = gw.rotation(rng.uniform(0, 2 * np.pi))
-        gamma = rot @ gw.squeezer(r) @ (nu * np.eye(2)) @ gw.squeezer(r) @ rot.T
+        gamma = rot @ gw.squeezer_direct_sum(r) @ (nu * np.eye(2)) @ gw.squeezer_direct_sum(r) @ rot.T
         theta = rng.uniform(0, 2 * np.pi)
         phis = rng.uniform(0, 2 * np.pi, size=4)
         g1, g2 = gw.process_two_copies_single_mode(gamma, theta, phis)

@@ -23,14 +23,6 @@ def test_tms_is_pure():
     np.testing.assert_allclose(nus, [0.5, 0.5], atol=1e-12)
 
 
-def test_make_state_dispatch_and_errors():
-    np.testing.assert_allclose(gw.make_state("tms", r=0.3).cm, gw.two_mode_squeezed(0.3).cm)
-    with pytest.raises(ValueError, match="nonnegative"):
-        gw.make_state("thermal", nbar=-0.1)
-    with pytest.raises(ValueError, match="unknown"):
-        gw.make_state("cat")
-
-
 def test_energy_examples():
     assert gw.energy(gw.vacuum(1)) == pytest.approx(0.5)
     assert gw.energy(gw.thermal(2.0)) == pytest.approx(2.5)
@@ -52,7 +44,7 @@ def test_apply_identity_leaves_state():
 
 
 def test_vacuum_under_squeezer_is_squeezed():
-    out = gw.apply_gaussian_unitary(gw.vacuum(1), gw.squeezer(0.6))
+    out = gw.apply_gaussian_unitary(gw.vacuum(1), gw.squeezer_direct_sum(0.6))
     np.testing.assert_allclose(out.cm, gw.squeezed(0.6).cm, atol=1e-14)
 
 
@@ -299,9 +291,19 @@ def test_states_are_immutable():
         (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
         (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
         (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
-        (lambda: gw.make_state("vacuum", modes=2.0), r"number of modes must be a positive integer, got 2\.0"),
+        (lambda: gw.vacuum(2.0), r"number of modes must be a positive integer, got 2\.0"),
         (lambda: gw.thermal(math.nan), "mean photon number must be finite and nonnegative, got nan"),
         (lambda: gw.thermal(math.inf), "mean photon number must be finite and nonnegative, got inf"),
+        (lambda: gw.thermal(-0.1), r"mean photon number must be finite and nonnegative, got -0\.1"),
+        # Refused before numpy overflows: the suite turns a RuntimeWarning into a failure.
+        (lambda: gw.two_mode_squeezed(math.inf), r"squeezing must be finite with \|r\| <= 177, got r = inf$"),
+        (lambda: gw.squeezed(0.5, phi=math.inf), r"squeezing must be finite .*, got r = 0\.5, phi = inf$"),
+        (lambda: gw.squeezed(400), r"squeezing must be finite .*, got r = 400$"),
+        (lambda: gw.two_mode_squeezed(400), r"squeezing must be finite with \|r\| <= 177, got r = 400$"),
+        (lambda: gw.squeezed(math.nan), r"squeezing must be finite .*, got r = nan$"),
+        # At the bound the covariance still validates without overflow, and is refused as singular.
+        (lambda: gw.squeezed(177, phi=0.3), "singular or not positive definite"),
+        (lambda: gw.two_mode_squeezed(-177), "singular or not positive definite .min eigenvalue 0"),
     ],
 )
 def test_state_refusals(call, message):

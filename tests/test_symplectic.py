@@ -242,7 +242,7 @@ def test_williamson_nu_invariant_under_squeezers():
 
 
 def test_bloch_messiah_single_squeezer():
-    s = gw.squeezer(0.9)
+    s = gw.squeezer_direct_sum(0.9)
     bm = gw.bloch_messiah(s)
     np.testing.assert_allclose(bm.r, [0.9], atol=1e-12)
     np.testing.assert_allclose(bm.reconstruct(), s, atol=1e-12)
