@@ -15,7 +15,8 @@ minimised at the eigenbasis of M:
 
 One real eigendecomposition gives the value and the closest free state
 for every mode count; the eigen-residual certifies it.  A ``FockDensity``
-gives M through ``fock_moments`` and S from its own spectrum.
+gives M through ``fock_moments`` and S from its own spectrum, both read
+through the states layer, which loads the Fock layer only for a density.
 """
 
 import math
@@ -28,6 +29,7 @@ from .free import FreeCovariance, free_cm
 from .states import (
     GaussianState,
     _bipartition,
+    _moments,
     mean_photon_numbers,
     mutual_information,
     partial_trace,
@@ -47,11 +49,7 @@ class ActivityReport:
 
 def photon_overlap_matrix(state) -> np.ndarray:
     """Hermitian N x N matrix of mode overlaps <a_i^dag a_j>, displacement included (of rho / Tr rho if Fock)."""
-    if isinstance(state, GaussianState):
-        cm, d = state.cm, state.displacement
-    else:  # the Fock layer loads only here
-        from .fock import fock_moments
-        d, cm = fock_moments(state)
+    d, cm = _moments(state)
     qq = cm[0::2, 0::2]
     pp = cm[1::2, 1::2]
     qp = cm[0::2, 1::2]
@@ -81,11 +79,7 @@ def local_activity(state) -> ActivityReport:
             tolerance are set to 1/2.  A FockDensity is refused first if its
             leak exceeds ``fock.LEAK_TOL`` or it is not positive semidefinite.
     """
-    if isinstance(state, GaussianState):
-        entropy = von_neumann_entropy(state)
-    else:
-        from .fock import _fock_entropy
-        entropy = _fock_entropy(state)
+    entropy = von_neumann_entropy(state)
     n = state.n_modes
     m = photon_overlap_matrix(state) + 0.5 * np.eye(n)
     m_real = _real_form(np.conj(m))

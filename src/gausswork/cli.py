@@ -100,8 +100,9 @@ def parse_state(text: str, fock_dim: int = 40, document=None):
                     raise StateParseError(f"preset {name!r} takes no parameter {key!r}; it takes {', '.join(names)}")
                 if key not in params:
                     raise StateParseError(f"preset {name!r} needs parameter {key!r}")
-                if not isinstance(params[key], (int, float, complex)):  # complex only from preset:coherent:re,im
-                    raise StateParseError(f"preset {name!r} parameter {key!r} must be a number, got {params[key]!r}")
+                value = params[key]  # a JSON true is an int to Python, and no number; complex only from re,im
+                if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+                    raise StateParseError(f"preset {name!r} parameter {key!r} must be a number, got {value!r}")
             values = [_whole(params[k]) for k in names if k in params]
             return getattr(gw, builder)(*values, *([fock_dim] if name == "fock" else []))
         modes = _whole(doc["modes"])

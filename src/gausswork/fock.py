@@ -1,6 +1,6 @@
 """Truncated Fock-space machinery: beam-splitter amplitudes, lossy-channel
 Kraus operators, Gaussian post-selection, and the N-mode moments and entropy
-from which ``local_activity`` takes the activity of any FockDensity.
+from which ``local_activity`` and ``relative_entropy`` read any FockDensity.
 
 ``eta`` is the *amplitude* transmittance throughout, matching the
 beam-splitter amplitude split (eta, sqrt(1 - eta^2)); the intensity
@@ -33,8 +33,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_integer, _is_integer, _mode_indices,
-                     _xlogx)
+from .states import GaussianState, _bipartition, _check_nbar, _check_positive_integer, _is_integer, _mode_indices
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -383,7 +382,8 @@ def _fock_entropy(rho: FockDensity) -> float:
     evals = np.linalg.eigvalsh(_real_form(rho.matrix))[0::2] / rho.trace
     if evals[0] < -1e3 * evals.size * np.finfo(float).eps:
         raise ValueError(f"density eigenvalue {evals[0]:.3e} is below -1e3 D eps: rho is not positive semidefinite")
-    return float(-np.sum(_xlogx(np.clip(evals, 0.0, None))))
+    evals = np.clip(evals, 0.0, None)
+    return float(-np.sum(evals * np.log(np.where(evals == 0.0, 1.0, evals))))  # 0 ln 0 = 0
 
 
 def fock_single_mode_activity(rho: FockDensity) -> float:

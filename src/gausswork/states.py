@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _congruence, _spectrum, require_valid_cm, rotation, symplectic_form
-
-EPS_PURE = 1e-8
+from .symplectic import (_check_magnitude, _congruence, _spectrum, _times_omega, is_symplectic, require_valid_cm,
+                         rotation)
 
 
 def _is_integer(value) -> bool:
@@ -39,22 +38,16 @@ def _check_squeezing(r, phi=0.0) -> None:
         raise ValueError(f"squeezing must be finite with |r| <= 177, got r = {r}" + (f", phi = {phi}" if phi else ""))
 
 
-def _xlogx(x):
-    """Elementwise x ln x with 0 ln 0 = 0."""
-    x = np.asarray(x, dtype=float)
-    return x * np.log(np.where(x == 0.0, 1.0, x))
-
-
 def thermal_entropy(nu):
     """Entropy g(nu) of a thermal mode with symplectic eigenvalue ``nu``.
 
-    g(y) = (y + 1/2) ln(y + 1/2) - (y - 1/2) ln(y - 1/2), with the
-    continuous limit g(1/2) = 0.  Accepts scalars or arrays.
+    g = (x + 1) ln(x + 1) - x ln x with x = nu - 1/2, evaluated as
+    log1p(x) + x log1p(1/x): the two terms of the first form grow as x ln x
+    and cancel, losing every digit by x = 1e20.  g = 0 at x = 0, and nu
+    below 1/2 reads 1/2.  Accepts scalars or arrays.
     """
-    nu = np.asarray(nu, dtype=float)
-    hi = nu + 0.5
-    lo = np.maximum(nu - 0.5, 0.0)
-    out = _xlogx(hi) - _xlogx(lo)
+    x = np.maximum(np.asarray(nu, dtype=float) - 0.5, 0.0)
+    out = np.log1p(x) + x * np.log1p(1.0 / np.maximum(x, 1e-300))  # 1e-300 stands in for x = 0 only: nu - 1/2 >= 2^-53
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,6 +69,7 @@ class GaussianState:
         spec = require_valid_cm(cm)
         if d.size != cm.shape[0]:
             raise ValueError(f"displacement length {d.size} does not match matrix dimension {cm.shape[0]}")
+        _check_magnitude(d, "displacement vector")
         for arr in (d, cm, spec.root, spec.nu):
             arr.setflags(write=False)
         object.__setattr__(self, "displacement", d)
@@ -135,10 +129,12 @@ def mean_photon_numbers(state: GaussianState) -> np.ndarray:
 
 
 def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> GaussianState:
-    """Act with the Gaussian unitary (s, shift): d -> s d + shift, cm -> s cm s^T."""
+    """Act with the Gaussian unitary (s, shift): d -> s d + shift, cm -> s cm s^T; ValueError unless s is symplectic."""
     s = np.asarray(s, dtype=float)
     if s.shape != state.cm.shape:
         raise ValueError(f"symplectic matrix shape {s.shape} does not match state dimension {state.cm.shape}")
+    if not is_symplectic(s):
+        raise ValueError("matrix is not symplectic within tolerance")
     if shift is None:
         shift = np.zeros(s.shape[0])
     shift = np.asarray(shift, dtype=float).reshape(-1)
@@ -185,50 +181,65 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState(state.displacement[idx], state.cm[np.ix_(idx, idx)])
 
 
-def von_neumann_entropy(state: GaussianState) -> float:
-    """Entropy sum_k g(nu_k) in nats."""
-    return float(np.sum(thermal_entropy(state._spectrum.nu)))
+def _moments(state):
+    """(d, cm) of a GaussianState, or the ``fock_moments`` of a FockDensity: the Fock layer loads only then."""
+    if isinstance(state, GaussianState):
+        return state.displacement, state.cm
+    from .fock import fock_moments
+    return fock_moments(state)
 
 
-def _gibbs(spec) -> np.ndarray:
-    """Gibbs matrix -Omega S diag(2 arccoth(2 nu_k) I_2) S^T Omega of a spectrum with every nu > 1/2."""
-    core = _congruence(spec, lambda nu: 2.0 * np.arctanh(0.5 / nu))
-    omega = symplectic_form(spec.nu.size)
-    return -omega @ core @ omega
+def von_neumann_entropy(state) -> float:
+    """Entropy in nats: sum_k g(nu_k) of a GaussianState, or that of rho / Tr rho of a FockDensity."""
+    if isinstance(state, GaussianState):
+        return float(np.sum(thermal_entropy(state._spectrum.nu)))
+    from .fock import _fock_entropy
+    return _fock_entropy(state)
+
+
+def _gibbs(spec):
+    """(t, beta, mixed) per column, from one SVD of K: t diag(w) t^T = -Omega S diag(w) S^T Omega, ``mixed`` marks the
+    columns of modes with nu > 1/2 + tol (the others are pure), and beta = 2 arccoth(2 nu) there, 0 elsewhere."""
+    nu = np.repeat(spec.nu, 2)
+    mixed = nu > 0.5 + spec.tol
+    beta = 2.0 * np.arctanh(0.5 / nu, out=np.zeros_like(nu), where=mixed)
+    return _times_omega(_congruence(spec).T).T, beta, mixed  # t = -Omega F: the sign drops out of t diag(w) t^T
 
 
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     """Exponent matrix G of the Gaussian state rho ~ exp(-x^T G x / 2).
 
     G = -Omega S (+2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson factor S, evaluated
-    without forming S; diverges as any nu -> 1/2.
+    without forming S; diverges as any nu -> 1/2, and a pure mode (nu <= 1/2 + tol) is refused.
     """
     spec = _spectrum(np.asarray(cm, dtype=float))
-    if np.any(spec.nu <= 0.5):
+    if spec.nu[-1] <= 0.5 + spec.tol:
         raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    return _gibbs(spec)
+    t, beta, _ = _gibbs(spec)
+    return (t * beta) @ t.T
 
 
-def relative_entropy(rho: GaussianState, sigma: GaussianState) -> float:
-    """Relative entropy S(rho || sigma) between Gaussian states, in nats.
+def relative_entropy(rho, sigma: GaussianState) -> float:
+    """S(rho || sigma) in nats for a Gaussian sigma; rho is a GaussianState, or a FockDensity read by its moments.
 
-    Returns +inf when sigma has a symplectic eigenvalue within EPS_PURE
-    of 1/2 (support mismatch), unless the two states are exactly equal.
-    The spectrum sigma kept from validation gives both that check and the
-    Gibbs matrix.
-    """
+    -S(rho) + sum of ln(nu_k + 1/2) + beta_k n_k over sigma's mixed modes, n_k the photons rho puts into normal mode k
+    (= [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2, M = cm_rho + delta delta^T); +inf when the photons in the pure modes
+    exceed tol Tr M.  A Gaussian rho exactly equal to sigma gives 0.0."""
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
-    if np.array_equal(rho.displacement, sigma.displacement) and np.array_equal(rho.cm, sigma.cm):
+    if (isinstance(rho, GaussianState) and np.array_equal(rho.displacement, sigma.displacement)
+            and np.array_equal(rho.cm, sigma.cm)):
         return 0.0
+    entropy = von_neumann_entropy(rho)
+    d, cm = _moments(rho)
+    delta = d - sigma.displacement
+    second = cm + np.outer(delta, delta)
     spec = sigma._spectrum
-    if np.any(spec.nu <= 0.5 + EPS_PURE):
+    t, beta, mixed = _gibbs(spec)
+    photons = 0.5 * (t * (second @ t)).sum(axis=0) - 0.25  # per column: a mode's two sum to its n_k
+    if photons @ ~mixed > spec.tol * np.trace(second):
         return math.inf
-    g2 = _gibbs(spec)
-    logdet = float(np.sum(np.log(spec.nu**2 - 0.25)))
-    delta = rho.displacement - sigma.displacement
-    cross = float(np.trace(rho.cm @ g2) + delta @ g2 @ delta)
-    return -von_neumann_entropy(rho) + 0.5 * (logdet + cross)
+    return -entropy + float(np.log(spec.nu + 0.5) @ mixed[::2] + beta @ photons)
 
 
 def _bipartition(n_modes: int, modes_a, modes_b=None):

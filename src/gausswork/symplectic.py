@@ -91,6 +91,16 @@ _TOL_CAP = 1e-3
 _TIE = 1e-12
 
 
+def _check_magnitude(arr: np.ndarray, what: str) -> None:
+    """ValueError unless every entry is below sqrt(max double) / 2n, n = len(arr): twice such an entry squares to
+    below max double / n^2, so the sums of n^2 squares in norms and in |d|^2 stay finite.  At n = 2 the bound,
+    3.35e153, is above the entries of squeezed(r, phi) for every |r| <= 177, the bound on squeezing."""
+    bound, peak = math.sqrt(np.finfo(float).max) / (2 * len(arr)), float(np.max(np.abs(arr)))
+    if not peak < bound:
+        raise ValueError(f"{what} entries must be below sqrt(max double) / 2n = {bound:.3g} in magnitude for n = "
+                         f"{len(arr)}, so that n^2 squares of twice an entry sum without overflow; got {peak:.3g}")
+
+
 class _NotPositiveDefinite(ValueError):
     def __init__(self, min_eig: float):
         super().__init__(f"covariance matrix is singular or not positive definite (min eigenvalue {min_eig:.3e})")
@@ -124,12 +134,13 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
     each nu_k twice, and nu_k is the mean of its two copies.  Values in
     [1/2 - tol, 1/2) are set to 1/2.  No singular vectors are formed: only
     :func:`williamson` and :func:`_congruence` need them.  ValueError unless cm is finite,
-    symmetric and has every eigenvalue >= 1e-12.
+    within :func:`_check_magnitude`, symmetric and has every eigenvalue >= 1e-12.
     """
     cm = np.asarray(cm, dtype=float)
     n = _even_square(cm, "covariance matrix")
     if not np.all(np.isfinite(cm)):
         raise ValueError("covariance matrix must be finite")
+    _check_magnitude(cm, "covariance matrix")
     if np.linalg.norm(cm - cm.T) >= TOL_SYMP * max(1.0, np.linalg.norm(cm)):
         raise ValueError("covariance matrix is not symmetric")
     w, v = np.linalg.eigh(cm)
@@ -158,7 +169,8 @@ def validate_cm(mat: np.ndarray) -> CMValidation:
     symplectic eigenvalue, or the smallest eigenvalue when that is < 1e-12.
 
     Raises:
-        ValueError: if the matrix has odd dimension, is not finite or is
+        ValueError: if the matrix has odd dimension, is not finite, has an
+            entry whose square could overflow (:func:`_check_magnitude`) or is
             asymmetric beyond TOL_SYMP (shape errors rather than physicality).
     """
     try:
@@ -248,16 +260,15 @@ def williamson(cm) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
 
 
-def _congruence(spec: _Spectrum, f) -> np.ndarray:
-    """S diag(f(nu_1), f(nu_1), ..., f(nu_N), f(nu_N)) S^T, the same for every Williamson factor S.
+def _congruence(spec: _Spectrum) -> np.ndarray:
+    """F with S diag(w) S^T = (F * w) @ F.T for every Williamson factor S and w = (w_1, w_1, ..., w_N, w_N).
 
-    S = cm^{1/2} Q diag(nu^{-1/2}) with Q^T K^T K Q = diag(nu^2), so this is the matrix function
-    cm^{1/2} V diag(f(sigma) / sigma) V^T cm^{1/2} of the SVD K = U diag(sigma) V^T: no canonical pairs,
-    and an absolute error of about eps nu_max on sigma, where eigenvalues of K^T K would carry eps nu_max^2.
+    S = cm^{1/2} Q diag(nu^{-1/2}) with Q^T K^T K Q = diag(nu^2), and F = cm^{1/2} V diag(sigma^{-1/2}) of the SVD
+    K = U diag(sigma) V^T differs from it only inside eigenspaces of K^T K: no canonical pairs, and an absolute error
+    of about eps nu_max on sigma, where eigenvalues of K^T K would carry eps nu_max^2.
     """
     _, sv, vt = np.linalg.svd(_skew(spec.root))
-    sv = np.maximum(sv, spec.nu[-1])  # each singular value is some nu_k up to rounding
-    return spec.root @ ((vt.T * (f(sv) / sv)) @ vt) @ spec.root
+    return (spec.root @ vt.T) / np.sqrt(np.maximum(sv, spec.nu[-1]))  # each singular value is some nu_k up to rounding
 
 
 def _canonical_pairs(cand: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -317,7 +328,7 @@ class BlochMessiahDecomposition:
 
 
 def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
-    """Bloch-Messiah (Euler) decomposition of a symplectic matrix: :func:`_euler` of S S^T, o_in = Z(-r) o_out^T S.
+    """Bloch-Messiah (Euler) decomposition of a symplectic matrix: :func:`_euler` of S, o_in = Z(-r) o_out^T S.
 
     Raises:
         ValueError: if the input is not symplectic within TOL_SYMP or
@@ -326,18 +337,18 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     s = np.asarray(s, dtype=float)
     if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
-    o_out, rs = _euler(s @ s.T)
+    o_out, rs = _euler(s)
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=squeezer_direct_sum(-rs) @ o_out.T @ s)
 
 
-def _euler(sst: np.ndarray):
-    """(o_out, r) with sst = o_out Z(2r) o_out^T: the outer passive and squeezings of every S with S S^T = sst.
+def _euler(f: np.ndarray):
+    """(o_out, r) with sst = F F^T = o_out Z(2r) o_out^T: the outer passive and squeezings of every S with S S^T = sst.
 
     Each eigenvector u of sst with sigma^2 > 1 is paired with -Omega u, which carries 1/sigma^2; the
     eigenspace of sigma within PAIR_TOL of 1 is passive and :func:`_canonical_pairs` splits it, r = 0.
     """
-    n = sst.shape[0] // 2
-    lam, v = np.linalg.eigh(sst)
+    n = f.shape[0] // 2
+    lam, v = np.linalg.eigh(f @ f.T)
     sig = np.sqrt(np.clip(lam, 0.0, None))
     squeeze = np.flatnonzero(sig > 1.0 + PAIR_TOL)
     squeeze = squeeze[np.argsort(-sig[squeeze], kind="stable")]  # tied sigma keep eigh's column order

@@ -53,7 +53,7 @@ class ExtractionProtocol:
 
 
 def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
-    o_out, r = _euler(_congruence(state._spectrum, np.ones_like))  # S S^T of every Williamson factor S
+    o_out, r = _euler(_congruence(state._spectrum))  # from S S^T, the same for every Williamson factor S
     steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
     final = steps.T @ state.cm @ steps
     # final is free; its Omega-commuting part has each eigenvalue 2 nu_k on planes Omega maps to itself.

@@ -92,6 +92,19 @@ def fock_relative_entropy(rho: gw.GaussianState, sigma: gw.GaussianState, dim=40
     return neg_entropy - float(weights @ np.log(ws))
 
 
+def mp_thermal_entropy(nu, dps=60) -> float:
+    """g(nu) = (x + 1) ln(x + 1) - x ln x with x = nu - 1/2, from the double nu; 0 at x <= 0.
+
+    The two terms grow as x ln x and cancel to about ln x, so the digits of x are carried on top of ``dps``.
+    """
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(float(nu)) - mpmath.mpf(0.5)
+    if x <= 0:
+        return 0.0
+    with mpmath.workdps(dps + max(0, int(mpmath.log10(x)))):
+        return float((x + 1) * mpmath.log(x + 1) - x * mpmath.log(x))
+
+
 def fock_entropy(mat):
     w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
     return float(-np.sum(xlogy(w, w)))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausswork as gw
 from conftest import (
+    mp_thermal_entropy,
     powell_activity,
     preset_activity,
     random_free_cm,
@@ -197,9 +198,71 @@ def test_numeric_witness_attains_value():
     state = random_state(rng, 2, nu_min=0.7)
     report = gw.local_activity(state)
     assert report.value == pytest.approx(powell_activity(state, restarts=8, seed=6), abs=1e-6)
-    if np.all(report.closest_free.nu > 0.5 + 1e-6):
-        sigma = gw.GaussianState(np.zeros(4), report.closest_free.cm)
-        assert gw.relative_entropy(state, sigma) == pytest.approx(report.value, abs=1e-6)
+    sigma = gw.GaussianState(np.zeros(4), report.closest_free.cm)
+    assert gw.relative_entropy(state, sigma) == pytest.approx(report.value, abs=1e-6)
+
+
+def _closest_free(state):
+    return gw.GaussianState(np.zeros(2 * state.n_modes), gw.local_activity(state).closest_free.cm)
+
+
+def test_relative_entropy_to_a_closest_free_state_with_a_pure_mode_is_the_activity():
+    # The vacuum factor is an eigenvector of M with b = 1/2, so sigma* has a pure mode that rho leaves empty.
+    state = gw.tensor([gw.squeezed(1.0), gw.vacuum(1)])
+    assert abs(gw.relative_entropy(state, _closest_free(state)) - A_SQUEEZED_1) <= 1e-12
+
+
+def _pure_mode_family(rng, r_max):
+    """A vacuum factor and one or two displaced squeezed thermal factors, under a random passive map."""
+    factors = [gw.vacuum(1)]
+    for _ in range(int(rng.integers(1, 3))):
+        s = gw.squeezer_direct_sum(rng.uniform(-r_max, r_max)) @ gw.rotation(rng.uniform(0.0, 2 * np.pi))
+        factors.append(gw.GaussianState(rng.normal(size=2), rng.uniform(0.5, 2.0) * s @ s.T))
+    joint = gw.tensor(factors)
+    return gw.apply_gaussian_unitary(joint, random_orthosymplectic(rng, joint.n_modes))
+
+
+def test_relative_entropy_to_the_closest_free_state_is_the_activity_when_it_has_a_pure_mode():
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        state = _pure_mode_family(rng, 1.0)
+        sigma = _closest_free(state)
+        assert gw.symplectic_eigenvalues(sigma.cm)[-1] < 0.5 + 1e-9
+        activity = gw.local_activity(state).value
+        assert abs(gw.relative_entropy(state, sigma) - activity) <= 1e-12 * max(1.0, activity)
+
+
+FOCK_INPUTS = {
+    "fock-1": lambda: gw.fock_number_state(1, 12),
+    "fock-2": lambda: gw.fock_number_state(2, 12),
+    # (|1><1| + |3><3|) / 2 has the moments of thermal(2).
+    "mixture": lambda: gw.FockDensity(np.diag([0.0, 0.5, 0.0, 0.5] + [0.0] * 8), 12),
+    # The vacuum mode has b = 1/2, so sigma* has a pure mode.
+    "squeezed-vacuum": lambda: gw.fock_from_gaussian(gw.tensor([gw.squeezed(0.4), gw.vacuum(1)]), 14),
+}
+
+
+@pytest.mark.parametrize("name", list(FOCK_INPUTS))
+def test_relative_entropy_from_a_fock_density_to_its_closest_free_state_is_the_activity(name):
+    rho = FOCK_INPUTS[name]()
+    report = gw.local_activity(rho)
+    sigma = gw.GaussianState(np.zeros(2 * rho.n_modes), report.closest_free.cm)
+    assert abs(gw.relative_entropy(rho, sigma) - report.value) <= 1e-9
+
+
+def test_relative_entropy_from_a_density_with_thermal_moments_is_not_zero():
+    # Equal moments do not make equal states: only a Gaussian rho equal to sigma reads 0.  Here the value is
+    # -S(rho) + g(5/2) with S(rho) = ln 2.
+    value = gw.relative_entropy(FOCK_INPUTS["mixture"](), gw.thermal(2.0))
+    assert abs(value - (mp_thermal_entropy(2.5) - math.log(2))) <= 1e-12
+
+
+def test_activity_of_a_bright_squeezed_thermal_state_keeps_every_digit():
+    # One mode: A = g(nu cosh 2r) - g(nu), nu = nbar + 1/2; the cancelling form of g gives 0.43378067 here.
+    nbar, r = 1e9, 0.5
+    state = gw.apply_gaussian_unitary(gw.thermal(nbar), gw.squeezer_direct_sum(r))
+    expected = mp_thermal_entropy((nbar + 0.5) * math.cosh(2 * r)) - mp_thermal_entropy(nbar + 0.5)
+    assert abs(gw.local_activity(state).value - expected) <= 1e-14
 
 
 def test_invariance_under_passive_circuits():
@@ -347,6 +410,5 @@ def test_property_activity_additive_over_tensor_products(n_a, n_b, seed):
 def test_property_witness_attains_activity(n, seed):
     state = random_state(np.random.default_rng(seed), n)
     report = gw.local_activity(state)
-    assume(report.params["b"].min() > 0.5 + 1e-6)
     sigma = gw.GaussianState(np.zeros(2 * n), report.closest_free.cm)
     assert gw.relative_entropy(state, sigma) == pytest.approx(report.value, abs=_tol(state, 1e-9))

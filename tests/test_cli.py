@@ -439,7 +439,7 @@ def test_shorthand_refuses_more_values_than_its_preset_takes(capsys, shorthand, 
         ("preset:fock:1.5", "photon number must be an integer, got 1.5"),
         ('{"preset": "fock", "n": 2.7}', "photon number must be an integer, got 2.7"),
         ("preset:vacuum:1.5", "number of modes must be a positive integer, got 1.5"),
-        ('{"preset": "vacuum", "modes": true}', "number of modes must be a positive integer, got True"),
+        ('{"preset": "vacuum", "modes": true}', "preset 'vacuum' parameter 'modes' must be a number, got True"),
         ('{"modes": 1.5, "covariance": [1, 0, 0, 1]}', "modes must be a positive integer, got 1.5"),
     ],
 )
@@ -513,6 +513,8 @@ NOT_A_NUMBER = "preset '{}' parameter '{}' must be a number, got '{}'"
         # A preset parameter is a JSON number: numeric text is refused, as the shorthand's text is parsed.
         (None, '{"preset": "thermal", "nbar": "1"}', NOT_A_NUMBER.format("thermal", "nbar", "1")),
         (None, '{"preset": "fock", "n": "2"}', NOT_A_NUMBER.format("fock", "n", "2")),
+        # A JSON true is an int to Python: it must not read as nbar = 1.
+        (None, '{"preset": "thermal", "nbar": true}', "preset 'thermal' parameter 'nbar' must be a number, got True"),
     ],
     ids=[
         "unknown-preset",
@@ -526,6 +528,7 @@ NOT_A_NUMBER = "preset '{}' parameter '{}' must be a number, got '{}'"
         "not-a-number-coherent",
         "numeric-text",
         "numeric-text-fock",
+        "boolean",
     ],
 )
 def test_both_state_inputs_share_one_preset_refusal(capsys, shorthand, document, message):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gausswork as gw
-from conftest import fock_relative_entropy, random_cm, random_orthosymplectic, random_state, random_symplectic
+from conftest import (fock_relative_entropy, mp_thermal_entropy, random_cm, random_orthosymplectic, random_state,
+                      random_symplectic)
 
 LN2 = math.log(2.0)
 
@@ -116,6 +117,43 @@ def test_entropy_examples():
 def test_entropy_of_pure_presets_vanishes():
     for state in (gw.vacuum(1), gw.coherent(0.7 + 0.2j), gw.squeezed(1.1), gw.two_mode_squeezed(0.8)):
         assert gw.von_neumann_entropy(state) < 1e-9
+
+
+def test_thermal_entropy_matches_the_mpmath_oracle():
+    # x = nu - 1/2 from 2^-40 to 1e20: log1p(x) + x log1p(1/x) keeps every digit (one eps at most was measured).
+    xs = np.concatenate([2.0 ** -np.arange(1, 41), np.logspace(0, 20, 201)])
+    values = gw.thermal_entropy(0.5 + xs)
+    for x, value in zip(xs, values):
+        ref = mp_thermal_entropy(0.5 + x)
+        assert abs(value - ref) <= 4e-16 * ref
+        assert gw.thermal_entropy(0.5 + x) == value
+    np.testing.assert_array_equal(gw.thermal_entropy([0.5, 0.3]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("nbar", [1e6, 1e9, 1e15, 1e20])
+def test_entropy_of_a_bright_thermal_state_keeps_every_digit(nbar):
+    # (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) cancels: in doubles it is 1.3e-2 off at 1e15 and 0 at 1e20.
+    ref = mp_thermal_entropy(nbar + 0.5)
+    assert abs(gw.von_neumann_entropy(gw.thermal(nbar)) - ref) <= 4e-16 * ref
+
+
+def test_every_functional_answers_entries_just_below_the_overflow_bound():
+    # The suite turns a RuntimeWarning into a failure, so each call answers without an overflow.
+    state = gw.GaussianState(np.zeros(2), np.diag([1e140, 1.0]))
+    bright = gw.GaussianState([1e140, 0.0], 0.5 * np.eye(2))
+    assert gw.validate_cm(state.cm).valid
+    assert gw.symplectic_eigenvalues(state.cm) == pytest.approx([1e70])
+    assert not gw.is_free_cm(state.cm).spectral_free
+    assert gw.williamson(state).nu == pytest.approx([1e70])
+    assert gw.von_neumann_entropy(state) == pytest.approx(mp_thermal_entropy(1e70), rel=1e-15)  # 162.18
+    for st in (state, bright):
+        assert gw.energy(st) == pytest.approx(gw.extractable_work(st).total + 0.5, rel=1e-12)
+        assert gw.mean_photon_numbers(st)[0] == pytest.approx(gw.energy(st) - 0.5, rel=1e-12)
+        assert gw.extraction_protocol(st).work_quadratic == pytest.approx(gw.extractable_work(st).quadratic)
+        assert gw.local_activity(st).value >= -1e-12
+        assert gw.gaussian_coherence(st) >= -1e-12
+        assert math.isfinite(gw.relative_entropy(st, gw.thermal(1.0)))
+    assert gw.relative_entropy(gw.thermal(1.0), state) > 0.0
 
 
 def test_energy_invariant_under_passive_circuits():
@@ -304,6 +342,35 @@ def test_states_are_immutable():
         # At the bound the covariance still validates without overflow, and is refused as singular.
         (lambda: gw.squeezed(177, phi=0.3), "singular or not positive definite"),
         (lambda: gw.two_mode_squeezed(-177), "singular or not positive definite .min eigenvalue 0"),
+        (lambda: gw.apply_gaussian_unitary(gw.thermal(1.0), 2 * np.eye(2)), "^matrix is not symplectic within tol"),
+        # Finite entries whose squares overflow are refused at validation, before numpy warns.
+        (
+            lambda: gw.GaussianState(np.zeros(2), np.diag([1e160, 1.0])),
+            r"^covariance matrix entries must be below sqrt\(max double\) / 2n = 3\.35e\+153 in magnitude for n = 2, "
+            r"so that n\^2 squares of twice an entry sum without overflow; got 1e\+160$",
+        ),
+        (lambda: gw.validate_cm(np.diag([1e160, 1.0])), r"^covariance matrix entries must be below .*got 1e\+160$"),
+        (lambda: gw.symplectic_eigenvalues(np.diag([1e160, 1.0])), r"covariance matrix entries .* for n = 2, "),
+        (lambda: gw.is_free_cm(np.diag([1e160, 1.0])), r"covariance matrix entries must be below sqrt\(max double\)"),
+        (lambda: gw.williamson(np.diag([-1e160, 1.0])), r"covariance matrix entries .*; got 1e\+160$"),
+        (
+            lambda: gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2)),
+            r"^displacement vector entries must be below sqrt\(max double\) / 2n = 3\.35e\+153 in magnitude for n = 2",
+        ),
+        (lambda: gw.energy(gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2))), r"^displacement vector entries must be"),
+        (lambda: gw.extractable_work(gw.GaussianState([0.0, 1e160], 0.5 * np.eye(2))), "displacement vector entries"),
+        (lambda: gw.mean_photon_numbers(gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2))), "got 1e\\+160$"),
+        # Passes is_symplectic (residual 2e-6 against the bound 1e-4), but 1 - 1e-6 pairs with neither sigma nor 1.
+        (
+            lambda: gw.bloch_messiah(np.diag([1e3, 1e-3, 1 - 1e-6, 1 - 1e-6])),
+            r"^singular values do not pair as \(sigma, 1/sigma\); not symplectic\?$",
+        ),
+        (lambda: gw.is_symplectic(np.ones((2, 4))), r"^symplectic candidate must be a square matrix, got shape \(2, 4"),
+        (lambda: gw.unitary_to_orthosymplectic(np.ones((1, 2))), r"^unitary must be square, got shape \(1, 2\)$"),
+        (
+            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(4), 0.1, [0, 0, 0, 0]),
+            r"^expected a single-mode \(2x2\) covariance matrix, got \(4, 4\)$",
+        ),
     ],
 )
 def test_state_refusals(call, message):
