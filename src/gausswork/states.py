@@ -197,49 +197,48 @@ def von_neumann_entropy(state) -> float:
     return _fock_entropy(state)
 
 
-def _gibbs(spec):
-    """(t, beta, mixed) per column, from one SVD of K: t diag(w) t^T = -Omega S diag(w) S^T Omega, ``mixed`` marks the
-    columns of modes with nu > 1/2 + tol (the others are pure), and beta = 2 arccoth(2 nu) there, 0 elsewhere."""
-    nu = np.repeat(spec.nu, 2)
-    mixed = nu > 0.5 + spec.tol
-    beta = 2.0 * np.arctanh(0.5 / nu, out=np.zeros_like(nu), where=mixed)
+def _gibbs(spec, margin: float):
+    """(t, beta, mixed) per column from one SVD of K: t diag(w) t^T = -Omega S diag(w) S^T Omega; ``mixed`` marks modes
+    with x = nu - 1/2 > margin, beta = 2 arccoth(2 nu) = log1p(1 / x) there (arctanh loses digits as x -> 0), else 0."""
+    x = np.repeat(spec.nu, 2) - 0.5
+    mixed = x > margin
+    beta = np.where(mixed, np.log1p(1.0 / np.where(mixed, x, 1.0)), 0.0)
     return _times_omega(_congruence(spec).T).T, beta, mixed  # t = -Omega F: the sign drops out of t diag(w) t^T
 
 
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
-    """Exponent matrix G of the Gaussian state rho ~ exp(-x^T G x / 2).
-
-    G = -Omega S (+2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson factor S, evaluated
-    without forming S; diverges as any nu -> 1/2, and a pure mode (nu <= 1/2 + tol) is refused.
-    """
+    """Exponent matrix G of rho ~ exp(-x^T G x / 2): -Omega S (2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson
+    factor S, evaluated without forming S; diverges as any nu -> 1/2, and nu = 1/2 is refused."""
     spec = _spectrum(np.asarray(cm, dtype=float))
-    if spec.nu[-1] <= 0.5 + spec.tol:
+    if spec.nu[-1] <= 0.5:
         raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    t, beta, _ = _gibbs(spec)
+    t, beta, _ = _gibbs(spec, 0.0)
     return (t * beta) @ t.T
 
 
 def relative_entropy(rho, sigma: GaussianState) -> float:
     """S(rho || sigma) in nats for a Gaussian sigma; rho is a GaussianState, or a FockDensity read by its moments.
 
-    -S(rho) + sum of ln(nu_k + 1/2) + beta_k n_k over sigma's mixed modes, n_k the photons rho puts into normal mode k
-    (= [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2, M = cm_rho + delta delta^T); +inf when the photons in the pure modes
-    exceed tol Tr M.  A Gaussian rho exactly equal to sigma gives 0.0."""
+    -S(rho) + sum over sigma's mixed modes (nu_k - 1/2 above the rounding of nu) of g(nu_k) + beta_k dn_k, dn_k the
+    photons rho adds to mode k: -S(rho) + [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2 for M = cm_rho + delta delta^T.  +inf
+    when rho adds more than their rounding to a pure mode; a Gaussian rho exactly equal to sigma gives 0.0."""
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
     if (isinstance(rho, GaussianState) and np.array_equal(rho.displacement, sigma.displacement)
             and np.array_equal(rho.cm, sigma.cm)):
         return 0.0
-    entropy = von_neumann_entropy(rho)
     d, cm = _moments(rho)
-    delta = d - sigma.displacement
-    second = cm + np.outer(delta, delta)
+    second = cm + np.outer(d - sigma.displacement, d - sigma.displacement)
     spec = sigma._spectrum
-    t, beta, mixed = _gibbs(spec)
-    photons = 0.5 * (t * (second @ t)).sum(axis=0) - 0.25  # per column: a mode's two sum to its n_k
-    if photons @ ~mixed > spec.tol * np.trace(second):
-        return math.inf
-    return -entropy + float(np.log(spec.nu + 0.5) @ mixed[::2] + beta @ photons)
+    t, beta, mixed = _gibbs(spec, spec.err)
+    excess = 0.5 * (t * ((second - sigma.cm) @ t)).sum(axis=0)  # per column: a mode's two sum to its dn_k
+    if not mixed.all():
+        # A pure column's excess rounds off by up to n eps |t|^2 Tr(M + cm_sigma), n = 2N; where it is 0 it reached
+        # 0.075 of that (README "Numerical range"), so a factor 4 leaves a margin of over 50.
+        slack = 4.0 * len(t) * np.finfo(float).eps * np.trace(second + sigma.cm) * (t * t).sum(axis=0)
+        if np.any((excess > slack) & ~mixed):
+            return math.inf
+    return float(thermal_entropy(spec.nu) @ mixed[::2] + beta @ excess) - von_neumann_entropy(rho)
 
 
 def _bipartition(n_modes: int, modes_a, modes_b=None):

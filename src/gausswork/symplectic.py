@@ -110,7 +110,7 @@ class _NotPositiveDefinite(ValueError):
 class _Spectrum(NamedTuple):
     root: np.ndarray  # cm^{1/2}
     nu: np.ndarray  # symplectic eigenvalues, descending
-    tol: float  # min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR n eps kappa))
+    err: float  # min(_TOL_CAP, _KAPPA_FACTOR n eps kappa), the rounding of nu; tol = max(TOL_PHYS, err)
 
 
 def _times_omega(mat: np.ndarray) -> np.ndarray:
@@ -148,10 +148,10 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
         raise _NotPositiveDefinite(float(w[0]))
     root = (v * np.sqrt(w)) @ v.T
     sv = np.linalg.svd(_skew(root), compute_uv=False)
-    tol = min(_TOL_CAP, max(TOL_PHYS, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0]))
+    err = min(_TOL_CAP, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0])
     nu = 0.5 * (sv[0::2] + sv[1::2])
-    nu[(nu >= 0.5 - tol) & (nu < 0.5)] = 0.5
-    return _Spectrum(root, nu, tol)
+    nu[(nu >= 0.5 - max(TOL_PHYS, err)) & (nu < 0.5)] = 0.5
+    return _Spectrum(root, nu, err)
 
 
 class CMValidation(NamedTuple):
@@ -177,13 +177,13 @@ def validate_cm(mat: np.ndarray) -> CMValidation:
         spec = _spectrum(mat)
     except _NotPositiveDefinite as err:
         return CMValidation(False, err.min_eig)
-    return CMValidation(bool(spec.nu[-1] >= 0.5 - spec.tol), float(spec.nu[-1]))
+    return CMValidation(bool(spec.nu[-1] >= 0.5 - max(TOL_PHYS, spec.err)), float(spec.nu[-1]))
 
 
 def require_valid_cm(mat: np.ndarray) -> _Spectrum:
     """Spectrum of ``mat``; ValueError unless it passes :func:`validate_cm`."""
     spec = _spectrum(mat)
-    if spec.nu[-1] < 0.5 - spec.tol:
+    if spec.nu[-1] < 0.5 - max(TOL_PHYS, spec.err):
         raise ValueError(f"invalid covariance matrix (min symplectic eigenvalue {spec.nu[-1]:.6g})")
     return spec
 

@@ -218,6 +218,46 @@ def test_relative_entropy_pure_target_is_infinite():
     assert math.isinf(gw.relative_entropy(gw.coherent(0.3), gw.squeezed(0.4)))
 
 
+def test_half_a_photon_in_the_vacuum_of_a_bright_reference_is_not_rounding():
+    # sigma's kappa is 4e9, but the rounding of the photons in its vacuum mode is set by that mode alone.
+    sigma = gw.tensor([gw.thermal(1e9), gw.vacuum(1)])
+    assert math.isinf(gw.relative_entropy(gw.tensor([gw.thermal(1e9), gw.thermal(0.5)]), sigma))
+
+
+def test_relative_entropy_to_a_reference_with_a_pure_mode_sweep():
+    # sigma = U (thermal(b) x vacuum) and rho = U (thermal(a) x thermal(m)) under one random passive U: +inf for every
+    # m > 0, down to 1e-3 photons against 1e9, and S(thermal(a) || thermal(b)) >= 0 for m = 0.  There the rotated
+    # vacuum of rho reads nu = 1/2 + O(eps a), whose entropy is the noise the value may carry.
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        a, b = 10.0 ** rng.uniform(-2.0, 9.0, size=2)
+        m = float(rng.choice([0.0, 1e-3, 0.5, 3.0]))
+        u = random_orthosymplectic(rng, 2)
+        sigma = gw.apply_gaussian_unitary(gw.tensor([gw.thermal(b), gw.vacuum(1)]), u)
+        value = gw.relative_entropy(gw.apply_gaussian_unitary(gw.tensor([gw.thermal(a), gw.thermal(m)]), u), sigma)
+        if m > 0.0:
+            assert math.isinf(value)
+            continue
+        a, b = gw.thermal(a).cm[0, 0] - 0.5, gw.thermal(b).cm[0, 0] - 0.5
+        exact = -mp_thermal_entropy(a + 0.5) + math.log1p(b) + a * math.log1p(1.0 / b)
+        noise = gw.thermal_entropy(0.5 + 4 * np.finfo(float).eps * (a + 1.0))
+        assert value >= -noise
+        assert abs(value - exact) <= noise + 2e-14 * exact
+
+
+def test_a_mode_just_above_one_half_is_mixed():
+    # nu = 1/2 + x with x = 5e-10 is well inside the rounding-free range of a diagonal cm: G = ln(1 + 1/x) I is finite,
+    # and so is S(thermal(a) || sigma) = -g(a + 1/2) + ln(1 + x) + a ln(1 + 1/x).
+    sigma = gw.thermal(5e-10)
+    x = sigma.cm[0, 0] - 0.5
+    np.testing.assert_allclose(gw.gibbs_matrix(sigma.cm), math.log1p(1.0 / x) * np.eye(2), rtol=1e-15)
+    a = 1e-3
+    expected = -((a + 1) * math.log1p(a) - a * math.log(a)) + math.log1p(x) + a * math.log1p(1.0 / x)
+    assert gw.relative_entropy(gw.thermal(a), sigma) == pytest.approx(expected, rel=1e-13)
+    with pytest.raises(ValueError, match="pure symplectic eigenvalues"):
+        gw.gibbs_matrix(np.diag([0.25, 1.0]))  # nu is exactly 1/2
+
+
 def test_relative_entropy_matches_gibbs_matrix_formula():
     # -S(rho) + (sum ln(nu^2 - 1/4) + Tr(rho G) + delta G delta) / 2, with G and nu of sigma
     # taken from gibbs_matrix and symplectic_eigenvalues.
