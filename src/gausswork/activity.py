@@ -36,7 +36,7 @@ from .states import (
     thermal_entropy,
     von_neumann_entropy,
 )
-from .symplectic import TOL_PHYS, _canonical_pairs, _real_form, symplectic_form
+from .symplectic import TOL_PHYS, _canonical_pairs, _real_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,7 @@ def local_activity(state) -> ActivityReport:
     bound = 1e3 * n * np.finfo(float).eps * max(1.0, float(lam[0]))
     if lam[-1] < 0.5 - max(TOL_PHYS, bound):
         raise ValueError(f"overlap eigenvalue {lam[-1]:.9g} falls below the vacuum floor 1/2")
-    witness = _canonical_pairs(vecs[:, ::-1], symplectic_form(n))
+    witness = _canonical_pairs(vecs[:, ::-1])
     residual = float(np.linalg.norm(m_real @ witness - witness * np.repeat(lam, 2)))
     certified = bool(residual <= bound)
     b = np.maximum(lam, 0.5)

@@ -197,22 +197,21 @@ def von_neumann_entropy(state) -> float:
     return _fock_entropy(state)
 
 
-def _gibbs(spec, margin: float):
+def _gibbs(spec):
     """(t, beta, mixed) per column from one SVD of K: t diag(w) t^T = -Omega S diag(w) S^T Omega; ``mixed`` marks modes
-    with x = nu - 1/2 > margin, beta = 2 arccoth(2 nu) = log1p(1 / x) there (arctanh loses digits as x -> 0), else 0."""
+    with x = nu - 1/2 > spec.err, beta = 2 arccoth(2 nu) = log1p(1 / x) there (arctanh loses digits), else 0."""
     x = np.repeat(spec.nu, 2) - 0.5
-    mixed = x > margin
+    mixed = x > spec.err
     beta = np.where(mixed, np.log1p(1.0 / np.where(mixed, x, 1.0)), 0.0)
     return _times_omega(_congruence(spec).T).T, beta, mixed  # t = -Omega F: the sign drops out of t diag(w) t^T
 
 
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
     """Exponent matrix G of rho ~ exp(-x^T G x / 2): -Omega S (2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson
-    factor S, evaluated without forming S; diverges as any nu -> 1/2, and nu = 1/2 is refused."""
-    spec = _spectrum(np.asarray(cm, dtype=float))
-    if spec.nu[-1] <= 0.5:
+    factor S, evaluated without forming S; diverges as any nu -> 1/2, and a mode pure by :func:`_gibbs` is refused."""
+    t, beta, mixed = _gibbs(_spectrum(np.asarray(cm, dtype=float)))
+    if not mixed.all():
         raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    t, beta, _ = _gibbs(spec, 0.0)
     return (t * beta) @ t.T
 
 
@@ -222,6 +221,8 @@ def relative_entropy(rho, sigma: GaussianState) -> float:
     -S(rho) + sum over sigma's mixed modes (nu_k - 1/2 above the rounding of nu) of g(nu_k) + beta_k dn_k, dn_k the
     photons rho adds to mode k: -S(rho) + [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2 for M = cm_rho + delta delta^T.  +inf
     when rho adds more than their rounding to a pure mode; a Gaussian rho exactly equal to sigma gives 0.0."""
+    if not isinstance(sigma, GaussianState):
+        raise ValueError(f"sigma must be a GaussianState, got {type(sigma).__name__}")
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
     if (isinstance(rho, GaussianState) and np.array_equal(rho.displacement, sigma.displacement)
@@ -230,7 +231,7 @@ def relative_entropy(rho, sigma: GaussianState) -> float:
     d, cm = _moments(rho)
     second = cm + np.outer(d - sigma.displacement, d - sigma.displacement)
     spec = sigma._spectrum
-    t, beta, mixed = _gibbs(spec, spec.err)
+    t, beta, mixed = _gibbs(spec)
     excess = 0.5 * (t * ((second - sigma.cm) @ t)).sum(axis=0)  # per column: a mode's two sum to its dn_k
     if not mixed.all():
         # A pure column's excess rounds off by up to n eps |t|^2 Tr(M + cm_sigma), n = 2N; where it is 0 it reached

@@ -16,7 +16,6 @@ import numpy as np
 
 TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
-TOL_RECON = 1e-9
 PAIR_TOL = 1e-8
 
 
@@ -89,6 +88,11 @@ _TOL_CAP = 1e-3
 # within 3.5e-4 of the is_symplectic bound and 8 of 1,004 mixed-state pairs are re-paired (99 at
 # 1e-13); at 1e-9 a gap of 1e-6 took 0.55 of the bound, and at 1e-8 it was refused.
 _TIE = 1e-12
+# _normal_form's Euler band, a share of tol = max(TOL_PHYS, err): a squeezing below it stays in o and moves S D S^T
+# by at most sqrt(2) / 8 tol ||cm||.  Over 3,000 states at seed 5 (N = 2..8, |r| <= 6, some modes unsqueezed) no
+# unsqueezed log sigma of F F^T strayed above 0.0022 tol, so none is taken for a squeezed one.
+_BAND_SHARE = 1.0 / 8.0
+_ORTHO_TOL = 1e-12  # _euler's Newton-Schulz steps stop once ||o_out^T o_out - I|| is below this
 
 
 def _check_magnitude(arr: np.ndarray, what: str) -> None:
@@ -133,7 +137,7 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
     values-only SVD of the real skew K = cm^{1/2} @ Omega @ cm^{1/2} gives
     each nu_k twice, and nu_k is the mean of its two copies.  Values in
     [1/2 - tol, 1/2) are set to 1/2.  No singular vectors are formed: only
-    :func:`williamson` and :func:`_congruence` need them.  ValueError unless cm is finite,
+    :func:`_congruence` needs them.  ValueError unless cm is finite,
     within :func:`_check_magnitude`, symmetric and has every eigenvalue >= 1e-12.
     """
     cm = np.asarray(cm, dtype=float)
@@ -204,11 +208,10 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
 class WilliamsonDecomposition:
     """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T.
 
-    ``residual`` is the reconstruction error ||S D S^T - cm|| (Frobenius),
-    at most TOL_RECON max(1, ||cm||).  ``symplectic_residual`` is
-    ||S Omega S^T - Omega||, below the :func:`is_symplectic` bound
-    TOL_SYMP max(1, ||S||^2); the reconstruction residual cannot see a wrong
-    pairing, because any orthogonal basis reconstructs cm.
+    ``residual`` is the reconstruction error ||S D S^T - cm|| (Frobenius), at most the
+    spectrum's tol max(TOL_PHYS, 2 n eps kappa) max(1, ||cm||).  ``symplectic_residual`` is
+    ||S Omega S^T - Omega||, below the :func:`is_symplectic` bound TOL_SYMP max(1, ||S||^2); the
+    reconstruction residual cannot see a wrong pairing, because any orthogonal basis reconstructs cm.
     """
 
     symplectic: np.ndarray
@@ -227,37 +230,43 @@ class WilliamsonDecomposition:
 def williamson(cm) -> WilliamsonDecomposition:
     """Williamson normal form of a positive-definite matrix, or of a GaussianState from its kept spectrum.
 
-    One SVD K = U diag(sigma) V^T of the real skew K = cm^{1/2} @ Omega @
-    cm^{1/2} (the matrix :func:`symplectic_eigenvalues` reads) gives the
-    canonical pairs: K v_j = sigma_j u_j with u_j orthogonal to v_j, so
-    (u_j, v_j) is a real canonical pair with u_j^T K v_j = sigma_j, and the
-    polar factor U V^T maps each v_j to u_j.  A simple nu is paired
-    directly; tied nu (every pure state is one tie) are paired by a pivoted
-    symplectic Gram-Schmidt (:func:`_canonical_pairs`).  The symplectic
-    factor is cm^{1/2} times the orthogonal basis of pairs, scaled by
-    nu^{-1/2}.  The symplectic eigenvalues, sorted descending, are exactly
-    those of :func:`symplectic_eigenvalues`.
+    S = o_out Z(r) o from :func:`_normal_form`, the extraction protocol's route: the Euler split of
+    S S^T, then the witness o of the free matrix that is left.  The symplectic eigenvalues, sorted
+    descending, are exactly those of :func:`symplectic_eigenvalues`.
 
     Raises:
-        ValueError: on near-singular input (min eigenvalue < 1e-12), if the
-            reconstruction residual exceeds TOL_RECON max(1, ||cm||) or if
-            the symplectic residual exceeds the :func:`is_symplectic` bound.
+        ValueError: on near-singular input (min eigenvalue < 1e-12), if the reconstruction residual
+            exceeds the tol validation reads nu with, max(TOL_PHYS, 2 n eps kappa) max(1, ||cm||),
+            or if the symplectic residual exceeds the :func:`is_symplectic` bound.
     """
     spec = getattr(cm, "_spectrum", None)  # a GaussianState keeps the spectrum its validation computed
     cm = np.asarray(cm if spec is None else cm.cm, dtype=float)
     spec = _spectrum(cm) if spec is None else spec
-    u, _, vt = np.linalg.svd(_skew(spec.root))
-    polar = u @ vt  # K = polar @ (K^T K)^{1/2}: a complex structure that commutes with K^T K
-    q = _canonical_pairs(vt.T, polar)
+    o_out, r, o = _normal_form(spec, cm)
+    s = (o_out * np.diag(squeezer_direct_sum(r))) @ o
     d = np.repeat(spec.nu, 2)
-    s = (spec.root @ q) * d**-0.5
     residual = float(np.linalg.norm((s * d) @ s.T - cm))
-    if residual > TOL_RECON * max(1.0, np.linalg.norm(cm)):
+    if residual > max(TOL_PHYS, spec.err) * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
     symplectic_residual, bound = _symplectic_residual(s)
     if symplectic_residual >= bound:
         raise ValueError(f"williamson symplectic residual {symplectic_residual:.3e} exceeds tolerance")
     return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
+
+
+def _normal_form(spec: _Spectrum, cm: np.ndarray):
+    """(o_out, r, o) with cm = S diag(nu) S^T for S = o_out Z(r) o, the one route to the Williamson form.
+
+    o_out and r are the :func:`_euler` split of S S^T = F F^T (:func:`_congruence`), the same for every factor S, up
+    to squeezings below _BAND_SHARE tol.  What is left, final = (o_out Z(-r))^T cm (o_out Z(-r)), is free: its
+    Omega-commuting part has each eigenvalue 2 nu_k on a plane Omega maps to itself, and one eigh of it, paired by
+    :func:`_canonical_pairs`, gives o.
+    """
+    o_out, r = _euler(_congruence(spec), _BAND_SHARE * max(TOL_PHYS, spec.err))
+    steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
+    final = steps.T @ cm @ steps
+    omega = symplectic_form(len(cm) // 2)
+    return o_out, r, _canonical_pairs(np.linalg.eigh(final + omega @ final @ omega.T)[1][:, ::-1])
 
 
 def _congruence(spec: _Spectrum) -> np.ndarray:
@@ -271,21 +280,19 @@ def _congruence(spec: _Spectrum) -> np.ndarray:
     return (spec.root @ vt.T) / np.sqrt(np.maximum(sv, spec.nu[-1]))  # each singular value is some nu_k up to rounding
 
 
-def _canonical_pairs(cand: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Orthonormal canonical pairs (a_k = j b_k, b_k) spanning the columns of ``cand``.
+def _canonical_pairs(cand: np.ndarray) -> np.ndarray:
+    """Orthonormal canonical pairs (a_k = Omega b_k, b_k) spanning the columns of ``cand``.
 
-    ``cand`` holds 2m orthonormal eigenvectors, two per eigenvalue, of a
-    symmetric operator that commutes with the complex structure ``j`` (skew
-    and orthogonal), in descending order of eigenvalue.  Each eigenspace is
-    then mapped to itself by j, so for a simple eigenvalue j c_2k lies in the
-    plane of c_2k and c_2k+1 and (j c_2k, c_2k) is the pair.  Where j c_2k
-    leaves that plane by more than _TIE the eigenvalue is tied, and the
-    candidates of all tied eigenvalues, whose span the direct pairs leave
-    free, go through a pivoted symplectic Gram-Schmidt: the candidate with
-    the largest residual becomes b, a = j b, and both are deflated from the
-    rest.  Returns the columns [a_1, b_1, ..., a_m, b_m]; pair k lies in the
-    eigenspace of candidates 2k and 2k + 1.
+    ``cand`` holds 2m orthonormal eigenvectors, two per eigenvalue, of a symmetric operator that
+    commutes with Omega, in descending order of eigenvalue.  Each eigenspace is then mapped to itself
+    by Omega, so for a simple eigenvalue Omega c_2k lies in the plane of c_2k and c_2k+1 and
+    (Omega c_2k, c_2k) is the pair.  Where Omega c_2k leaves that plane by more than _TIE the
+    eigenvalue is tied, and the candidates of all tied eigenvalues, whose span the direct pairs leave
+    free, go through a pivoted symplectic Gram-Schmidt: the candidate with the largest residual
+    becomes b, a = Omega b, and both are deflated from the rest.  Returns the columns
+    [a_1, b_1, ..., a_m, b_m]; pair k lies in the eigenspace of candidates 2k and 2k + 1.
     """
+    j = symplectic_form(len(cand) // 2)
     out = np.empty_like(cand)
     out[:, 1::2] = cand[:, 0::2]
     out[:, 0::2] = j @ cand[:, 0::2]
@@ -337,32 +344,38 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     s = np.asarray(s, dtype=float)
     if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
-    o_out, rs = _euler(s)
+    o_out, rs = _euler(s, PAIR_TOL)
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=squeezer_direct_sum(-rs) @ o_out.T @ s)
 
 
-def _euler(f: np.ndarray):
-    """(o_out, r) with sst = F F^T = o_out Z(2r) o_out^T: the outer passive and squeezings of every S with S S^T = sst.
+def _euler(f: np.ndarray, band: float):
+    """(o_out, r) with F F^T = o_out Z(2r) o_out^T: the outer passive and squeezings of every S with S S^T = F F^T.
 
-    Each eigenvector u of sst with sigma^2 > 1 is paired with -Omega u, which carries 1/sigma^2; the
-    eigenspace of sigma within PAIR_TOL of 1 is passive and :func:`_canonical_pairs` splits it, r = 0.
+    Of the n largest eigenvalues sigma^2 of F F^T, those with log sigma > ``band`` are squeezed, each eigenvector u
+    paired with -Omega u, which carries 1/sigma^2.  The 2(n - m) eigenvalues in between must lie within 2 band of 1
+    in log sigma (else ValueError); they are passive, r = 0, and :func:`_canonical_pairs` splits them.  eigh mixes a
+    sigma near 1 with its neighbours by about eps / log sigma, which leaves the columns that far from orthogonal;
+    Newton-Schulz steps o <- o (3 I - o^T o) / 2, which keep o commuting with Omega, take that out.
     """
     n = f.shape[0] // 2
     lam, v = np.linalg.eigh(f @ f.T)
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    squeeze = np.flatnonzero(sig > 1.0 + PAIR_TOL)
-    squeeze = squeeze[np.argsort(-sig[squeeze], kind="stable")]  # tied sigma keep eigh's column order
-    unit = np.flatnonzero(np.abs(sig - 1.0) <= PAIR_TOL)
-    m = squeeze.size
-    if 2 * m + unit.size != 2 * n:
+    log_sig = 0.5 * np.log(np.maximum(lam, np.finfo(float).tiny))
+    m = int(np.count_nonzero(log_sig[n:] > band))  # eigh sorts ascending, so these are the top m
+    if (np.abs(log_sig[m : 2 * n - m]) > 2.0 * band).any():
         raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")
+    squeeze = 2 * n - m + np.argsort(-log_sig[2 * n - m :], kind="stable")  # tied sigma keep eigh's column order
 
     o_out = np.empty((2 * n, 2 * n))
     o_out[:, 0 : 2 * m : 2] = v[:, squeeze]
     o_out[:, 1 : 2 * m : 2] = _times_omega(v[:, squeeze].T).T  # the partners -Omega u
-    if unit.size:
-        o_out[:, 2 * m :] = _canonical_pairs(v[:, unit], symplectic_form(n))
-    return o_out, np.log(np.concatenate([sig[squeeze], np.ones(n - m)]))  # r = 0 on the passive pairs
+    if m < n:
+        o_out[:, 2 * m :] = _canonical_pairs(v[:, m : 2 * n - m])
+    for _ in range(4):
+        gram = o_out.T @ o_out - np.eye(2 * n)
+        if np.linalg.norm(gram) <= _ORTHO_TOL:
+            break
+        o_out -= 0.5 * (o_out @ gram)
+    return o_out, np.concatenate([log_sig[squeeze], np.zeros(n - m)])  # r = 0 on the passive pairs
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .free import FreeCovariance, free_cm
 from .states import GaussianState, _bipartition, partial_trace
-from .symplectic import _canonical_pairs, _congruence, _euler, squeezer_direct_sum, symplectic_form
+from .symplectic import _normal_form
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class ExtractionProtocol:
     ``passive_step``, then squeeze each mode by ``squeezer_step`` (zero on passive
     pairs).  ``final_cm`` is ``free_cm(nu, O)`` with the state's nu and the witness
     O read from the steps' output, so O passes the same orthosymplectic check as
-    every other free covariance; the steps reach it within 2 n eps kappa(cm)
-    relative, and its energy drop equals the reported work.
+    every other free covariance; the steps reach it within tol ||cm||, tol the
+    one validation reads nu with, and its energy drop equals the reported work.
     """
 
     displacement_step: np.ndarray
@@ -53,12 +53,7 @@ class ExtractionProtocol:
 
 
 def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
-    o_out, r = _euler(_congruence(state._spectrum))  # from S S^T, the same for every Williamson factor S
-    steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
-    final = steps.T @ state.cm @ steps
-    # final is free; its Omega-commuting part has each eigenvalue 2 nu_k on planes Omega maps to itself.
-    omega = symplectic_form(state.n_modes)
-    witness = _canonical_pairs(np.linalg.eigh(final + omega @ final @ omega.T)[1][:, ::-1], omega)
+    o_out, r, witness = _normal_form(state._spectrum, state.cm)  # from S S^T, the same for every Williamson factor S
     report = extractable_work(state)
     return ExtractionProtocol(
         displacement_step=-state.displacement,

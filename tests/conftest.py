@@ -214,6 +214,20 @@ def schur_williamson(cm):
     return nu, root @ q[:, cols] @ np.diag(np.repeat(nu, 2) ** -0.5)
 
 
+def mp_williamson_sst(cm, dps=50):
+    """S S^T = cm^{1/2} (K^T K)^{-1/2} cm^{1/2} at ``dps`` digits, K = cm^{1/2} Omega cm^{1/2}: the same for every
+    Williamson factor S of the double ``cm``, read as exact.
+
+    Both roots come from ``mpmath.eigsy``, because ``mpmath.sqrtm`` does not converge at r ~ 6.
+    """
+    with mpmath.workdps(dps):
+        w, v = mpmath.eigsy(mpmath.matrix(cm.tolist()))
+        root = v * mpmath.diag([mpmath.sqrt(x) for x in w]) * v.T
+        k = root * mpmath.matrix(gw.symplectic_form(len(cm) // 2).tolist()) * root
+        w, v = mpmath.eigsy(k.T * k)  # eigenvalues nu_k^2, each twice
+        return np.array((root * v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T * root).tolist(), dtype=float)
+
+
 def expm_fock_from_gaussian(state: gw.GaussianState, dim):
     """Single-mode Fock density by ``scipy.linalg.expm`` of the squeezing,
     rotation and displacement generators in a padded space, then cropped."""

@@ -134,12 +134,22 @@ def test_decompose_command(capsys):
         sorted(record["outputs"]["bm_squeezing"], reverse=True), [0.7, 0.7], atol=1e-9
     )
     cm = gw.two_mode_squeezed(0.7).cm
-    assert 0.0 <= record["outputs"]["williamson_residual"] <= gw.symplectic.TOL_RECON * max(1.0, np.linalg.norm(cm))
+    assert 0.0 <= record["outputs"]["williamson_residual"] <= gw.symplectic.TOL_PHYS * max(1.0, np.linalg.norm(cm))
+
+
+def test_decompose_accepts_a_weak_squeezing(capsys):
+    # r = 5e-9 lies below eigh's resolution of the squeezed and unsqueezed eigenvectors of S S^T.
+    code, out, _ = run_cli(capsys, "decompose", "--state", "preset:squeezed:5e-9", "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    np.testing.assert_allclose(outputs["symplectic_eigenvalues"], [0.5], atol=1e-12)
+    assert outputs["williamson_residual"] <= gw.symplectic.TOL_PHYS
 
 
 def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
-    # Validation: one eigh of cm and one values-only SVD of K; Williamson: one SVD of K with
-    # vectors; bloch_messiah: one eigh of S S^T.  No complex solver, no second spectrum.
+    # Validation: one eigh of cm and one values-only SVD of K; Williamson: one SVD of K with vectors,
+    # one eigh of S S^T and one of the free remainder; bloch_messiah: one eigh of S S^T.  No complex
+    # solver, no second spectrum.
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         solver = getattr(np.linalg, name)
@@ -151,7 +161,10 @@ def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     code, _, _ = run_cli(capsys, "decompose", "--state", "preset:tms:0.5", "--json")
     assert code == 0
-    assert calls == [("eigh", False, True), ("svd", False, False), ("svd", False, True), ("eigh", False, True)]
+    assert calls == [
+        ("eigh", False, True), ("svd", False, False), ("svd", False, True),
+        ("eigh", False, True), ("eigh", False, True), ("eigh", False, True),
+    ]
 
 
 def test_decompose_emits_the_symplectic_residual(capsys):

@@ -367,6 +367,13 @@ def test_states_are_immutable():
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
         (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"indices \[5\] out of range for 2 modes"),
         (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
+        # The vacuum's nu reads 1/2 + 1.1e-16: pure by the rounding of nu, as relative_entropy reads it.
+        (lambda: gw.gibbs_matrix(gw.vacuum(1).cm), "^gibbs matrix undefined for pure symplectic eigenvalues$"),
+        (lambda: gw.gibbs_matrix(gw.tensor([gw.thermal(1.0), gw.vacuum(1)]).cm), "undefined for pure symplectic"),
+        (
+            lambda: gw.relative_entropy(gw.vacuum(1), gw.fock_number_state(1, 5)),
+            "^sigma must be a GaussianState, got FockDensity$",
+        ),
         (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
         (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
         (lambda: gw.vacuum(2.0), r"number of modes must be a positive integer, got 2\.0"),

@@ -146,7 +146,7 @@ def test_williamson_random_roundtrip():
         dec = gw.williamson(cm)
         assert np.linalg.norm(dec.reconstruct() - cm) < 1e-9
         assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - cm), rel=1e-6, abs=1e-15)
-        assert dec.residual <= gw.symplectic.TOL_RECON * max(1.0, np.linalg.norm(cm))
+        assert dec.residual <= gw.symplectic.TOL_PHYS * max(1.0, np.linalg.norm(cm))
         assert gw.is_symplectic(dec.symplectic)
         assert np.all(np.diff(dec.nu) <= 1e-12)
 
@@ -200,20 +200,21 @@ def test_williamson_symplectic_residual_is_within_the_is_symplectic_bound():
 
 
 def test_williamson_of_a_state_reuses_its_kept_spectrum(monkeypatch):
-    # The state's validation kept cm^{1/2} and nu: the factor needs only the SVD of K with vectors.
+    # The state's validation kept cm^{1/2} and nu: the factor needs the SVD of K with vectors, one eigh
+    # of S S^T for its Euler split and one eigh of the free remainder for the witness.
     state = gw.GaussianState(np.zeros(6), random_cm(np.random.default_rng(19), 3))
     ref = gw.williamson(state.cm)
     calls = []
-    svd = np.linalg.svd
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, kwargs.get("compute_uv", _name != "eigvalsh")))
+            return _solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, name, counted)
     dec = gw.williamson(state)
-    assert calls == [True]
+    assert calls == [("svd", True), ("eigh", True), ("eigh", True)]
     assert np.array_equal(dec.symplectic, ref.symplectic) and np.array_equal(dec.nu, ref.nu)
     assert (dec.residual, dec.symplectic_residual) == (ref.residual, ref.symplectic_residual)
 
@@ -223,8 +224,8 @@ def test_williamson_refuses_a_wrong_pairing(monkeypatch):
     # only the symplectic residual sees that the canonical form changed sign.
     pairs = gw.symplectic._canonical_pairs
 
-    def swapped(cand, j):
-        return pairs(cand, j)[:, np.arange(len(cand)) ^ 1]
+    def swapped(cand):
+        return pairs(cand)[:, np.arange(len(cand)) ^ 1]
 
     monkeypatch.setattr(gw.symplectic, "_canonical_pairs", swapped)
     with pytest.raises(ValueError, match="symplectic residual"):
@@ -387,8 +388,43 @@ def test_bloch_messiah_keeps_the_order_of_tied_squeezings():
 
 
 def test_williamson_refuses_a_reconstruction_residual_above_tolerance(monkeypatch):
-    cm = gw.two_mode_squeezed(0.7).cm
+    # A beam splitter between two modes of different nu keeps S symplectic but no longer reconstructs cm
+    # (two-mode squeezing would not show it: its nu are tied).
+    cm = gw.tensor([gw.thermal(1.0), gw.squeezed(0.3)]).cm
     assert gw.williamson(cm).residual > 0.0
-    monkeypatch.setattr(gw.symplectic, "TOL_RECON", 0.0)
+    normal_form = gw.symplectic._normal_form
+    mix = gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.BeamSplitter(0.4, (0, 1)),)))
+
+    def mixed(spec, cm):
+        o_out, r, o = normal_form(spec, cm)
+        return o_out, r, o @ mix
+
+    monkeypatch.setattr(gw.symplectic, "_normal_form", mixed)
     with pytest.raises(ValueError, match="reconstruction residual"):
         gw.williamson(cm)
+
+
+@pytest.mark.parametrize("r", [7e-10, 5e-9, 1e-8, 3e-8, 1e-6])
+def test_williamson_accepts_weak_squeezing(r):
+    """A squeezing too weak for eigh to tell its eigenvectors from an unsqueezed mode's is still split.
+
+    Alone, on a thermal mode, next to an unsqueezed mode, and mixed with one by interferometers: S D S^T
+    stays within the spectrum's tol of cm, S is symplectic, bloch_messiah takes S, and the extraction
+    protocol's steps reach its free matrix within the same tol.
+    """
+    rng = np.random.default_rng(23)
+    s = random_orthosymplectic(rng, 3) @ gw.squeezer_direct_sum([r, 0.0, 0.7]) @ random_orthosymplectic(rng, 3)
+    states = [
+        gw.squeezed(r),
+        gw.apply_gaussian_unitary(gw.thermal(1.0), gw.squeezer_direct_sum(r)),
+        gw.tensor([gw.thermal(1.0), gw.squeezed(r)]),
+    ] + [gw.GaussianState(np.zeros(6), (s * np.repeat(nu, 2)) @ s.T) for nu in ([1.3, 0.5, 0.9], [0.5] * 3)]
+    for state in states:
+        tol = max(gw.symplectic.TOL_PHYS, state._spectrum.err) * max(1.0, np.linalg.norm(state.cm))
+        dec = gw.williamson(state)
+        assert dec.residual <= 0.7 * tol
+        assert dec.symplectic_residual < 0.01 * gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(dec.symplectic) ** 2)
+        gw.bloch_messiah(dec.symplectic)
+        protocol = gw.extraction_protocol(state)
+        steps = protocol.passive_step.T * np.diag(gw.squeezer_direct_sum(protocol.squeezer_step))
+        assert np.linalg.norm(steps.T @ state.cm @ steps - protocol.final_cm.cm) <= tol
