@@ -196,22 +196,20 @@ def _cmd_relent(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    state = _state(args)
-    dec = gw.williamson(state)  # reuses the spectrum validation kept
-    bm = gw.bloch_messiah(dec.symplectic)
+    dec = gw.williamson(_state(args))  # reads the spectrum validation kept; its split is the Bloch-Messiah one
     return {
         "symplectic_eigenvalues": dec.nu.tolist(),
         "symplectic": dec.symplectic.tolist(),
-        "bm_o_out": bm.o_out.tolist(),
-        "bm_squeezing": bm.r.tolist(),
-        "bm_o_in": bm.o_in.tolist(),
+        "bm_o_out": dec.bloch_messiah.o_out.tolist(),
+        "bm_squeezing": dec.bloch_messiah.r.tolist(),
+        "bm_o_in": dec.bloch_messiah.o_in.tolist(),
         "williamson_residual": dec.residual,
         "symplectic_residual": dec.symplectic_residual,
     }
 
 
 def _cmd_freecheck(args) -> dict:
-    return asdict(gw.is_free_cm(_state(args).cm, tol_free=args.tol))
+    return asdict(gw.is_free_cm(_state(args).cm))
 
 
 def _cmd_channel(args) -> dict:
@@ -308,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("relent", _cmd_relent, "relative entropy between two Gaussian states")
     p.add_argument("--state2", required=True)
     command("decompose", _cmd_decompose, "Williamson and Bloch-Messiah decompositions")
-    p = command("freecheck", _cmd_freecheck, "spectral and structural freeness tests")
-    p.add_argument("--tol", type=float, default=1e-8)
+    command("freecheck", _cmd_freecheck, "spectral and structural freeness tests")
 
     p = command("channel", _cmd_channel, "thermal-loss channel (phase space or Fock Kraus)")
     p.add_argument("--eta", type=float, required=True, help="amplitude transmittance in (0, 1]")

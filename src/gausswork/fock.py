@@ -247,7 +247,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     k, _, _, lo, width, _ = _shift_layout(kraus.dim, kraus.max_mn, kraus.n_max)
     for b, a, w, stack in zip(k + lo, lo, width, kraus.stacks):  # input levels a.. land on b = a + k..
         out[b : b + w, b : b + w] += (stack.T @ stack) * rho.matrix[a : a + w, a : a + w]
-    support = np.real(np.diag(rho.matrix)) > 1e-12
+    support = np.real(np.diag(rho.matrix)) > 1e-12  # absolute: the diagonal of a trace-1 density holds probabilities
     gap = np.abs(1.0 - kraus.completeness[support])
     deficit = float(gap.max()) if gap.size else 0.0
     return FockDensity(_Fresh(out), dim=kraus.dim), deficit
@@ -282,7 +282,7 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
     cm_ab = state.cm[np.ix_(ia, ib)]
     cm_bb = state.cm[np.ix_(ib, ib)]
     lam, vec = np.linalg.eigh(cm_bb + gamma_meas)  # positive definite: lam[-1] / lam[0] is its condition number
-    if lam[-1] > 1e12 * lam[0]:
+    if lam[-1] > 1e12 * lam[0]:  # kappa is scale-free, so a fixed bound is relative: eps kappa stays below 2.3e-4
         raise ValueError("measured block plus outcome covariance is ill-conditioned")
     gain = cm_ab @ ((vec / lam) @ vec.T)
     cm_new = cm_aa - gain @ cm_ab.T

@@ -2,8 +2,8 @@
 
 A covariance matrix is free when it equals O @ diag(nu_1, nu_1, ...) @ O.T
 for an orthosymplectic O and nu_i >= 1/2.  Equivalently (and this is the
-authoritative test) its trace equals its symplectic trace.  The necessary
-structural form -- diagonal 2x2 blocks proportional to the identity,
+authoritative test) its trace equals its symplectic trace, up to rounding.  The
+necessary structural form -- diagonal 2x2 blocks proportional to the identity,
 off-diagonal blocks R with R R^T prop. to I -- is reported separately: it is
 not sufficient (the two-mode squeezed covariance satisfies it yet is not free).
 With J = omega, a block B is the scaled rotation (B + J B J^T) / 2 plus the
@@ -19,7 +19,10 @@ import numpy as np
 
 from .symplectic import is_orthosymplectic, require_valid_cm
 
-TOL_FREE = 1e-8
+# Over 123,000 exactly free free_cm(nu, O) (N = 1..8, nu - 1/2 in {0} and log-uniform on [1e-16, 1e9], random O,
+# seeds 17-19) |Tr cm - 2 sum nu| reached 2.9 n eps Tr cm (n = 2N), so 8 leaves a margin of more than 2; the
+# structural residuals reached 0.19 n eps Tr cm on 23,000 of them (seeds 17, 18).
+_FREE_FACTOR = 8.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,28 +64,24 @@ class FreenessReport:
     gap: float
 
 
-def is_free_cm(cm: np.ndarray, tol_free: float = TOL_FREE) -> FreenessReport:
-    """Test freeness of a covariance matrix.
+def is_free_cm(cm: np.ndarray) -> FreenessReport:
+    """Test freeness of a covariance matrix against its own rounding.
 
-    ``spectral_free`` compares trace against symplectic trace (scale-relative
-    tolerance); ``structural_form`` checks the block structure, a necessary
-    condition only.  ``tol_free`` must be positive and finite.
+    ``spectral_free`` holds iff the gap Tr cm - 2 sum nu is at most
+    tol = _FREE_FACTOR n eps Tr cm (n = 2N); ``structural_form`` checks the
+    block structure, a necessary condition only, each block residual below tol.
     """
-    if not 0.0 < tol_free < np.inf:
-        raise ValueError(f"freeness tolerance must be positive and finite, got {tol_free}")
     cm = np.asarray(cm, dtype=float)
     trace = float(np.trace(cm))
     gap = trace - 2.0 * float(np.sum(require_valid_cm(cm).nu))
-    tol_eff = tol_free * max(1.0, trace)
-    spectral = bool(gap < tol_eff)
-
+    tol = _FREE_FACTOR * len(cm) * np.finfo(float).eps * trace
     n = cm.shape[0] // 2
     blocks = cm.reshape(n, 2, n, 2).swapaxes(1, 2)
     conj = blocks[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])  # J B J^T with J = omega
     rot = 0.5 * np.linalg.norm(blocks + conj, axis=(2, 3))
     refl = 0.5 * np.linalg.norm(blocks - conj, axis=(2, 3))
-    structural = bool(np.all(np.where(np.eye(n, dtype=bool), refl, np.minimum(rot, refl)) < tol_eff))
-    return FreenessReport(spectral_free=spectral, structural_form=structural, gap=gap)
+    structural = bool(np.all(np.where(np.eye(n, dtype=bool), refl, np.minimum(rot, refl)) < tol))
+    return FreenessReport(spectral_free=bool(gap <= tol), structural_form=structural, gap=gap)
 
 
 def convex_combine(weights, cms) -> np.ndarray:

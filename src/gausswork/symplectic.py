@@ -16,7 +16,6 @@ import numpy as np
 
 TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
-PAIR_TOL = 1e-8
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -87,12 +86,12 @@ _TOL_CAP = 1e-3
 # spectra of the tests and spectra with gaps 1e-4..1e-12: at 1e-12 the symplectic residual stays
 # within 3.5e-4 of the is_symplectic bound and 8 of 1,004 mixed-state pairs are re-paired (99 at
 # 1e-13); at 1e-9 a gap of 1e-6 took 0.55 of the bound, and at 1e-8 it was refused.
+# The leak is the sine of an angle between unit vectors, so a fixed value is already scale-free.
 _TIE = 1e-12
 # _normal_form's Euler band, a share of tol = max(TOL_PHYS, err): a squeezing below it stays in o and moves S D S^T
 # by at most sqrt(2) / 8 tol ||cm||.  Over 3,000 states at seed 5 (N = 2..8, |r| <= 6, some modes unsqueezed) no
 # unsqueezed log sigma of F F^T strayed above 0.0022 tol, so none is taken for a squeezed one.
 _BAND_SHARE = 1.0 / 8.0
-_ORTHO_TOL = 1e-12  # _euler's Newton-Schulz steps stop once ||o_out^T o_out - I|| is below this
 
 
 def _check_magnitude(arr: np.ndarray, what: str) -> None:
@@ -205,6 +204,19 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class BlochMessiahDecomposition:
+    """S = o_out @ squeezer_direct_sum(r) @ o_in, r >= 0 descending; o_out and o_in passive, o_in of a bare S within
+    the bound :func:`bloch_messiah` states."""
+
+    o_out: np.ndarray
+    r: np.ndarray
+    o_in: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.o_out * np.diag(squeezer_direct_sum(self.r))) @ self.o_in
+
+
+@dataclass(frozen=True, eq=False)
 class WilliamsonDecomposition:
     """Factorisation cm = S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T.
 
@@ -212,19 +224,17 @@ class WilliamsonDecomposition:
     spectrum's tol max(TOL_PHYS, 2 n eps kappa) max(1, ||cm||).  ``symplectic_residual`` is
     ||S Omega S^T - Omega||, below the :func:`is_symplectic` bound TOL_SYMP max(1, ||S||^2); the
     reconstruction residual cannot see a wrong pairing, because any orthogonal basis reconstructs cm.
+    ``bloch_messiah`` is the split S = o_out Z(r) o that S was built from, both passive factors orthosymplectic.
     """
 
     symplectic: np.ndarray
     nu: np.ndarray
     residual: float
     symplectic_residual: float
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nu, 2))
+    bloch_messiah: BlochMessiahDecomposition
 
     def reconstruct(self) -> np.ndarray:
-        return self.symplectic @ self.diagonal @ self.symplectic.T
+        return (self.symplectic * np.repeat(self.nu, 2)) @ self.symplectic.T
 
 
 def williamson(cm) -> WilliamsonDecomposition:
@@ -242,16 +252,15 @@ def williamson(cm) -> WilliamsonDecomposition:
     spec = getattr(cm, "_spectrum", None)  # a GaussianState keeps the spectrum its validation computed
     cm = np.asarray(cm if spec is None else cm.cm, dtype=float)
     spec = _spectrum(cm) if spec is None else spec
-    o_out, r, o = _normal_form(spec, cm)
-    s = (o_out * np.diag(squeezer_direct_sum(r))) @ o
-    d = np.repeat(spec.nu, 2)
-    residual = float(np.linalg.norm((s * d) @ s.T - cm))
+    split = BlochMessiahDecomposition(*_normal_form(spec, cm))
+    s = split.reconstruct()
+    residual = float(np.linalg.norm((s * np.repeat(spec.nu, 2)) @ s.T - cm))
     if residual > max(TOL_PHYS, spec.err) * max(1.0, np.linalg.norm(cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
     symplectic_residual, bound = _symplectic_residual(s)
     if symplectic_residual >= bound:
         raise ValueError(f"williamson symplectic residual {symplectic_residual:.3e} exceeds tolerance")
-    return WilliamsonDecomposition(symplectic=s, nu=spec.nu, residual=residual, symplectic_residual=symplectic_residual)
+    return WilliamsonDecomposition(s, spec.nu, residual, symplectic_residual, split)
 
 
 def _normal_form(spec: _Spectrum, cm: np.ndarray):
@@ -318,24 +327,15 @@ def _canonical_pairs(cand: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BlochMessiahDecomposition:
-    """Factorisation S = o_out @ squeezer_direct_sum(r) @ o_in.
-
-    Both ``o_out`` and ``o_in`` are orthogonal symplectic (passive) and the
-    squeezing parameters ``r`` are nonnegative, sorted descending.
-    """
-
-    o_out: np.ndarray
-    r: np.ndarray
-    o_in: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.o_out @ squeezer_direct_sum(self.r) @ self.o_in
-
-
 def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
-    """Bloch-Messiah (Euler) decomposition of a symplectic matrix: :func:`_euler` of S, o_in = Z(-r) o_out^T S.
+    """Bloch-Messiah (Euler) decomposition of a bare symplectic matrix: :func:`_euler` of S, o_in = Z(-r) o_out^T S.
+
+    A squeezing within the rounding of S S^T, log sigma <= 4 n eps max(1, ||S||^2) with n = 2N, reads r = 0: on 6,000
+    Williamson factors (seeds 5 and 6, N <= 8, each mode unsqueezed, squeezed by 1e-10..1e-6 or by up to 6 or 2) no
+    unsqueezed |log sigma| passed 0.25 n eps ||S||^2, a margin of 16.  Forming o_in amplifies o_out's rounding by
+    ||S||^2: ||o_in o_in^T - I|| <= 100 n eps max(1, ||S||^2), above TOL_SYMP at strong squeezing (at most 25 over
+    3,000 Williamson factors with N <= 8, |r| <= 6; README "Numerical range").  The split a
+    :class:`WilliamsonDecomposition` carries has an orthosymplectic o_in at every squeezing.
 
     Raises:
         ValueError: if the input is not symplectic within TOL_SYMP or
@@ -344,7 +344,7 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
     s = np.asarray(s, dtype=float)
     if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
-    o_out, rs = _euler(s, PAIR_TOL)
+    o_out, rs = _euler(s, 4.0 * len(s) * np.finfo(float).eps * max(1.0, np.linalg.norm(s) ** 2))
     return BlochMessiahDecomposition(o_out=o_out, r=rs, o_in=squeezer_direct_sum(-rs) @ o_out.T @ s)
 
 
@@ -355,7 +355,9 @@ def _euler(f: np.ndarray, band: float):
     paired with -Omega u, which carries 1/sigma^2.  The 2(n - m) eigenvalues in between must lie within 2 band of 1
     in log sigma (else ValueError); they are passive, r = 0, and :func:`_canonical_pairs` splits them.  eigh mixes a
     sigma near 1 with its neighbours by about eps / log sigma, which leaves the columns that far from orthogonal;
-    Newton-Schulz steps o <- o (3 I - o^T o) / 2, which keep o commuting with Omega, take that out.
+    Newton-Schulz steps o <- o (3 I - o^T o) / 2, which keep o commuting with Omega, take that out down to rounding,
+    8 n eps, as on the 6,000 factors of :func:`bloch_messiah` within 4 steps.  An o they leave off orthogonal by
+    TOL_SYMP paired a squeezed u with a squeezed -Omega u (ValueError).
     """
     n = f.shape[0] // 2
     lam, v = np.linalg.eigh(f @ f.T)
@@ -372,9 +374,12 @@ def _euler(f: np.ndarray, band: float):
         o_out[:, 2 * m :] = _canonical_pairs(v[:, m : 2 * n - m])
     for _ in range(4):
         gram = o_out.T @ o_out - np.eye(2 * n)
-        if np.linalg.norm(gram) <= _ORTHO_TOL:
+        if np.linalg.norm(gram) <= 8.0 * n * np.finfo(float).eps:
             break
         o_out -= 0.5 * (o_out @ gram)
+    else:  # a squeezed u whose partner is squeezed too leaves o_out rank-deficient, which no step repairs
+        if np.linalg.norm(o_out.T @ o_out - np.eye(2 * n)) >= TOL_SYMP:
+            raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")
     return o_out, np.concatenate([log_sig[squeeze], np.zeros(n - m)])  # r = 0 on the passive pairs
 
 

@@ -138,17 +138,20 @@ def test_decompose_command(capsys):
 
 
 def test_decompose_accepts_a_weak_squeezing(capsys):
-    # r = 5e-9 lies below eigh's resolution of the squeezed and unsqueezed eigenvectors of S S^T.
+    # r = 5e-9 lies below eigh's resolution of the squeezed and unsqueezed eigenvectors of S S^T.  The split
+    # printed is the one S was built from, so it reads r and leaves no squeezing in bm_o_in.
     code, out, _ = run_cli(capsys, "decompose", "--state", "preset:squeezed:5e-9", "--json")
     assert code == 0
     outputs = json.loads(out)["outputs"]
     np.testing.assert_allclose(outputs["symplectic_eigenvalues"], [0.5], atol=1e-12)
     assert outputs["williamson_residual"] <= gw.symplectic.TOL_PHYS
+    np.testing.assert_allclose(outputs["bm_squeezing"], [5e-9], rtol=0, atol=1e-15)
+    assert gw.is_orthosymplectic(np.array(outputs["bm_o_in"]))
 
 
 def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
     # Validation: one eigh of cm and one values-only SVD of K; Williamson: one SVD of K with vectors,
-    # one eigh of S S^T and one of the free remainder; bloch_messiah: one eigh of S S^T.  No complex
+    # one eigh of S S^T and one of the free remainder, whose split is the Bloch-Messiah one.  No complex
     # solver, no second spectrum.
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
@@ -163,7 +166,7 @@ def test_decompose_reuses_the_validated_spectrum(capsys, monkeypatch):
     assert code == 0
     assert calls == [
         ("eigh", False, True), ("svd", False, False), ("svd", False, True),
-        ("eigh", False, True), ("eigh", False, True), ("eigh", False, True),
+        ("eigh", False, True), ("eigh", False, True),
     ]
 
 
@@ -384,10 +387,9 @@ def test_uncertified_activity_prints_its_record_and_exits_3(capsys, monkeypatch)
     "argv, extra",
     [
         (["channel", "--state", "preset:thermal:1", "--eta", "0.8"], ["--kraus"]),
-        (["freecheck", "--state", "preset:thermal:2"], ["--tol", "1e-3"]),
         (["work", "--state", "preset:tms:0.5"], ["--fock-dim", "30"]),
     ],
-    ids=["kraus", "tol", "fock-dim"],
+    ids=["kraus", "fock-dim"],
 )
 def test_inputs_digest_covers_every_parsed_argument(capsys, argv, extra):
     assert record_of(capsys, *argv)["inputs_digest"] != record_of(capsys, *argv, *extra)["inputs_digest"]
@@ -568,13 +570,6 @@ def test_sweep_refuses_a_count_below_one(capsys, count):
     code, out, err = run_cli(capsys, "sweep", f"--count={count}", "--json")
     assert (code, out) == (cli.EXIT_INVALID, "")
     assert err == f"error: --count must be at least 1, got {count}\n"
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1e-8", "0", "inf"])
-def test_freecheck_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
-    code, out, err = run_cli(capsys, "freecheck", "--state", "preset:thermal:2", f"--tol={tol}", "--json")
-    assert (code, out) == (cli.EXIT_INVALID, "")
-    assert "freeness tolerance must be positive and finite" in err
 
 
 def test_json_records_are_deterministic(capsys):

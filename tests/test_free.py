@@ -65,13 +65,6 @@ def test_is_free_cm_rejects_invalid():
         gw.is_free_cm(0.3 * np.eye(2))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-8, 0.0, float("inf")])
-def test_is_free_cm_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
-    # A NaN tolerance used to call a thermal state neither spectrally nor structurally free.
-    with pytest.raises(ValueError, match="freeness tolerance must be positive and finite"):
-        gw.is_free_cm(1.5 * np.eye(2), tol_free=tol)
-
-
 def test_convex_combine_trivial_weights():
     rng = np.random.default_rng(32)
     a, b = random_cm(rng, 2), random_cm(rng, 2)
@@ -174,6 +167,30 @@ def test_structural_form_holds_on_bright_free_states(nbar):
         circuit = gw.PassiveCircuit(2, (gw.BeamSplitter(theta, (0, 1)), gw.PhaseShifter(0.3 * theta, 0)))
         report = gw.is_free_cm(gw.apply_gaussian_unitary(dark_bright, gw.compile_passive_circuit(circuit)).cm)
         assert report.spectral_free and report.structural_form, theta
+
+
+def _squeezed_thermal(nbar, r):
+    return gw.apply_gaussian_unitary(gw.thermal(nbar), gw.squeezer_direct_sum(r)).cm
+
+
+def _bright_split(nbar):
+    circuit = gw.PassiveCircuit(2, (gw.BeamSplitter(0.7, (0, 1)), gw.PhaseShifter(0.3, 0)))
+    dark_bright = gw.tensor([gw.thermal(nbar), gw.vacuum(1)])
+    return gw.apply_gaussian_unitary(dark_bright, gw.compile_passive_circuit(circuit)).cm
+
+
+@pytest.mark.parametrize(
+    "cm, free",
+    [
+        (gw.squeezed(1e-7).cm, False),  # gap 2e-14 = 2 W, above the bound 3.6e-15
+        (gw.squeezed(1e-8).cm, True),  # gap 2.2e-16, one rounding of Tr cm
+        (_squeezed_thermal(1e6, 1e-6), False),  # W = 2.0e-6; a fixed 1e-8 relative tolerance called it free
+        (_bright_split(1e12), True),  # exactly free: a rounding gap of 2.4e-4 against a bound of 1.4e-2
+    ],
+    ids=["squeezed-1e-7", "squeezed-1e-8", "bright-squeezed", "bright-free"],
+)
+def test_freeness_verdict_is_the_gap_against_its_own_rounding(cm, free):
+    assert gw.is_free_cm(cm).spectral_free is free
 
 
 def test_structural_form_refuses_a_block_that_mixes_rotation_and_reflection():

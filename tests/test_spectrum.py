@@ -9,6 +9,7 @@ follow the physicality tolerance max(1e-9, 2 n eps kappa(cm)), n = 2N (its
 
 import ast
 import inspect
+import math
 import textwrap
 
 import numpy as np
@@ -39,15 +40,20 @@ def _pure(rs, seed):
     return rng, gw.GaussianState(rng.normal(size=2 * n), 0.5 * (cm + cm.T))
 
 
-def _mixed(squeezing_and_nu, seed):
-    """Displaced O1 Z(r) O2 diag(nu) with Haar-random passive O1, O2; None when GaussianState refuses it."""
+def _mixed_moments(squeezing_and_nu, seed):
+    """(d, cm) of a displaced O1 Z(r) O2 diag(nu) with Haar-random passive O1, O2."""
     rs, nu = squeezing_and_nu
     rng = np.random.default_rng(seed)
     n = len(rs)
     s = random_orthosymplectic(rng, n) @ gw.squeezer_direct_sum(rs) @ random_orthosymplectic(rng, n)
     cm = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    return rng.normal(size=2 * n), 0.5 * (cm + cm.T)
+
+
+def _mixed(squeezing_and_nu, seed):
+    """The GaussianState of :func:`_mixed_moments`; None when GaussianState refuses it."""
     try:
-        return gw.GaussianState(rng.normal(size=2 * n), 0.5 * (cm + cm.T))
+        return gw.GaussianState(*_mixed_moments(squeezing_and_nu, seed))
     except ValueError:
         return None
 
@@ -130,6 +136,27 @@ def test_protocol_accepts_every_accepted_state_and_ends_free(case):
     state = _mixed(*case)
     if state is not None:
         check_protocol(state)
+
+
+@property_settings
+@given(case=mixed_states)
+def test_every_layer_a_state_feeds_accepts_the_states_validation_accepts(case):
+    # GaussianState refuses what validate_cm calls invalid, and every layer takes what it accepts: the Williamson
+    # form of the cm and of the state, with its split orthosymplectic, bloch_messiah of the factor, the protocol,
+    # the freeness check, the activity and the relative entropy to a thermal reference.
+    d, cm = _mixed_moments(*case)
+    state = _mixed(*case)
+    assert (state is not None) == gw.validate_cm(cm).valid
+    if state is None:
+        return
+    gw.symplectic_eigenvalues(cm)
+    for dec in (gw.williamson(cm), gw.williamson(state)):
+        assert gw.is_orthosymplectic(dec.bloch_messiah.o_out) and gw.is_orthosymplectic(dec.bloch_messiah.o_in)
+        gw.bloch_messiah(dec.symplectic)
+    gw.extraction_protocol(state)
+    gw.is_free_cm(cm)
+    gw.local_activity(state)
+    assert math.isfinite(gw.relative_entropy(state, _reference(state)))
 
 
 @pytest.mark.parametrize("nu_max", [0.5, 3.0], ids=["pure", "mixed"])

@@ -412,6 +412,12 @@ def test_states_are_immutable():
             lambda: gw.bloch_messiah(np.diag([1e3, 1e-3, 1 - 1e-6, 1 - 1e-6])),
             r"^singular values do not pair as \(sigma, 1/sigma\); not symplectic\?$",
         ),
+        # Passes is_symplectic (residual 2.8e-11 against 1e-10); x1 and p1 both read 1 + 1e-11, above the band, and
+        # pairing each with the other left o_out of rank 2 and a reconstruction that was not S.
+        (
+            lambda: gw.bloch_messiah(np.diag([1 + 1e-11, 1 + 1e-11, 1.0, 1.0])),
+            r"^singular values do not pair as \(sigma, 1/sigma\); not symplectic\?$",
+        ),
         (lambda: gw.is_symplectic(np.ones((2, 4))), r"^symplectic candidate must be a square matrix, got shape \(2, 4"),
         (lambda: gw.unitary_to_orthosymplectic(np.ones((1, 2))), r"^unitary must be square, got shape \(1, 2\)$"),
         (

@@ -409,8 +409,9 @@ def test_williamson_accepts_weak_squeezing(r):
     """A squeezing too weak for eigh to tell its eigenvectors from an unsqueezed mode's is still split.
 
     Alone, on a thermal mode, next to an unsqueezed mode, and mixed with one by interferometers: S D S^T
-    stays within the spectrum's tol of cm, S is symplectic, bloch_messiah takes S, and the extraction
-    protocol's steps reach its free matrix within the same tol.
+    stays within the spectrum's tol of cm, S is symplectic, its split reads r within 1e-15 with both
+    passive factors orthosymplectic, bloch_messiah takes S and gives an orthosymplectic o_in, and the
+    extraction protocol's steps reach its free matrix within the same tol.
     """
     rng = np.random.default_rng(23)
     s = random_orthosymplectic(rng, 3) @ gw.squeezer_direct_sum([r, 0.0, 0.7]) @ random_orthosymplectic(rng, 3)
@@ -419,12 +420,45 @@ def test_williamson_accepts_weak_squeezing(r):
         gw.apply_gaussian_unitary(gw.thermal(1.0), gw.squeezer_direct_sum(r)),
         gw.tensor([gw.thermal(1.0), gw.squeezed(r)]),
     ] + [gw.GaussianState(np.zeros(6), (s * np.repeat(nu, 2)) @ s.T) for nu in ([1.3, 0.5, 0.9], [0.5] * 3)]
-    for state in states:
+    truths = [[r], [r], [r, 0.0], [0.7, r, 0.0], [0.7, r, 0.0]]
+    for state, truth in zip(states, truths):
         tol = max(gw.symplectic.TOL_PHYS, state._spectrum.err) * max(1.0, np.linalg.norm(state.cm))
         dec = gw.williamson(state)
         assert dec.residual <= 0.7 * tol
         assert dec.symplectic_residual < 0.01 * gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(dec.symplectic) ** 2)
-        gw.bloch_messiah(dec.symplectic)
+        np.testing.assert_allclose(dec.bloch_messiah.r, truth, rtol=0, atol=1e-15)
+        assert gw.is_orthosymplectic(dec.bloch_messiah.o_out) and gw.is_orthosymplectic(dec.bloch_messiah.o_in)
+        assert gw.is_orthosymplectic(gw.bloch_messiah(dec.symplectic).o_in)
         protocol = gw.extraction_protocol(state)
         steps = protocol.passive_step.T * np.diag(gw.squeezer_direct_sum(protocol.squeezer_step))
         assert np.linalg.norm(steps.T @ state.cm @ steps - protocol.final_cm.cm) <= tol
+
+
+@pytest.mark.parametrize("r", [2e-10, 1e-9, 5e-9])
+def test_bloch_messiah_splits_a_squeezing_above_its_own_rounding(r):
+    # The band is the rounding of S, 4 n eps max(1, ||S||^2), about 3.6e-15 here; a fixed band of 1e-8 left these
+    # squeezings in o_in, which was then 2.8 r off orthogonal.
+    bm = gw.bloch_messiah(gw.squeezer_direct_sum(r))
+    np.testing.assert_allclose(bm.r, [r], rtol=0, atol=1e-15)
+    assert gw.is_orthosymplectic(bm.o_in)
+
+
+def test_bloch_messiah_refuses_or_rebuilds_a_matrix_symplectic_only_within_tolerance():
+    # S0 (I + E) with E scaled to a share 1e-4..1 of the is_symplectic bound: a random, a diagonal or a one-mode
+    # isotropic defect on weak, strong or no squeezing.  Without the pairing check 583 of 3,000 such splits (seed 1)
+    # returned an o_out off orthogonal or a reconstruction that was not S.
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        weak = np.where(rng.random(n) < 0.5, 10 ** rng.uniform(-12, -6, n), rng.uniform(-4, 4, n))
+        s0 = random_orthosymplectic(rng, n) @ gw.squeezer_direct_sum(np.where(rng.random(n) < 0.4, 0.0, weak))
+        e = [rng.normal(size=(2 * n, 2 * n)), np.diag(rng.normal(size=2 * n)), np.diag(np.eye(n)[0].repeat(2))]
+        e = e[rng.integers(3)]
+        residual, bound = gw.symplectic._symplectic_residual(s0 @ (np.eye(2 * n) + e))
+        s = s0 @ (np.eye(2 * n) + 10 ** rng.uniform(-4, 0) * bound / residual * e)
+        try:
+            bm = gw.bloch_messiah(s)
+        except ValueError:
+            continue
+        assert gw.is_orthosymplectic(bm.o_out)
+        assert np.linalg.norm(bm.reconstruct() - s) <= gw.symplectic.TOL_SYMP * max(1.0, np.linalg.norm(s))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -86,9 +87,10 @@ def test_protocol_refuses_nothing_at_strong_squeezing(capsys):
     """README "Numerical range": 600 states O1 Z(r) O2 diag(nu) with |r| <= 6, nu per mode from {1/2, 1, 3}.
 
     Every layer accepts each one: the protocol, whose witness is orthosymplectic, `williamson` on the
-    protocol's route, `bloch_messiah` of its factor, the activity, the freeness check and the relative
-    entropy to a thermal reference.  On every 30th state `decompose --json` exits 0, and S S^T matches
-    the 50-digit oracle within the rounding of nu.
+    protocol's route, whose split has orthosymplectic passive factors and rebuilds its factor, `bloch_messiah`
+    of that factor, with o_in within its stated 100 n eps ||S||^2 of orthogonal, the activity, the freeness
+    check and the relative entropy to a thermal reference.  On every 30th state `decompose --json` exits 0
+    with an orthosymplectic `bm_o_in`, and S S^T matches the 50-digit oracle within the rounding of nu.
     """
     rng = np.random.default_rng(11)
     for i in range(600):
@@ -101,7 +103,12 @@ def test_protocol_refuses_nothing_at_strong_squeezing(capsys):
         protocol = gw.extraction_protocol(state)
         assert gw.is_orthosymplectic(protocol.final_cm.passive)
         dec = gw.williamson(state)
-        gw.bloch_messiah(dec.symplectic)
+        split = dec.bloch_messiah
+        assert gw.is_orthosymplectic(split.o_out) and gw.is_orthosymplectic(split.o_in)
+        np.testing.assert_array_equal(split.reconstruct(), dec.symplectic)
+        bare = gw.bloch_messiah(dec.symplectic).o_in
+        bound = 100 * 2 * n * np.finfo(float).eps * max(1.0, np.linalg.norm(dec.symplectic) ** 2)
+        assert np.linalg.norm(bare @ bare.T - np.eye(2 * n)) <= bound
         gw.local_activity(state)
         gw.is_free_cm(state.cm)
         reference = gw.GaussianState(np.zeros(2 * n), np.diag(np.repeat(gw.mean_photon_numbers(state) + 1.5, 2)))
@@ -111,7 +118,7 @@ def test_protocol_refuses_nothing_at_strong_squeezing(capsys):
             sst = dec.symplectic @ dec.symplectic.T
             assert np.linalg.norm(sst - oracle) <= state._spectrum.err * np.linalg.norm(oracle)
             assert cli.main(["decompose", "--state", cli.serialize_state(state), "--json"]) == 0
-    capsys.readouterr()
+            assert gw.is_orthosymplectic(np.array(json.loads(capsys.readouterr().out)["outputs"]["bm_o_in"]))
 
 
 def test_protocol_final_cm_is_free_cm_of_its_own_witness():
