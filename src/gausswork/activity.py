@@ -49,11 +49,9 @@ class ActivityReport:
 
 def photon_overlap_matrix(state) -> np.ndarray:
     """Hermitian N x N matrix of mode overlaps <a_i^dag a_j>, displacement included (of rho / Tr rho if Fock)."""
-    d, cm = _moments(state)
-    qq = cm[0::2, 0::2]
-    pp = cm[1::2, 1::2]
-    qp = cm[0::2, 1::2]
-    pq = cm[1::2, 0::2]
+    g = _moments(state)
+    d, cm = g.displacement, g.cm
+    qq, pp, qp, pq = cm[0::2, 0::2], cm[1::2, 1::2], cm[0::2, 1::2], cm[1::2, 0::2]
     amp = (d[0::2] + 1j * d[1::2]) / math.sqrt(2.0)
     n = state.n_modes
     return 0.5 * (qq + pp + 1j * (qp - pq)) - 0.5 * np.eye(n) + np.outer(np.conj(amp), amp)
@@ -106,13 +104,14 @@ def local_activity(state) -> ActivityReport:
     )
 
 
-def gaussian_coherence(state: GaussianState) -> float:
-    """Relative entropy of coherence sum_i [g(n_i + 1/2) - g(nu_i)].
+def gaussian_coherence(state) -> float:
+    """Relative entropy of coherence sum_i g(n_i + 1/2) - S(rho) of a GaussianState or FockDensity.
 
-    Coincides with the activity for one mode and upper-bounds it in general.
+    It is S(rho || tau) for the thermal product tau with rho's photon numbers n_i, for any state.  Coincides with
+    the activity for one mode and upper-bounds it in general.
     """
     occ = mean_photon_numbers(state) + 0.5
-    return float(np.sum(thermal_entropy(occ)) - np.sum(thermal_entropy(state._spectrum.nu)))
+    return float(np.sum(thermal_entropy(occ)) - von_neumann_entropy(state))
 
 
 def relaxed_subadditivity_gap(state: GaussianState, modes_a, modes_b=None) -> float:

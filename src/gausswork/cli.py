@@ -120,25 +120,12 @@ def parse_state(text: str, fock_dim: int = 40, document=None):
         raise StateValidationError(str(exc)) from exc
 
 
-def serialize_state(state: "gw.GaussianState") -> str:
-    return json.dumps(
-        {
-            "modes": state.n_modes,
-            "displacement": state.displacement.tolist(),
-            "covariance": state.cm.reshape(-1).tolist(),
-        }
-    )
-
-
-def _state(args, key="state", gaussian=True):
-    """Parse the state argument ``key``, refusing a non-Gaussian state if ``gaussian``."""
+def _state(args, key="state"):
+    """Parse the state argument ``key``; each command refuses what its library call refuses."""
     text = getattr(args, key)
     document = _file_document(text)  # read once: the digest covers a state file as its name and the text parsed
     setattr(args, key, text if document is None else (text, document))
-    state = parse_state(text, args.fock_dim, document)
-    if gaussian and not isinstance(state, gw.GaussianState):
-        raise StateValidationError(f"{args.command} command expects a Gaussian state")
-    return state
+    return parse_state(text, args.fock_dim, document)
 
 
 def _emit(args, outputs: dict):
@@ -167,18 +154,13 @@ def _emit(args, outputs: dict):
 
 
 def _cmd_activity(args) -> dict:
-    state = _state(args, gaussian=False)
+    state = _state(args)
     report = gw.local_activity(state)
-    outputs = {"activity": report.value, "certified": report.certified}
-    if isinstance(state, gw.GaussianState):
-        outputs["coherence"] = gw.gaussian_coherence(state)
-    else:
+    outputs = {"activity": report.value, "certified": report.certified, "coherence": gw.gaussian_coherence(state),
+               "b": report.params["b"].tolist(), "eig_residual": report.params["eig_residual"]}
+    if not isinstance(state, gw.GaussianState):
         outputs.update(route="fock", leak=1.0 - state.trace)
-    outputs["b"] = report.params["b"].tolist()
-    outputs["eig_residual"] = report.params["eig_residual"]
-    if state.n_modes == 2:
-        outputs["theta"] = report.params["theta"]
-        outputs["delta_phi"] = report.params["delta_phi"]
+    outputs.update((key, report.params[key]) for key in ("theta", "delta_phi") if key in report.params)
     return outputs
 
 
@@ -196,7 +178,7 @@ def _cmd_relent(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    dec = gw.williamson(_state(args))  # reads the spectrum validation kept; its split is the Bloch-Messiah one
+    dec = gw.williamson(gw.states._moments(_state(args)))  # reads the kept spectrum; its split is the Bloch-Messiah one
     return {
         "symplectic_eigenvalues": dec.nu.tolist(),
         "symplectic": dec.symplectic.tolist(),
@@ -209,7 +191,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_freecheck(args) -> dict:
-    return asdict(gw.is_free_cm(_state(args).cm))
+    return asdict(gw.is_free_cm(gw.states._moments(_state(args)).cm))
 
 
 def _cmd_channel(args) -> dict:
@@ -220,7 +202,7 @@ def _cmd_channel(args) -> dict:
             "displacement": out.displacement.tolist(),
             "covariance": out.cm.reshape(-1).tolist(),
         }
-    state = _state(args, gaussian=False)
+    state = _state(args)
     if isinstance(state, gw.GaussianState):
         if state.n_modes != 1:  # refused before a dim^(2N) Fock tensor is built
             raise ValueError(f"the Kraus channel acts on one mode, got {state.n_modes}")
@@ -303,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("activity", _cmd_activity, "relative entropy of local activity")
     command("work", _cmd_work, "local Gaussian extractable work")
     command("entropy", _cmd_entropy, "von Neumann entropy")
-    p = command("relent", _cmd_relent, "relative entropy between two Gaussian states")
+    p = command("relent", _cmd_relent, "relative entropy from a state to a Gaussian state")
     p.add_argument("--state2", required=True)
     command("decompose", _cmd_decompose, "Williamson and Bloch-Messiah decompositions")
     command("freecheck", _cmd_freecheck, "spectral and structural freeness tests")

@@ -1,6 +1,6 @@
 """Truncated Fock-space machinery: beam-splitter amplitudes, lossy-channel
 Kraus operators, Gaussian post-selection, and the N-mode moments and entropy
-from which ``local_activity`` and ``relative_entropy`` read any FockDensity.
+from which every state functional reads a FockDensity.
 
 ``eta`` is the *amplitude* transmittance throughout, matching the
 beam-splitter amplitude split (eta, sqrt(1 - eta^2)); the intensity
@@ -37,7 +37,7 @@ from .states import GaussianState, _bipartition, _check_nbar, _check_positive_in
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
-LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that local_activity accepts of a FockDensity
+LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that a functional accepts of a FockDensity
 _FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
 
 
@@ -254,7 +254,9 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
-    """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I."""
+    """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I; ValueError for a FockDensity."""
+    if not isinstance(state, GaussianState):
+        raise ValueError(f"the phase-space channel acts on a GaussianState, got {type(state).__name__}")
     _check_eta(eta)
     _check_nbar(nbar_bath, "bath mean photon number")
     dim = state.cm.shape[0]
@@ -372,12 +374,17 @@ def fock_moments(rho: FockDensity):
     return math.sqrt(2.0) * np.column_stack([a.real, a.imag]).reshape(-1), 0.5 * (cm + cm.T) + 0.5 * np.eye(2 * n)
 
 
-def _fock_entropy(rho: FockDensity) -> float:
-    """Entropy of rho / Tr rho; ValueError if the leak |1 - trace| exceeds LEAK_TOL (read at each call) or an
-    eigenvalue of rho / Tr rho lies below -1e3 D eps (D = dim^N), which no density allows."""
+def _check_leak(rho: FockDensity) -> None:
+    """ValueError naming the leak if |1 - trace| exceeds LEAK_TOL, read at each call: the one rule for a density."""
     leak = abs(1.0 - rho.trace)
     if leak > LEAK_TOL:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {LEAK_TOL:.1e}")
+
+
+def _fock_entropy(rho: FockDensity) -> float:
+    """Entropy of rho / Tr rho; ValueError if :func:`_check_leak` refuses rho or an eigenvalue of rho / Tr rho lies
+    below -1e3 D eps (D = dim^N), which no density allows."""
+    _check_leak(rho)
     # The real form of rho holds each eigenvalue twice; a real solver keeps complex LAPACK out of the process.
     evals = np.linalg.eigvalsh(_real_form(rho.matrix))[0::2] / rho.trace
     if evals[0] < -1e3 * evals.size * np.finfo(float).eps:

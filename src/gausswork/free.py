@@ -53,7 +53,7 @@ def free_cm(nu, passive=None) -> FreeCovariance:
         raise ValueError("passive matrix dimension does not match number of modes")
     if not is_orthosymplectic(passive):
         raise ValueError("passive matrix is not orthogonal symplectic")
-    cm = passive @ np.diag(np.repeat(nu, 2)) @ passive.T
+    cm = (passive * np.repeat(nu, 2)) @ passive.T
     return FreeCovariance(cm=0.5 * (cm + cm.T), passive=passive, nu=nu)
 
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import (_check_magnitude, _congruence, _spectrum, _times_omega, is_symplectic, require_valid_cm,
-                         rotation)
+from .symplectic import _check_magnitude, _congruence, _spectrum, is_symplectic, require_valid_cm, rotation
 
 
 def _is_integer(value) -> bool:
@@ -115,17 +114,18 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(np.zeros(4), cm)
 
 
-def energy(state: GaussianState) -> float:
-    """Mean energy (Tr cm + |d|^2) / 2; valid for any state, Gaussian or not."""
-    return 0.5 * float(np.trace(state.cm) + state.displacement @ state.displacement)
+def energy(state) -> float:
+    """Mean energy (Tr cm + |d|^2) / 2 of a GaussianState or FockDensity, read from its moments."""
+    g = _moments(state)
+    return 0.5 * float(np.trace(g.cm) + g.displacement @ g.displacement)
 
 
-def mean_photon_numbers(state: GaussianState) -> np.ndarray:
-    """Per-mode mean photon numbers, displacement included."""
-    diag = np.diag(state.cm)
-    d2 = state.displacement**2
-    per_mode = diag[0::2] + diag[1::2] + d2[0::2] + d2[1::2]
-    return 0.5 * per_mode - 0.5
+def mean_photon_numbers(state) -> np.ndarray:
+    """Per-mode mean photon numbers, displacement included, of a GaussianState or FockDensity."""
+    g = _moments(state)
+    diag = np.diag(g.cm)
+    d2 = g.displacement**2
+    return 0.5 * (diag[0::2] + diag[1::2] + d2[0::2] + d2[1::2]) - 0.5
 
 
 def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> GaussianState:
@@ -181,12 +181,14 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState(state.displacement[idx], state.cm[np.ix_(idx, idx)])
 
 
-def _moments(state):
-    """(d, cm) of a GaussianState, or the ``fock_moments`` of a FockDensity: the Fock layer loads only then."""
+def _moments(state) -> GaussianState:
+    """The GaussianState with the moments of ``state``: a GaussianState as it is, a FockDensity as
+    GaussianState(*fock_moments(rho)) once ``fock._check_leak`` passes it (the Fock layer loads only then)."""
     if isinstance(state, GaussianState):
-        return state.displacement, state.cm
-    from .fock import fock_moments
-    return fock_moments(state)
+        return state
+    from .fock import _check_leak, fock_moments
+    _check_leak(state)
+    return GaussianState(*fock_moments(state))
 
 
 def von_neumann_entropy(state) -> float:
@@ -203,7 +205,9 @@ def _gibbs(spec):
     x = np.repeat(spec.nu, 2) - 0.5
     mixed = x > spec.err
     beta = np.where(mixed, np.log1p(1.0 / np.where(mixed, x, 1.0)), 0.0)
-    return _times_omega(_congruence(spec).T).T, beta, mixed  # t = -Omega F: the sign drops out of t diag(w) t^T
+    t = _congruence(spec)
+    t[0::2], t[1::2] = -t[1::2], t[0::2].copy()  # t = -Omega F by a row swap: the sign drops out of t diag(w) t^T
+    return t, beta, mixed
 
 
 def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
@@ -225,14 +229,14 @@ def relative_entropy(rho, sigma: GaussianState) -> float:
         raise ValueError(f"sigma must be a GaussianState, got {type(sigma).__name__}")
     if rho.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
-    if (isinstance(rho, GaussianState) and np.array_equal(rho.displacement, sigma.displacement)
-            and np.array_equal(rho.cm, sigma.cm)):
-        return 0.0
-    d, cm = _moments(rho)
-    second = cm + np.outer(d - sigma.displacement, d - sigma.displacement)
+    g = _moments(rho)
+    if g is rho and np.array_equal(g.displacement, sigma.displacement) and np.array_equal(g.cm, sigma.cm):
+        return 0.0  # a Gaussian rho: a density with sigma's moments need not be sigma
+    second = g.cm + np.outer(g.displacement - sigma.displacement, g.displacement - sigma.displacement)
     spec = sigma._spectrum
     t, beta, mixed = _gibbs(spec)
-    excess = 0.5 * (t * ((second - sigma.cm) @ t)).sum(axis=0)  # per column: a mode's two sum to its dn_k
+    excess = (second - sigma.cm) @ t
+    excess = 0.5 * np.multiply(excess, t, out=excess).sum(axis=0)  # per column: a mode's two sum to its dn_k
     if not mixed.all():
         # A pure column's excess rounds off by up to n eps |t|^2 Tr(M + cm_sigma), n = 2N; where it is 0 it reached
         # 0.075 of that (README "Numerical range"), so a factor 4 leaves a margin of over 50.

@@ -55,8 +55,11 @@ def _even_square(mat: np.ndarray, what: str) -> int:
 
 def _symplectic_residual(s: np.ndarray) -> tuple:
     """||S Omega S^T - Omega|| and the bound TOL_SYMP max(1, ||S||^2) below which S counts as symplectic."""
-    omega = symplectic_form(_even_square(s, "symplectic candidate"))
-    return float(np.linalg.norm(_times_omega(s) @ s.T - omega)), TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
+    n = _even_square(s, "symplectic candidate")
+    defect = _times_omega(s) @ s.T  # minus Omega, in place on its two off-diagonals
+    defect.flat[1 :: 4 * n + 2] -= 1.0
+    defect.flat[2 * n :: 4 * n + 2] += 1.0
+    return float(np.linalg.norm(defect)), TOL_SYMP * max(1.0, np.linalg.norm(s) ** 2)
 
 
 def is_symplectic(s: np.ndarray) -> bool:
@@ -66,9 +69,9 @@ def is_symplectic(s: np.ndarray) -> bool:
 
 def is_orthosymplectic(o: np.ndarray) -> bool:
     n = _even_square(o, "orthosymplectic candidate")
-    if np.linalg.norm(o @ o.T - np.eye(2 * n)) >= TOL_SYMP:
-        return False
-    return is_symplectic(o)
+    gram = np.asarray(o, dtype=float) @ np.transpose(o)
+    gram.flat[:: 2 * n + 1] -= 1.0
+    return bool(np.linalg.norm(gram) < TOL_SYMP) and is_symplectic(o)
 
 
 # Rounding error on nu grows with kappa(cm): over pure states O1 Z(r) O2 with
@@ -274,8 +277,8 @@ def _normal_form(spec: _Spectrum, cm: np.ndarray):
     o_out, r = _euler(_congruence(spec), _BAND_SHARE * max(TOL_PHYS, spec.err))
     steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
     final = steps.T @ cm @ steps
-    omega = symplectic_form(len(cm) // 2)
-    return o_out, r, _canonical_pairs(np.linalg.eigh(final + omega @ final @ omega.T)[1][:, ::-1])
+    final += _times_omega(_times_omega(final).T).T  # Omega final Omega^T by column swaps
+    return o_out, r, _canonical_pairs(np.linalg.eigh(final)[1][:, ::-1])
 
 
 def _congruence(spec: _Spectrum) -> np.ndarray:
@@ -286,7 +289,8 @@ def _congruence(spec: _Spectrum) -> np.ndarray:
     of about eps nu_max on sigma, where eigenvalues of K^T K would carry eps nu_max^2.
     """
     _, sv, vt = np.linalg.svd(_skew(spec.root))
-    return (spec.root @ vt.T) / np.sqrt(np.maximum(sv, spec.nu[-1]))  # each singular value is some nu_k up to rounding
+    f = spec.root @ vt.T
+    return np.divide(f, np.sqrt(np.maximum(sv, spec.nu[-1])), out=f)  # each singular value is some nu_k up to rounding
 
 
 def _canonical_pairs(cand: np.ndarray) -> np.ndarray:
@@ -301,10 +305,9 @@ def _canonical_pairs(cand: np.ndarray) -> np.ndarray:
     becomes b, a = Omega b, and both are deflated from the rest.  Returns the columns
     [a_1, b_1, ..., a_m, b_m]; pair k lies in the eigenspace of candidates 2k and 2k + 1.
     """
-    j = symplectic_form(len(cand) // 2)
     out = np.empty_like(cand)
     out[:, 1::2] = cand[:, 0::2]
-    out[:, 0::2] = j @ cand[:, 0::2]
+    out[0::2, 0::2], out[1::2, 0::2] = cand[1::2, 0::2], -cand[0::2, 0::2]  # a = Omega b: rows (q, p) -> (p, -q)
     partner = cand[:, 1::2]
     leak = out[:, 0::2] - partner * (partner * out[:, 0::2]).sum(axis=0)
     tied = (leak * leak).sum(axis=0) > _TIE**2
@@ -320,7 +323,7 @@ def _canonical_pairs(cand: np.ndarray) -> np.ndarray:
         picks.append(int(np.argmax(np.einsum("ij,ij->i", res, res))))
         b = res[picks[-1]]
         pairs[k + 1] = b / math.sqrt(b @ b)
-        pairs[k] = j @ pairs[k + 1]
+        pairs[k, 0::2], pairs[k, 1::2] = pairs[k + 1, 1::2], -pairs[k + 1, 0::2]
     # A pair stays in the eigenspace of the candidate it was picked from, and the candidates are in
     # eigenvalue order, so sorting by pick puts each pair in a slot of its eigenvalue.
     out[:, cols] = pairs.reshape(-1, 2, pairs.shape[1])[np.argsort(picks)].reshape(pairs.shape).T
@@ -372,14 +375,14 @@ def _euler(f: np.ndarray, band: float):
     o_out[:, 1 : 2 * m : 2] = _times_omega(v[:, squeeze].T).T  # the partners -Omega u
     if m < n:
         o_out[:, 2 * m :] = _canonical_pairs(v[:, m : 2 * n - m])
-    for _ in range(4):
-        gram = o_out.T @ o_out - np.eye(2 * n)
-        if np.linalg.norm(gram) <= 8.0 * n * np.finfo(float).eps:
+    for step in range(5):  # at most 4 Newton-Schulz steps; the fifth pass only measures
+        gram = o_out.T @ o_out
+        gram.flat[:: 2 * n + 1] -= 1.0
+        if np.linalg.norm(gram) <= 8.0 * n * np.finfo(float).eps or step == 4:
             break
         o_out -= 0.5 * (o_out @ gram)
-    else:  # a squeezed u whose partner is squeezed too leaves o_out rank-deficient, which no step repairs
-        if np.linalg.norm(o_out.T @ o_out - np.eye(2 * n)) >= TOL_SYMP:
-            raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")
+    if np.linalg.norm(gram) >= TOL_SYMP:  # a squeezed u whose partner is squeezed too leaves o_out rank-deficient
+        raise ValueError("singular values do not pair as (sigma, 1/sigma); not symplectic?")
     return o_out, np.concatenate([log_sig[squeeze], np.zeros(n - m)])  # r = 0 on the passive pairs
 
 

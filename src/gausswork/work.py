@@ -7,6 +7,8 @@ local displacements.  The extraction protocol realises the maximum
 constructively: undo the displacement, apply O_out^T of the Euler split S =
 O_out Z(r) O_in of a Williamson factor, then unsqueeze each mode; what remains
 is free.  O_out and r come from S S^T, the same for every factor: none is formed.
+Both read the moments alone, which a Gaussian unitary maps alike for any state,
+so a FockDensity gets those of the Gaussian state with its moments.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free import FreeCovariance, free_cm
-from .states import GaussianState, _bipartition, partial_trace
+from .states import GaussianState, _bipartition, _moments, partial_trace
 from .symplectic import _normal_form
 
 
@@ -25,10 +27,11 @@ class WorkReport:
     total: float
 
 
-def extractable_work(state: GaussianState) -> WorkReport:
-    """Maximum work from local squeezers assisted with global interferometers."""
-    quad = 0.5 * float(np.trace(state.cm)) - float(np.sum(state._spectrum.nu))
-    disp = 0.5 * float(state.displacement @ state.displacement)
+def extractable_work(state) -> WorkReport:
+    """Maximum work from local squeezers assisted with global interferometers, read from the state's moments."""
+    g = _moments(state)
+    quad = 0.5 * float(np.trace(g.cm)) - float(np.sum(g._spectrum.nu))
+    disp = 0.5 * float(g.displacement @ g.displacement)
     return WorkReport(quadratic=quad, displacement=disp, total=quad + disp)
 
 
@@ -52,14 +55,15 @@ class ExtractionProtocol:
     work_quadratic: float
 
 
-def extraction_protocol(state: GaussianState) -> ExtractionProtocol:
-    o_out, r, witness = _normal_form(state._spectrum, state.cm)  # from S S^T, the same for every Williamson factor S
-    report = extractable_work(state)
+def extraction_protocol(state) -> ExtractionProtocol:
+    g = _moments(state)
+    o_out, r, witness = _normal_form(g._spectrum, g.cm)  # from S S^T, the same for every Williamson factor S
+    report = extractable_work(g)
     return ExtractionProtocol(
-        displacement_step=-state.displacement,
+        displacement_step=-g.displacement,
         passive_step=o_out.T,
         squeezer_step=-r,
-        final_cm=free_cm(state._spectrum.nu, witness),  # ValueError if the witness is not orthosymplectic
+        final_cm=free_cm(g._spectrum.nu, witness),  # ValueError if the witness is not orthosymplectic
         work_displacement=report.displacement,
         work_quadratic=report.quadratic,
     )

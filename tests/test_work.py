@@ -117,7 +117,8 @@ def test_protocol_refuses_nothing_at_strong_squeezing(capsys):
             oracle = mp_williamson_sst(state.cm)
             sst = dec.symplectic @ dec.symplectic.T
             assert np.linalg.norm(sst - oracle) <= state._spectrum.err * np.linalg.norm(oracle)
-            assert cli.main(["decompose", "--state", cli.serialize_state(state), "--json"]) == 0
+            doc = json.dumps({"modes": n, "covariance": state.cm.reshape(-1).tolist()})  # zero displacement
+            assert cli.main(["decompose", "--state", doc, "--json"]) == 0
             assert gw.is_orthosymplectic(np.array(json.loads(capsys.readouterr().out)["outputs"]["bm_o_in"]))
 
 
