@@ -178,7 +178,7 @@ def _cmd_relent(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    dec = gw.williamson(gw.states._moments(_state(args)))  # reads the kept spectrum; its split is the Bloch-Messiah one
+    dec = gw.williamson(_state(args))  # reads the kept spectrum; its split is the Bloch-Messiah one
     return {
         "symplectic_eigenvalues": dec.nu.tolist(),
         "symplectic": dec.symplectic.tolist(),
@@ -191,7 +191,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_freecheck(args) -> dict:
-    return asdict(gw.is_free_cm(gw.states._moments(_state(args)).cm))
+    return asdict(gw.is_free_cm(_state(args)))
 
 
 def _cmd_channel(args) -> dict:

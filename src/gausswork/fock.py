@@ -375,7 +375,10 @@ def fock_moments(rho: FockDensity):
 
 
 def _check_leak(rho: FockDensity) -> None:
-    """ValueError naming the leak if |1 - trace| exceeds LEAK_TOL, read at each call: the one rule for a density."""
+    """ValueError naming the leak if |1 - trace| exceeds LEAK_TOL, read at each call: the one rule for a density, and
+    the one refusal of anything else: every state reader sends here what is not a GaussianState."""
+    if not isinstance(rho, FockDensity):
+        raise ValueError(f"expected a GaussianState or FockDensity, got {type(rho).__name__}")
     leak = abs(1.0 - rho.trace)
     if leak > LEAK_TOL:
         raise ValueError(f"truncation leak {leak:.3e} exceeds tolerance {LEAK_TOL:.1e}")
@@ -405,7 +408,7 @@ def fock_postselect_demo(dim: int = 8):
     """Send |1, 1> through a 50:50 beam splitter and keep vacuum on arm two.
 
     Photon number is conserved, so the only amplitude into |m1, 0> is
-    <2, 0|U|1, 1> = B_2[2, 1], read from the one block B_2.  Returns the
+    <2, 0|U|1, 1> = B_2[2, 1], one :func:`bs_matrix_element` call.  Returns the
     conditional output |2>, the success probability B_2[2, 1]^2 = 1/2, and
     the activity gain A(output) - A(|1>), which is g(5/2) - g(3/2).  ``dim``
     must be an integer of at least 3, so that the truncation holds |2>.
@@ -413,9 +416,7 @@ def fock_postselect_demo(dim: int = 8):
     from .activity import local_activity
     if not _is_integer(dim) or dim < 3:
         raise ValueError(f"post-selection demo needs an integer dim >= 3 to hold |2>, got {dim!r}")
-    eta = 1.0 / math.sqrt(2.0)
-    *_, block = _bs_blocks(eta, 2)
-    _unitarity_residual(block, eta)
+    amplitude = bs_matrix_element(2, 0, 1, 1, 1.0 / math.sqrt(2.0))
     output = fock_number_state(2, dim)
     gain = local_activity(output).value - local_activity(fock_number_state(1, dim)).value
-    return output, float(block[2, 1] ** 2), gain
+    return output, amplitude**2, gain

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import is_orthosymplectic, require_valid_cm
+from .symplectic import _cm_spectrum, is_orthosymplectic, require_valid_cm
 
 # Over 123,000 exactly free free_cm(nu, O) (N = 1..8, nu - 1/2 in {0} and log-uniform on [1e-16, 1e9], random O,
 # seeds 17-19) |Tr cm - 2 sum nu| reached 2.9 n eps Tr cm (n = 2N), so 8 leaves a margin of more than 2; the
@@ -64,16 +64,17 @@ class FreenessReport:
     gap: float
 
 
-def is_free_cm(cm: np.ndarray) -> FreenessReport:
-    """Test freeness of a covariance matrix against its own rounding.
+def is_free_cm(cm) -> FreenessReport:
+    """Test freeness of a covariance matrix, or of any state's moments, against its own rounding.
 
+    A matrix must pass :func:`validate_cm`; a state's moments are read with the spectrum their validation kept.
     ``spectral_free`` holds iff the gap Tr cm - 2 sum nu is at most
     tol = _FREE_FACTOR n eps Tr cm (n = 2N); ``structural_form`` checks the
     block structure, a necessary condition only, each block residual below tol.
     """
-    cm = np.asarray(cm, dtype=float)
+    cm, spec = _cm_spectrum(cm, require_valid_cm)
     trace = float(np.trace(cm))
-    gap = trace - 2.0 * float(np.sum(require_valid_cm(cm).nu))
+    gap = trace - 2.0 * float(np.sum(spec.nu))
     tol = _FREE_FACTOR * len(cm) * np.finfo(float).eps * trace
     n = cm.shape[0] // 2
     blocks = cm.reshape(n, 2, n, 2).swapaxes(1, 2)
@@ -82,20 +83,3 @@ def is_free_cm(cm: np.ndarray) -> FreenessReport:
     refl = 0.5 * np.linalg.norm(blocks - conj, axis=(2, 3))
     structural = bool(np.all(np.where(np.eye(n, dtype=bool), refl, np.minimum(rot, refl)) < tol))
     return FreenessReport(spectral_free=bool(gap <= tol), structural_form=structural, gap=gap)
-
-
-def convex_combine(weights, cms) -> np.ndarray:
-    """Convex mixture of covariance matrices; free inputs give a free output."""
-    weights = np.asarray(weights, dtype=float)
-    cms = [np.asarray(c, dtype=float) for c in cms]
-    if weights.size != len(cms):
-        raise ValueError("one weight per covariance matrix required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must be nonnegative and sum to 1, got sum {weights.sum()!r}")
-    shape = cms[0].shape
-    if any(c.shape != shape for c in cms):
-        raise ValueError("covariance matrices must share the same dimension")
-    out = np.zeros(shape)
-    for p, c in zip(weights, cms):
-        out += p * c
-    return out

@@ -183,7 +183,8 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 
 def _moments(state) -> GaussianState:
     """The GaussianState with the moments of ``state``: a GaussianState as it is, a FockDensity as
-    GaussianState(*fock_moments(rho)) once ``fock._check_leak`` passes it (the Fock layer loads only then)."""
+    GaussianState(*fock_moments(rho)) once ``fock._check_leak`` passes it (the Fock layer loads only then); anything
+    else, a bare matrix too, is refused there.  The core's :func:`williamson` and :func:`is_free_cm` read it too."""
     if isinstance(state, GaussianState):
         return state
     from .fock import _check_leak, fock_moments
@@ -227,9 +228,9 @@ def relative_entropy(rho, sigma: GaussianState) -> float:
     when rho adds more than their rounding to a pure mode; a Gaussian rho exactly equal to sigma gives 0.0."""
     if not isinstance(sigma, GaussianState):
         raise ValueError(f"sigma must be a GaussianState, got {type(sigma).__name__}")
-    if rho.n_modes != sigma.n_modes:
-        raise ValueError("states must have the same number of modes")
     g = _moments(rho)
+    if g.n_modes != sigma.n_modes:
+        raise ValueError("states must have the same number of modes")
     if g is rho and np.array_equal(g.displacement, sigma.displacement) and np.array_equal(g.cm, sigma.cm):
         return 0.0  # a Gaussian rho: a density with sigma's moments need not be sigma
     second = g.cm + np.outer(g.displacement - sigma.displacement, g.displacement - sigma.displacement)

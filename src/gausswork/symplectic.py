@@ -194,6 +194,16 @@ def require_valid_cm(mat: np.ndarray) -> _Spectrum:
     return spec
 
 
+def _cm_spectrum(x, read=_spectrum) -> tuple:
+    """(cm, spectrum) of a matrix, its spectrum by ``read``, or of any state's moments (:func:`states._moments`) with
+    the spectrum their validation kept; a leaking FockDensity, or anything else, is refused there."""
+    if isinstance(x, (np.ndarray, list, tuple)):
+        return np.asarray(x, dtype=float), read(x)
+    from .states import _moments
+    g = _moments(x)
+    return g.cm, g._spectrum
+
+
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
 
@@ -241,7 +251,7 @@ class WilliamsonDecomposition:
 
 
 def williamson(cm) -> WilliamsonDecomposition:
-    """Williamson normal form of a positive-definite matrix, or of a GaussianState from its kept spectrum.
+    """Williamson normal form of a positive-definite matrix, or of any state's moments from their kept spectrum.
 
     S = o_out Z(r) o from :func:`_normal_form`, the extraction protocol's route: the Euler split of
     S S^T, then the witness o of the free matrix that is left.  The symplectic eigenvalues, sorted
@@ -250,11 +260,10 @@ def williamson(cm) -> WilliamsonDecomposition:
     Raises:
         ValueError: on near-singular input (min eigenvalue < 1e-12), if the reconstruction residual
             exceeds the tol validation reads nu with, max(TOL_PHYS, 2 n eps kappa) max(1, ||cm||),
-            or if the symplectic residual exceeds the :func:`is_symplectic` bound.
+            if the symplectic residual exceeds the :func:`is_symplectic` bound, or on a FockDensity whose leak
+            exceeds ``fock.LEAK_TOL``.
     """
-    spec = getattr(cm, "_spectrum", None)  # a GaussianState keeps the spectrum its validation computed
-    cm = np.asarray(cm if spec is None else cm.cm, dtype=float)
-    spec = _spectrum(cm) if spec is None else spec
+    cm, spec = _cm_spectrum(cm)
     split = BlochMessiahDecomposition(*_normal_form(spec, cm))
     s = split.reconstruct()
     residual = float(np.linalg.norm((s * np.repeat(spec.nu, 2)) @ s.T - cm))

@@ -97,7 +97,7 @@ def test_criterion_04_work_functional_properties():
         if len(group) < 2:
             continue
         p = rng.dirichlet(np.ones(len(group)))
-        mixed = gw.convex_combine(p, group)
+        mixed = sum(w * c for w, c in zip(p, group))
         bound = sum(w * quadratic_work(c) for w, c in zip(p, group))
         assert quadratic_work(mixed) <= bound + 1e-9
     for i in range(0, 998, 2):
@@ -237,7 +237,7 @@ def test_criterion_09_free_structure_closure():
         n = int(rng.integers(2, 5))
         a, b = random_free_cm(rng, n), random_free_cm(rng, n)
         p = rng.uniform(0.05, 0.95)
-        worst = max(worst, gw.is_free_cm(gw.convex_combine([p, 1 - p], [a, b])).gap)
+        worst = max(worst, gw.is_free_cm(p * a + (1 - p) * b).gap)
 
         joint = np.zeros((4 * n, 4 * n))
         joint[: 2 * n, : 2 * n] = a

@@ -611,7 +611,7 @@ PUBLIC = set(
     KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian fock_moments
     fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
     gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
-    FreenessReport convex_combine free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
+    FreenessReport free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
     energy gibbs_matrix mean_photon_numbers mutual_information partial_trace
     relative_entropy squeezed tensor thermal thermal_entropy two_mode_squeezed vacuum
     von_neumann_entropy BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
@@ -677,7 +677,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 73
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 72
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):

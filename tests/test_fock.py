@@ -649,7 +649,8 @@ def test_leaky_density_is_refused_alike_by_every_functional():
     rho = gw.fock_from_gaussian(gw.thermal(2.0), 20)  # leak 3.0e-4
     sigma = gw.thermal(2.0)
     for call in (gw.extractable_work, gw.extraction_protocol, gw.energy, gw.mean_photon_numbers, gw.local_activity,
-                 gw.gaussian_coherence, gw.von_neumann_entropy, lambda rho: gw.relative_entropy(rho, sigma)):
+                 gw.gaussian_coherence, gw.von_neumann_entropy, lambda rho: gw.relative_entropy(rho, sigma),
+                 gw.williamson, gw.is_free_cm):
         with pytest.raises(ValueError) as info:
             call(rho)
         assert str(info.value) == "truncation leak 3.007e-04 exceeds tolerance 1.0e-06"

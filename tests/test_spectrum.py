@@ -216,6 +216,38 @@ def test_protocol_takes_s_st_from_one_svd_with_no_williamson_factor(monkeypatch)
     assert calls == [("svd", False, True), ("eigh", False, True), ("eigh", False, True)]
 
 
+def test_freecheck_reads_the_validated_spectrum(capsys, monkeypatch):
+    # The preset's validation runs one eigh of cm and one values-only SVD of K; is_free_cm reads that spectrum.
+    calls = _counting(monkeypatch)
+    assert gw.cli.main(["freecheck", "--state", "preset:tms:0.5", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == [("eigh", False, True), ("svd", False, False)]
+
+
+def test_freeness_of_a_state_calls_no_solver(monkeypatch):
+    state = _pure([0.8, -0.3, 1.5], 5)[1]
+    calls = _counting(monkeypatch)
+    gw.is_free_cm(state)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "density"])
+def test_the_core_reads_a_state_as_its_bare_matrix(kind):
+    # Bit for bit, field for field: a state's kept spectrum is the one its matrix gives.
+    if kind == "gaussian":
+        x = _pure([0.8, -0.3, 1.5], 5)[1]
+        cm = x.cm
+    else:
+        x = gw.fock_from_gaussian(gw.two_mode_squeezed(0.3), 14)
+        cm = gw.fock_moments(x)[1]
+    assert gw.is_free_cm(x) == gw.is_free_cm(cm)
+    dec, bare = gw.williamson(x), gw.williamson(cm)
+    for name in ("symplectic", "nu", "residual", "symplectic_residual"):
+        assert np.array_equal(getattr(dec, name), getattr(bare, name))
+    for name in ("o_out", "r", "o_in"):
+        assert np.array_equal(getattr(dec.bloch_messiah, name), getattr(bare.bloch_messiah, name))
+
+
 _SOLVERS = [
     "cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "matrix_power",
     "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd", "svdvals", "tensorinv", "tensorsolve",

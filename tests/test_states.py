@@ -325,6 +325,18 @@ def test_relative_entropy_matches_fock_brute_force():
         assert gauss == pytest.approx(brute, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "functional",
+    [gw.energy, gw.mean_photon_numbers, gw.photon_overlap_matrix, gw.gaussian_coherence, gw.extractable_work,
+     gw.extraction_protocol, gw.von_neumann_entropy, gw.local_activity, lambda x: gw.relative_entropy(x, gw.vacuum(1))],
+    ids=["energy", "mean_photon_numbers", "photon_overlap_matrix", "gaussian_coherence", "extractable_work",
+         "extraction_protocol", "von_neumann_entropy", "local_activity", "relative_entropy"],
+)
+def test_a_state_functional_refuses_a_bare_matrix(functional):
+    with pytest.raises(ValueError, match="^expected a GaussianState or FockDensity, got ndarray$"):
+        functional(0.5 * np.eye(2))
+
+
 def test_mutual_information_product_state():
     rng = np.random.default_rng(27)
     state = gw.tensor([random_state(rng, 1), random_state(rng, 1)])

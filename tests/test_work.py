@@ -183,7 +183,7 @@ def test_is_work_free_examples():
     rng = np.random.default_rng(65)
     assert gw.is_free_cm(random_free_cm(rng, 2)).spectral_free
     assert not gw.is_free_cm(gw.two_mode_squeezed(0.5).cm).spectral_free
-    mix = gw.convex_combine([0.3, 0.7], [random_free_cm(rng, 2), random_free_cm(rng, 2)])
+    mix = 0.3 * random_free_cm(rng, 2) + 0.7 * random_free_cm(rng, 2)
     assert gw.is_free_cm(mix).spectral_free
 
 
@@ -199,7 +199,7 @@ def test_work_convexity_sweep():
         n = int(rng.integers(1, 4))
         cms = [random_cm(rng, n) for _ in range(3)]
         p = rng.dirichlet(np.ones(3))
-        mixed = gw.convex_combine(p, cms)
+        mixed = sum(w * c for w, c in zip(p, cms))
         bound = sum(w * quadratic_work(c) for w, c in zip(p, cms))
         assert quadratic_work(mixed) <= bound + 1e-9
 
