@@ -29,6 +29,7 @@ from .free import FreeCovariance, free_cm
 from .states import (
     GaussianState,
     _bipartition,
+    _gaussian,
     _moments,
     mean_photon_numbers,
     mutual_information,
@@ -115,8 +116,8 @@ def gaussian_coherence(state) -> float:
 
 
 def relaxed_subadditivity_gap(state: GaussianState, modes_a, modes_b=None) -> float:
-    """A(rho_A) + A(rho_B) + I(A:B) - A(rho_AB); nonnegative by monotonicity."""
-    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
+    """A(rho_A) + A(rho_B) + I(A:B) - A(rho_AB) of a GaussianState; nonnegative by monotonicity."""
+    modes_a, modes_b = _bipartition(_gaussian(state, "relaxed_subadditivity_gap").n_modes, modes_a, modes_b)
     part_a = local_activity(partial_trace(state, modes_a)).value
     part_b = local_activity(partial_trace(state, modes_b)).value
     joint = local_activity(state).value

@@ -33,7 +33,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import GaussianState, _bipartition, _check_nbar, _check_positive_integer, _is_integer, _mode_indices
+from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_integer, _gaussian, _is_integer,
+                     _mode_indices)
 from .symplectic import _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
@@ -254,9 +255,8 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 
 
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
-    """Thermal-loss map on covariances: cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I; ValueError for a FockDensity."""
-    if not isinstance(state, GaussianState):
-        raise ValueError(f"the phase-space channel acts on a GaussianState, got {type(state).__name__}")
+    """Thermal-loss map cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I of a GaussianState; ValueError for other input."""
+    state = _gaussian(state, "phase_space_loss_channel")
     _check_eta(eta)
     _check_nbar(nbar_bath, "bath mean photon number")
     dim = state.cm.shape[0]
@@ -269,9 +269,9 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
 
     The kept covariance is the Schur complement
     cm_AA - cm_AB (cm_BB + gamma_meas)^{-1} cm_AB^T; the conditional mean
-    uses outcome zero, extending the zero-displacement case.
+    uses outcome zero, extending the zero-displacement case.  ValueError unless ``state`` is a GaussianState.
     """
-    measured, keep = _bipartition(state.n_modes, measured)
+    measured, keep = _bipartition(_gaussian(state, "gaussian_postselect").n_modes, measured)
     if not measured or not keep:
         raise ValueError("measurement must cover a nonempty strict subset of modes")
     gamma_meas = np.asarray(gamma_meas, dtype=float)
@@ -313,9 +313,10 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     """Fock density of an N-mode Gaussian state, dim levels per mode, mode 1 most significant.
 
     rho_0 = c and rho_{k+e_i} = (b_i rho_k + sum_j A_ij sqrt(k_j) rho_{k-e_j}) / sqrt(k_i + 1), one
-    axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless dim >= 1
-    is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
+    axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless ``state`` is a
+    GaussianState, dim >= 1 is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
     """
+    state = _gaussian(state, "fock_from_gaussian")
     _check_positive_integer(dim, "truncation dim")
     n, dim = state.n_modes, int(dim)
     if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _check_magnitude, _congruence, _spectrum, is_symplectic, require_valid_cm, rotation
+from .symplectic import _check_magnitude, _congruence, is_symplectic, require_valid_cm, rotation
 
 
 def _is_integer(value) -> bool:
@@ -128,8 +128,17 @@ def mean_photon_numbers(state) -> np.ndarray:
     return 0.5 * (diag[0::2] + diag[1::2] + d2[0::2] + d2[1::2]) - 0.5
 
 
+def _gaussian(state, op: str) -> GaussianState:
+    """``state`` as it is if it is a GaussianState: the one gate of every operation that needs a Gaussian state, as
+    :func:`_moments` is of every moment reader; ValueError naming ``op`` and the type for a FockDensity or a matrix."""
+    if not isinstance(state, GaussianState):
+        raise ValueError(f"{op} takes a GaussianState, got {type(state).__name__}")
+    return state
+
+
 def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> GaussianState:
-    """Act with the Gaussian unitary (s, shift): d -> s d + shift, cm -> s cm s^T; ValueError unless s is symplectic."""
+    """The Gaussian unitary (s, shift) on a GaussianState: d -> s d + shift, cm -> s cm s^T; s must be symplectic."""
+    state = _gaussian(state, "apply_gaussian_unitary")
     s = np.asarray(s, dtype=float)
     if s.shape != state.cm.shape:
         raise ValueError(f"symplectic matrix shape {s.shape} does not match state dimension {state.cm.shape}")
@@ -145,7 +154,8 @@ def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> G
 
 
 def tensor(states) -> GaussianState:
-    states = list(states)
+    """Product state of GaussianStates, modes in the given order; ValueError for an empty list or any other element."""
+    states = [_gaussian(s, "tensor") for s in states]
     if not states:
         raise ValueError("tensor requires at least one state")
     dim = sum(2 * s.n_modes for s in states)
@@ -173,8 +183,8 @@ def _mode_indices(modes) -> np.ndarray:
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state on the ``keep`` modes (principal submatrix)."""
-    keep = _modes(state.n_modes, keep)
+    """Reduced GaussianState on the ``keep`` modes (principal submatrix); ValueError for any other state."""
+    keep = _modes(_gaussian(state, "partial_trace").n_modes, keep)
     if not keep:
         raise ValueError("must keep at least one mode")
     idx = _mode_indices(keep)
@@ -200,42 +210,27 @@ def von_neumann_entropy(state) -> float:
     return _fock_entropy(state)
 
 
-def _gibbs(spec):
-    """(t, beta, mixed) per column from one SVD of K: t diag(w) t^T = -Omega S diag(w) S^T Omega; ``mixed`` marks modes
-    with x = nu - 1/2 > spec.err, beta = 2 arccoth(2 nu) = log1p(1 / x) there (arctanh loses digits), else 0."""
-    x = np.repeat(spec.nu, 2) - 0.5
-    mixed = x > spec.err
-    beta = np.where(mixed, np.log1p(1.0 / np.where(mixed, x, 1.0)), 0.0)
-    t = _congruence(spec)
-    t[0::2], t[1::2] = -t[1::2], t[0::2].copy()  # t = -Omega F by a row swap: the sign drops out of t diag(w) t^T
-    return t, beta, mixed
-
-
-def gibbs_matrix(cm: np.ndarray) -> np.ndarray:
-    """Exponent matrix G of rho ~ exp(-x^T G x / 2): -Omega S (2 arccoth(2 nu_k) I_2) S^T Omega for the Williamson
-    factor S, evaluated without forming S; diverges as any nu -> 1/2, and a mode pure by :func:`_gibbs` is refused."""
-    t, beta, mixed = _gibbs(_spectrum(np.asarray(cm, dtype=float)))
-    if not mixed.all():
-        raise ValueError("gibbs matrix undefined for pure symplectic eigenvalues")
-    return (t * beta) @ t.T
-
-
 def relative_entropy(rho, sigma: GaussianState) -> float:
-    """S(rho || sigma) in nats for a Gaussian sigma; rho is a GaussianState, or a FockDensity read by its moments.
+    """S(rho || sigma) in nats; sigma is a GaussianState, rho a GaussianState or a FockDensity read by its moments.
 
     -S(rho) + sum over sigma's mixed modes (nu_k - 1/2 above the rounding of nu) of g(nu_k) + beta_k dn_k, dn_k the
     photons rho adds to mode k: -S(rho) + [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2 for M = cm_rho + delta delta^T.  +inf
     when rho adds more than their rounding to a pure mode; a Gaussian rho exactly equal to sigma gives 0.0."""
-    if not isinstance(sigma, GaussianState):
-        raise ValueError(f"sigma must be a GaussianState, got {type(sigma).__name__}")
+    sigma = _gaussian(sigma, "relative_entropy sigma")
     g = _moments(rho)
     if g.n_modes != sigma.n_modes:
         raise ValueError("states must have the same number of modes")
     if g is rho and np.array_equal(g.displacement, sigma.displacement) and np.array_equal(g.cm, sigma.cm):
         return 0.0  # a Gaussian rho: a density with sigma's moments need not be sigma
     second = g.cm + np.outer(g.displacement - sigma.displacement, g.displacement - sigma.displacement)
+    # One SVD of sigma's K gives t with t diag(w) t^T = -Omega S diag(w) S^T Omega; a mode is mixed where
+    # x = nu - 1/2 > spec.err, and beta = 2 arccoth(2 nu) = log1p(1 / x) there (arctanh loses digits), else 0.
     spec = sigma._spectrum
-    t, beta, mixed = _gibbs(spec)
+    x = np.repeat(spec.nu, 2) - 0.5
+    mixed = x > spec.err
+    beta = np.where(mixed, np.log1p(1.0 / np.where(mixed, x, 1.0)), 0.0)
+    t = _congruence(spec)
+    t[0::2], t[1::2] = -t[1::2], t[0::2].copy()  # t = -Omega F by a row swap: the sign drops out of t diag(w) t^T
     excess = (second - sigma.cm) @ t
     excess = 0.5 * np.multiply(excess, t, out=excess).sum(axis=0)  # per column: a mode's two sum to its dn_k
     if not mixed.all():
@@ -259,8 +254,8 @@ def _bipartition(n_modes: int, modes_a, modes_b=None):
 
 
 def mutual_information(state: GaussianState, modes_a, modes_b=None) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) across a bipartition."""
-    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
+    """Quantum mutual information S(A) + S(B) - S(AB) of a GaussianState across a bipartition."""
+    modes_a, modes_b = _bipartition(_gaussian(state, "mutual_information").n_modes, modes_a, modes_b)
     sa = von_neumann_entropy(partial_trace(state, modes_a))
     sb = von_neumann_entropy(partial_trace(state, modes_b))
     return sa + sb - von_neumann_entropy(state)

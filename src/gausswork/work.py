@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free import FreeCovariance, free_cm
-from .states import GaussianState, _bipartition, _moments, partial_trace
+from .states import _bipartition, _moments, partial_trace
 from .symplectic import _normal_form
 
 
@@ -69,8 +69,10 @@ def extraction_protocol(state) -> ExtractionProtocol:
     )
 
 
-def superadditivity_gap(state: GaussianState, modes_a, modes_b) -> float:
-    """W(joint) - W(A) - W(B) of the quadratic work for a bipartition of the modes; nonnegative."""
-    modes_a, modes_b = _bipartition(state.n_modes, modes_a, modes_b)
-    parts = (partial_trace(state, modes_a), partial_trace(state, modes_b))
-    return extractable_work(state).quadratic - sum(extractable_work(part).quadratic for part in parts)
+def superadditivity_gap(state, modes_a, modes_b) -> float:
+    """W(joint) - W(A) - W(B) of the quadratic work for a bipartition of the modes; nonnegative.  Read from the moments
+    of any state: a part's moments are the principal submatrix of the joint ones."""
+    g = _moments(state)
+    modes_a, modes_b = _bipartition(g.n_modes, modes_a, modes_b)
+    parts = (partial_trace(g, modes_a), partial_trace(g, modes_b))
+    return extractable_work(g).quadratic - sum(extractable_work(part).quadratic for part in parts)

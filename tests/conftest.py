@@ -21,6 +21,15 @@ def quadratic_work(cm):
     return gw.extractable_work(gw.GaussianState(np.zeros(len(cm)), cm)).quadratic
 
 
+def williamson_gibbs(cm):
+    """Exponent matrix G of rho ~ exp(-x^T G x / 2): -Omega S diag(2 arccoth(2 nu)) S^T Omega for the factor S of
+    ``williamson``; 2 arccoth(2 nu) = log1p(1 / (nu - 1/2)), finite for every nu above 1/2."""
+    dec = gw.williamson(cm)
+    omega = gw.symplectic_form(dec.nu.size)
+    core = np.diag(np.repeat(np.log1p(1.0 / (dec.nu - 0.5)), 2))
+    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+
+
 def symplectic_trace(cm):
     """Str cm, twice the sum of the symplectic eigenvalues."""
     return float(2.0 * np.sum(gw.symplectic_eigenvalues(cm)))
@@ -124,21 +133,39 @@ def _unitary_from_params(params, n):
     return u
 
 
+def _scalar_entropy(nu):
+    """g(nu) of ``thermal_entropy`` for one float, in ``math``; nu below 1/2 reads 1/2."""
+    x = max(nu - 0.5, 0.0)
+    return math.log1p(x) + x * math.log1p(1.0 / max(x, 1e-300))
+
+
 def powell_activity(state: gw.GaussianState, restarts=16, seed=0, max_iter=400, ftol=1e-12):
     """Activity by multi-start Powell descent over a Givens/phase chart of U(N).
 
     Independent of the spectral formula: it minimises -S + sum_i g(occ_i)
     over the photon numbers occ of the interferometer-conjugated state.  The
-    first start is the identity, the rest are seeded uniform angles.
+    first start is the identity, the rest are seeded uniform angles.  For two
+    modes the chart is one rotation (theta, phi), and the objective is read in
+    scalar ``math``: occ_0 = c^2 a + s^2 b + 2 c s Re(M_01 e^{i phi}) for
+    c, s = cos theta, sin theta and a, b the diagonal of M, occ_1 = a + b - occ_0.
     """
     n = state.n_modes
     overlap = gw.photon_overlap_matrix(state) + 0.5 * np.eye(n)
     entropy = gw.von_neumann_entropy(state)
 
-    def objective(params):
-        u = _unitary_from_params(params, n)
-        occ = np.real(np.diag(u.T @ overlap @ np.conj(u)))
-        return float(np.sum(gw.thermal_entropy(np.clip(occ, 0.5, None))))
+    if n == 2:
+        a, b, m01 = float(overlap[0, 0].real), float(overlap[1, 1].real), complex(overlap[0, 1])
+
+        def objective(params):
+            c, s, phi = math.cos(params[0]), math.sin(params[0]), float(params[1])
+            occ0 = c * c * a + s * s * b + 2.0 * c * s * (m01.real * math.cos(phi) - m01.imag * math.sin(phi))
+            return _scalar_entropy(occ0) + _scalar_entropy(a + b - occ0)
+
+    else:
+        def objective(params):
+            u = _unitary_from_params(params, n)
+            occ = np.real(np.diag(u.T @ overlap @ np.conj(u)))
+            return float(np.sum(gw.thermal_entropy(np.clip(occ, 0.5, None))))
 
     n_params = n * (n - 1)
     if n_params == 0:

@@ -263,11 +263,11 @@ def test_invalid_state_exits_2(capsys):
         (["work", "--state", "preset:fock:2"], None),
         (["entropy", "--state", "preset:fock:2"], None),
         (["relent", "--state", "preset:vacuum", "--state2", "preset:fock:1"],
-         "sigma must be a GaussianState, got FockDensity"),
+         "relative_entropy sigma takes a GaussianState, got FockDensity"),
         (["decompose", "--state", "preset:fock:2"], None),
         (["freecheck", "--state", "preset:fock:2"], None),
         (["channel", "--state", "preset:fock:2", "--eta", "0.8"],
-         "the phase-space channel acts on a GaussianState, got FockDensity"),
+         "phase_space_loss_channel takes a GaussianState, got FockDensity"),
         (["relent", "--state", "preset:fock:2", "--state2", "preset:thermal:1"], None),
     ],
     ids=["work", "entropy", "relent", "decompose", "freecheck", "channel", "relent-fock-state"],
@@ -612,7 +612,7 @@ PUBLIC = set(
     fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
     gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
     FreenessReport free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
-    energy gibbs_matrix mean_photon_numbers mutual_information partial_trace
+    energy mean_photon_numbers mutual_information partial_trace
     relative_entropy squeezed tensor thermal thermal_entropy two_mode_squeezed vacuum
     von_neumann_entropy BeamSplitter BlochMessiahDecomposition PassiveCircuit PhaseShifter
     WilliamsonDecomposition bloch_messiah compile_passive_circuit is_orthosymplectic
@@ -677,7 +677,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 72
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 71
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):

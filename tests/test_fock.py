@@ -595,6 +595,15 @@ def test_moment_functionals_read_a_density_as_the_gaussian_state_with_its_moment
     assert gw.gaussian_coherence(rho) == float(np.sum(gw.thermal_entropy(occupancies))) - gw.von_neumann_entropy(rho)
 
 
+def test_superadditivity_gap_reads_a_density_by_its_moments():
+    # A part's moments are the principal submatrix of the joint ones, so the gap of a density is that of its twin.
+    rho = gw.fock_from_gaussian(gw.two_mode_squeezed(0.3), 12)
+    twin = gw.GaussianState(*gw.fock_moments(rho))
+    assert gw.superadditivity_gap(rho, [0], [1]) == gw.superadditivity_gap(twin, [0], [1])
+    with pytest.raises(ValueError, match="^truncation leak .* exceeds tolerance"):
+        gw.superadditivity_gap(gw.fock_from_gaussian(gw.two_mode_squeezed(0.3), 4), [0], [1])
+
+
 def test_work_of_a_truncated_density_carries_the_truncation_error():
     """|W(rho) - W(s)| for rho = fock_from_gaussian(s, dim) falls with the leak: 1.6e-6, 8.6e-10 and 4.4e-13 for
     squeezed(0.5) at dim 20, 30 and 40 (leaks 3.9e-8, 1.4e-11, 5e-15); 5.6e-14 for two_mode_squeezed(0.3) at 14."""

@@ -5,7 +5,7 @@ import pytest
 
 import gausswork as gw
 from conftest import (fock_relative_entropy, mp_thermal_entropy, random_cm, random_orthosymplectic, random_state,
-                      random_symplectic)
+                      random_symplectic, williamson_gibbs)
 
 LN2 = math.log(2.0)
 
@@ -169,27 +169,24 @@ def test_gibbs_matrix_thermal():
     # For a thermal state the exponent matrix is 2 arccoth(2 nu) I.
     nbar = 1.0
     expected = 2 * np.arctanh(1.0 / 3.0) * np.eye(2)
-    np.testing.assert_allclose(gw.gibbs_matrix(gw.thermal(nbar).cm), expected, atol=1e-12)
-
-
-def _gibbs_via_williamson(cm):
-    dec = gw.williamson(cm)
-    omega = gw.symplectic_form(dec.nu.size)
-    core = np.diag(np.repeat(2.0 * np.arctanh(1.0 / (2.0 * dec.nu)), 2))
-    return -omega @ dec.symplectic @ core @ dec.symplectic.T @ omega
+    np.testing.assert_allclose(williamson_gibbs(gw.thermal(nbar).cm), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 8, 64])
 def test_gibbs_matrix_matches_the_williamson_formula(n_modes):
-    # The matrix-function route against -Omega S diag(2 arccoth(2 nu)) S^T Omega, also on
-    # spectra with ties (a squeezed thermal product, every nu equal), where the canonical
-    # pairs inside an eigenspace are not unique.
+    # relative_entropy's Gibbs matrix, read in sigma's normal modes, against -Omega S diag(2 arccoth(2 nu)) S^T Omega
+    # through S(rho || sigma) = -S(rho) + [sum ln(nu_k^2 - 1/4) + Tr(M G)] / 2, also on spectra with ties (a squeezed
+    # thermal product, every nu equal), where the canonical pairs inside an eigenspace are not unique.
     rng = np.random.default_rng(140 + n_modes)
     s = random_symplectic(rng, n_modes, r_max=1.5)
     cms = [random_cm(rng, n_modes, nu_min=0.6, r_max=1.5), 1.7 * s @ s.T]
+    rho = random_state(rng, n_modes)
+    second = rho.cm + np.outer(rho.displacement, rho.displacement)
     for cm in (0.5 * (c + c.T) for c in cms):
-        ref = _gibbs_via_williamson(cm)
-        np.testing.assert_allclose(gw.gibbs_matrix(cm), ref, rtol=0, atol=1e-12 * np.linalg.norm(ref))
+        logdet = np.sum(np.log(gw.symplectic_eigenvalues(cm) ** 2 - 0.25))
+        ref = -gw.von_neumann_entropy(rho) + 0.5 * (logdet + np.sum(second * williamson_gibbs(cm)))
+        sigma = gw.GaussianState(np.zeros(2 * n_modes), cm)
+        assert gw.relative_entropy(rho, sigma) == pytest.approx(ref, rel=1e-12)
 
 
 def test_relative_entropy_self_is_zero():
@@ -208,7 +205,7 @@ def test_relative_entropy_coherent_vs_thermal():
     # displacement term contributes 2 ln 2; total is 2 ln 2
     rho, sigma = gw.coherent(1.0), gw.thermal(1.0)
     delta = rho.displacement - sigma.displacement
-    g2 = gw.gibbs_matrix(sigma.cm)
+    g2 = williamson_gibbs(sigma.cm)
     assert delta @ g2 @ delta == pytest.approx(2 * LN2, abs=1e-12)
     assert gw.relative_entropy(rho, sigma) == pytest.approx(2 * LN2, abs=1e-12)
 
@@ -250,23 +247,22 @@ def test_a_mode_just_above_one_half_is_mixed():
     # and so is S(thermal(a) || sigma) = -g(a + 1/2) + ln(1 + x) + a ln(1 + 1/x).
     sigma = gw.thermal(5e-10)
     x = sigma.cm[0, 0] - 0.5
-    np.testing.assert_allclose(gw.gibbs_matrix(sigma.cm), math.log1p(1.0 / x) * np.eye(2), rtol=1e-15)
+    np.testing.assert_allclose(williamson_gibbs(sigma.cm), math.log1p(1.0 / x) * np.eye(2), rtol=1e-15)
     a = 1e-3
     expected = -((a + 1) * math.log1p(a) - a * math.log(a)) + math.log1p(x) + a * math.log1p(1.0 / x)
     assert gw.relative_entropy(gw.thermal(a), sigma) == pytest.approx(expected, rel=1e-13)
-    with pytest.raises(ValueError, match="pure symplectic eigenvalues"):
-        gw.gibbs_matrix(np.diag([0.25, 1.0]))  # nu is exactly 1/2
+    assert math.isinf(gw.relative_entropy(gw.thermal(a), gw.GaussianState(np.zeros(2), np.diag([0.25, 1.0]))))
 
 
 def test_relative_entropy_matches_gibbs_matrix_formula():
     # -S(rho) + (sum ln(nu^2 - 1/4) + Tr(rho G) + delta G delta) / 2, with G and nu of sigma
-    # taken from gibbs_matrix and symplectic_eigenvalues.
+    # taken from the Williamson formula and symplectic_eigenvalues.
     rng = np.random.default_rng(77)
     for n in (1, 2, 3, 5):
         for _ in range(5):
             rho = random_state(rng, n)
             sigma = random_state(rng, n, nu_min=0.6)
-            g = gw.gibbs_matrix(sigma.cm)
+            g = williamson_gibbs(sigma.cm)
             delta = rho.displacement - sigma.displacement
             logdet = np.sum(np.log(gw.symplectic_eigenvalues(sigma.cm) ** 2 - 0.25))
             ref = -gw.von_neumann_entropy(rho) + 0.5 * (logdet + np.trace(rho.cm @ g) + delta @ g @ delta)
@@ -378,13 +374,9 @@ def test_states_are_immutable():
         (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
         (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"indices \[5\] out of range for 2 modes"),
-        (lambda: gw.gibbs_matrix(gw.squeezed(0.3).cm), "pure symplectic eigenvalues"),
-        # The vacuum's nu reads 1/2 + 1.1e-16: pure by the rounding of nu, as relative_entropy reads it.
-        (lambda: gw.gibbs_matrix(gw.vacuum(1).cm), "^gibbs matrix undefined for pure symplectic eigenvalues$"),
-        (lambda: gw.gibbs_matrix(gw.tensor([gw.thermal(1.0), gw.vacuum(1)]).cm), "undefined for pure symplectic"),
         (
             lambda: gw.relative_entropy(gw.vacuum(1), gw.fock_number_state(1, 5)),
-            "^sigma must be a GaussianState, got FockDensity$",
+            "^relative_entropy sigma takes a GaussianState, got FockDensity$",
         ),
         (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
         (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
@@ -441,3 +433,26 @@ def test_states_are_immutable():
 def test_state_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Every operation that needs a Gaussian state, by the name its refusal gives; each is handed a two-mode input.
+GAUSSIAN_ONLY = {
+    "apply_gaussian_unitary": lambda x: gw.apply_gaussian_unitary(x, np.eye(4)),
+    "tensor": lambda x: gw.tensor([gw.vacuum(1), x]),
+    "partial_trace": lambda x: gw.partial_trace(x, [0]),
+    "mutual_information": lambda x: gw.mutual_information(x, [0]),
+    "relaxed_subadditivity_gap": lambda x: gw.relaxed_subadditivity_gap(x, [0]),
+    "gaussian_postselect": lambda x: gw.gaussian_postselect(x, [1], 0.5 * np.eye(2)),
+    "fock_from_gaussian": lambda x: gw.fock_from_gaussian(x, 4),
+    "phase_space_loss_channel": lambda x: gw.phase_space_loss_channel(x, 0.8, 0.1),
+    "relative_entropy sigma": lambda x: gw.relative_entropy(gw.vacuum(2), x),
+}
+
+
+@pytest.mark.parametrize("kind", ["density", "matrix"])
+@pytest.mark.parametrize("op", list(GAUSSIAN_ONLY))
+def test_gaussian_only_operations_refuse_a_density_or_a_matrix_alike(op, kind):
+    x = gw.fock_from_gaussian(gw.two_mode_squeezed(0.3), 12) if kind == "density" else 0.5 * np.eye(4)
+    with pytest.raises(ValueError) as info:
+        GAUSSIAN_ONLY[op](x)
+    assert str(info.value) == f"{op} takes a GaussianState, got {type(x).__name__}"
