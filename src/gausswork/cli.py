@@ -86,7 +86,7 @@ def _whole(value):
 
 def parse_state(text: str, fock_dim: int = 40, document=None):
     """Parse a state argument into a GaussianState or FockDensity; ``document`` is its state file's text, if read."""
-    from .states import _check_positive_integer
+    from .symplectic import _check_int
 
     try:
         doc = _shorthand(text) if text.startswith("preset:") else json.loads(document or _file_document(text) or text)
@@ -105,8 +105,7 @@ def parse_state(text: str, fock_dim: int = 40, document=None):
                     raise StateParseError(f"preset {name!r} parameter {key!r} must be a number, got {value!r}")
             values = [_whole(params[k]) for k in names if k in params]
             return getattr(gw, builder)(*values, *([fock_dim] if name == "fock" else []))
-        modes = _whole(doc["modes"])
-        _check_positive_integer(modes, "modes")
+        modes = _check_int(_whole(doc["modes"]), "modes", 1)
         d = np.asarray(doc.get("displacement", [0.0] * (2 * modes)), dtype=float)
         cov = np.asarray(doc["covariance"], dtype=float)
         if cov.size != 4 * modes * modes:
@@ -239,11 +238,9 @@ def _cmd_demo(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    from .symplectic import _check_int
+    _check_int(args.count, "--count", 1)
+    rng = np.random.default_rng(_check_int(args.seed, "--seed", 0))
     worst_activity, worst_work = -math.inf, -math.inf
     for _ in range(args.count):
         nu = rng.uniform(0.5, 2.5)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import TOL_PHYS, require_valid_cm, rotation, unitary_to_orthosymplectic
+from .symplectic import (TOL_PHYS, _check_angle, _check_int, require_valid_cm, rotation,
+                         unitary_to_orthosymplectic)
 from .work import extractable_work
 
 
@@ -31,13 +32,14 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
 
     Returns (gamma1', gamma2') with
     R1^T gamma1' R1 = cos^2(theta) R3 gamma R3^T + sin^2(theta) R4 gamma R4^T
-    and the mirrored combination for the second arm.
+    and the mirrored combination for the second arm.  ValueError for an invalid gamma or an angle that is not finite.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (2, 2):
         raise ValueError(f"expected a single-mode (2x2) covariance matrix, got {gamma.shape}")
     require_valid_cm(gamma)
-    r1, r2, r3, r4 = (rotation(-float(p)) for p in phis)
+    r1, r2, r3, r4 = (rotation(-_check_angle(p, "phase")) for p in phis)
+    theta = _check_angle(theta, "beam splitter angle")
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     mixed3 = r3 @ gamma @ r3.T
     mixed4 = r4 @ gamma @ r4.T
@@ -47,7 +49,8 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
 
 
 def dft_unitary(n: int) -> np.ndarray:
-    """Discrete-Fourier interferometer u_jk = exp(-2 pi i j k / n) / sqrt(n)."""
+    """Discrete-Fourier unitary u_jk = exp(-2 pi i j k / n) / sqrt(n); ValueError unless n is an integer >= 1."""
+    n = _check_int(n, "number of modes", 1)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)
 

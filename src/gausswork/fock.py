@@ -33,13 +33,13 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import (GaussianState, _bipartition, _check_nbar, _check_positive_integer, _gaussian, _is_integer,
-                     _mode_indices)
-from .symplectic import _real_form, validate_cm
+from .states import GaussianState, _bipartition, _check_nbar, _gaussian, _mode_indices
+from .symplectic import _check_int, _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that a functional accepts of a FockDensity
 _FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
+_FOCK_DIM_CAP = math.isqrt(_FOCK_ENTRY_BUDGET)  # 2048, the largest dim of a one-mode density any constructor builds
 
 
 class _Fresh:
@@ -58,8 +58,8 @@ class FockDensity:
     n_modes: int = 1
 
     def __post_init__(self):
-        _check_positive_integer(self.dim, "truncation dim")
-        _check_positive_integer(self.n_modes, "number of modes")
+        _check_int(self.dim, "truncation dim", 1)
+        _check_int(self.n_modes, "number of modes", 1)
         mat = self.matrix.array if isinstance(self.matrix, _Fresh) else np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         expected = self.dim**self.n_modes
@@ -177,8 +177,7 @@ def _unitarity_residual(block: np.ndarray, eta: float) -> float:
 def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
     """Amplitude <m1, m| U_bs(eta) |n1, n>; zero unless m1 + m == n1 + n."""
     for label, idx in (("m1", m1), ("m", m), ("n1", n1), ("n", n)):
-        if not _is_integer(idx) or idx < 0:
-            raise ValueError(f"photon number {label} must be a nonnegative integer, got {idx!r}")
+        _check_int(idx, f"photon number {label}", 0)
     _check_eta(eta)
     if m1 + m != n1 + n:
         return 0.0
@@ -194,17 +193,11 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     K_{mn}[m1, n1] = sqrt(p_n) B_{n1+n}[m1, n1] (m1 = n1 + n - m) with p_n the
     geometric bath weights, so photon numbers up to N = dim - 1 + max_mn are
     needed; indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
-    dropped, so nbar_bath = 0 reduces to the pure-loss set).
+    dropped, so nbar_bath = 0 reduces to the pure-loss set).  ValueError unless dim >= 2 and 0 <= max_mn <= dim
+    are integers (:func:`_check_int`).
     """
-    for label, value in (("truncation dim", dim), ("max_mn", max_mn)):
-        if not _is_integer(value):
-            raise ValueError(f"{label} must be an integer, got {value!r}")
-    if dim < 2:
-        raise ValueError(f"truncation dim must be at least 2, got {dim}")
-    if max_mn < 0:
-        raise ValueError(f"max_mn must be nonnegative, got {max_mn}")
-    if max_mn > dim:
-        raise ValueError(f"truncation dim {dim} too small for max_mn {max_mn}")
+    dim = _check_int(dim, "truncation dim", 2)
+    max_mn = _check_int(max_mn, "max_mn", 0, dim)
     _check_eta(eta)
     _check_nbar(nbar_bath, "bath mean photon number")
     x = nbar_bath / (nbar_bath + 1.0)
@@ -293,17 +286,18 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
 
 
 def fock_number_state(n: int, dim: int) -> FockDensity:
-    _check_positive_integer(dim, "truncation dim")
-    if not _is_integer(n):
-        raise ValueError(f"photon number must be an integer, got {n!r}")
-    if not 0 <= n < dim:
-        raise ValueError(f"number state {n} does not fit in dim {dim}")
-    return FockDensity(np.diag(np.eye(dim)[n]), dim=dim)
+    """|n><n| in dim levels; ValueError unless 0 <= n < dim <= 2048 are integers, checked before any allocation."""
+    dim = _check_int(dim, "truncation dim", 1, _FOCK_DIM_CAP)
+    n = _check_int(n, "photon number", 0, dim - 1)
+    weights = np.zeros(dim)
+    weights[n] = 1.0
+    return FockDensity(np.diag(weights), dim=dim)
 
 
 def fock_thermal(nbar: float, dim: int) -> FockDensity:
+    """Thermal state cut to dim levels, not renormalised; ValueError unless dim <= 2048, checked before allocating."""
     _check_nbar(nbar, "mean photon number")
-    _check_positive_integer(dim, "truncation dim")
+    dim = _check_int(dim, "truncation dim", 1, _FOCK_DIM_CAP)
     x = nbar / (nbar + 1.0)
     weights = (1.0 - x) * x ** np.arange(dim)
     return FockDensity(np.diag(weights), dim=dim)
@@ -317,8 +311,7 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
     GaussianState, dim >= 1 is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
     """
     state = _gaussian(state, "fock_from_gaussian")
-    _check_positive_integer(dim, "truncation dim")
-    n, dim = state.n_modes, int(dim)
+    n, dim = state.n_modes, _check_int(dim, "truncation dim", 1)
     if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:
         raise ValueError(f"Fock conversion at dim {dim} for {n} modes needs {dim ** (2 * n)} entries, "
                          f"above the budget of {_FOCK_ENTRY_BUDGET}")
@@ -412,11 +405,10 @@ def fock_postselect_demo(dim: int = 8):
     <2, 0|U|1, 1> = B_2[2, 1], one :func:`bs_matrix_element` call.  Returns the
     conditional output |2>, the success probability B_2[2, 1]^2 = 1/2, and
     the activity gain A(output) - A(|1>), which is g(5/2) - g(3/2).  ``dim``
-    must be an integer of at least 3, so that the truncation holds |2>.
+    must be an integer of at least 3, so that the truncation holds |2> (:func:`_check_int`).
     """
     from .activity import local_activity
-    if not _is_integer(dim) or dim < 3:
-        raise ValueError(f"post-selection demo needs an integer dim >= 3 to hold |2>, got {dim!r}")
+    dim = _check_int(dim, "truncation dim", 3)
     amplitude = bs_matrix_element(2, 0, 1, 1, 1.0 / math.sqrt(2.0))
     output = fock_number_state(2, dim)
     gain = local_activity(output).value - local_activity(fock_number_state(1, dim)).value

@@ -11,18 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _check_magnitude, _congruence, is_symplectic, require_valid_cm, rotation
-
-
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer, never for a bool or a float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_positive_integer(value, label: str) -> None:
-    """ValueError naming ``label`` unless ``value`` is a positive integer (never a bool or a float)."""
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{label} must be a positive integer, got {value!r}")
+from .symplectic import _check_int, _check_magnitude, _congruence, is_symplectic, require_valid_cm, rotation
 
 
 def _check_nbar(nbar, label: str) -> None:
@@ -81,7 +70,7 @@ class GaussianState:
 
 
 def vacuum(n_modes: int = 1) -> GaussianState:
-    _check_positive_integer(n_modes, "number of modes")
+    n_modes = _check_int(n_modes, "number of modes", 1)
     return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 
@@ -170,11 +159,8 @@ def tensor(states) -> GaussianState:
 
 
 def _modes(n_modes: int, modes) -> list:
-    """Sorted distinct mode indices; ValueError unless each lies in 0..n_modes - 1."""
-    modes = sorted(set(int(m) for m in modes))
-    if modes and (modes[0] < 0 or modes[-1] >= n_modes):
-        raise ValueError(f"mode indices {modes} out of range for {n_modes} modes")
-    return modes
+    """Sorted distinct mode indices; ValueError unless each is an integer in 0..n_modes - 1 (:func:`_check_int`)."""
+    return sorted({_check_int(m, "mode index", 0, n_modes - 1) for m in modes})
 
 
 def _mode_indices(modes) -> np.ndarray:

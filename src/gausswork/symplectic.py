@@ -18,14 +18,29 @@ TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
 
 
+def _check_int(value, label: str, low: int, high=None) -> int:
+    """``value`` as an int: the one rule of every count, truncation dim, photon number and mode index.  ValueError
+    naming ``label``, the range and the value for a bool, a float (an integral one too) or one outside [low, high]."""
+    top = math.inf if high is None else high
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value <= top:
+        return int(value)
+    raise ValueError(f"{label} must be an integer in [{low}, {top}{')' if high is None else ']'}, got {value!r}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2N x 2N symplectic form for ``n_modes`` modes."""
-    if n_modes < 1:
-        raise ValueError(f"number of modes must be positive, got {n_modes}")
+    """Return the 2N x 2N symplectic form for ``n_modes`` modes; ValueError unless ``n_modes`` is an integer >= 1."""
+    n_modes = _check_int(n_modes, "number of modes", 1)
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     omega.flat[1 :: 4 * n_modes + 2] = 1.0  # entries (2k, 2k + 1)
     omega.flat[2 * n_modes :: 4 * n_modes + 2] = -1.0  # entries (2k + 1, 2k)
     return omega
+
+
+def _check_angle(angle, label: str) -> float:
+    """``angle`` as a float; ValueError naming ``label`` unless it is finite, before np.cos reads a NaN or an inf."""
+    if not math.isfinite(angle):
+        raise ValueError(f"{label} must be finite, got {angle}")
+    return float(angle)
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -422,8 +437,8 @@ def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
-    n = u.shape[0]
-    if np.linalg.norm(u @ u.conj().T - np.eye(n)) >= max(TOL_SYMP, 1e3 * n * np.finfo(float).eps):
+    tol = max(TOL_SYMP, 1e3 * u.shape[0] * np.finfo(float).eps)  # a NaN or inf entry is refused before the product
+    if not (np.isfinite(u).all() and np.linalg.norm(u @ u.conj().T - np.eye(len(u))) < tol):
         raise ValueError("input matrix is not unitary within tolerance")
     return _real_form(u)
 
@@ -460,20 +475,21 @@ def compile_passive_circuit(circuit: PassiveCircuit) -> np.ndarray:
     i, j to c u_i + s u_j and c u_j - s u_i, a phase shifter multiplies row
     k by exp(i phi).  The result is the :func:`unitary_to_orthosymplectic`
     image of u, the product M_last @ ... @ M_first of the element images.
+    ValueError for a count or mode :func:`_check_int` refuses, a beam splitter on one mode or a non-finite angle.
     """
-    n = circuit.n_modes
+    n = _check_int(circuit.n_modes, "number of modes", 1)
     u = np.eye(n, dtype=complex)
     for element in circuit.elements:
         if isinstance(element, BeamSplitter):
-            i, j = element.modes
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"beam splitter modes {tuple(element.modes)} invalid for {n} modes")
-            c, s = np.cos(element.theta), np.sin(element.theta)
+            i, j = (_check_int(m, "beam splitter mode", 0, n - 1) for m in element.modes)
+            if i == j:
+                raise ValueError(f"beam splitter modes {tuple(element.modes)} must differ")
+            theta = _check_angle(element.theta, "beam splitter angle")
+            c, s = np.cos(theta), np.sin(theta)
             u[i], u[j] = c * u[i] + s * u[j], c * u[j] - s * u[i]
         elif isinstance(element, PhaseShifter):
-            if not 0 <= element.mode < n:
-                raise ValueError(f"phase shifter mode {element.mode} invalid for {n} modes")
-            u[element.mode] *= np.exp(1j * element.phi)
+            k = _check_int(element.mode, "phase shifter mode", 0, n - 1)
+            u[k] *= np.exp(1j * _check_angle(element.phi, "phase shifter angle"))
         else:
             raise ValueError(f"unknown circuit element {element!r}")
     return _real_form(u)

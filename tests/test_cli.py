@@ -459,11 +459,11 @@ def test_shorthand_refuses_more_values_than_its_preset_takes(capsys, shorthand, 
 @pytest.mark.parametrize(
     "state, message",
     [
-        ("preset:fock:1.5", "photon number must be an integer, got 1.5"),
-        ('{"preset": "fock", "n": 2.7}', "photon number must be an integer, got 2.7"),
-        ("preset:vacuum:1.5", "number of modes must be a positive integer, got 1.5"),
+        ("preset:fock:1.5", "photon number must be an integer in [0, 39], got 1.5"),
+        ('{"preset": "fock", "n": 2.7}', "photon number must be an integer in [0, 39], got 2.7"),
+        ("preset:vacuum:1.5", "number of modes must be an integer in [1, inf), got 1.5"),
         ('{"preset": "vacuum", "modes": true}', "preset 'vacuum' parameter 'modes' must be a number, got True"),
-        ('{"modes": 1.5, "covariance": [1, 0, 0, 1]}', "modes must be a positive integer, got 1.5"),
+        ('{"modes": 1.5, "covariance": [1, 0, 0, 1]}', "modes must be an integer in [1, inf), got 1.5"),
     ],
 )
 def test_a_count_that_is_not_an_integer_exits_2(capsys, state, message):
@@ -498,7 +498,7 @@ def test_only_sweep_takes_a_seed(capsys, argv):
 def test_sweep_refuses_a_negative_seed(capsys):
     code, out, err = run_cli(capsys, "sweep", "--count", "2", "--seed", "-1", "--json")
     assert (code, out) == (cli.EXIT_INVALID, "")
-    assert err == "error: --seed must be nonnegative, got -1\n"
+    assert err == "error: --seed must be an integer in [0, inf), got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -577,7 +577,7 @@ def test_sweep_refuses_a_count_below_one(capsys, count):
     # --count 0 used to print -Infinity, which is not JSON.
     code, out, err = run_cli(capsys, "sweep", f"--count={count}", "--json")
     assert (code, out) == (cli.EXIT_INVALID, "")
-    assert err == f"error: --count must be at least 1, got {count}\n"
+    assert err == f"error: --count must be an integer in [1, inf), got {count}\n"
 
 
 def test_json_records_are_deterministic(capsys):

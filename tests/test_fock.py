@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -52,7 +53,7 @@ def test_bs_element_hong_ou_mandel_amplitude():
 
 
 def test_bs_element_rejects_negative_index():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"photon number m1 must be an integer in \[0, inf\), got -1"):
         gw.bs_matrix_element(-1, 0, 0, 0, 0.5)
 
 
@@ -181,7 +182,7 @@ def test_pure_loss_reduction_at_zero_bath():
 
 
 def test_kraus_requires_dim_at_least_max_mn():
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match=r"max_mn must be an integer in \[0, 10\], got 11"):
         gw.thermal_loss_kraus(0.8, 0.5, 10, 11)
 
 
@@ -430,8 +431,14 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [0, 1], 0.5 * np.eye(4)), "nonempty strict subset"),
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.5 * np.eye(4)), "wrong dimension"),
         (lambda: gw.gaussian_postselect(gw.vacuum(2), [1], 0.1 * np.eye(2)), "unphysical"),
-        (lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [5], 0.5 * np.eye(2)), r"indices \[5\] out of range"),
-        (lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [-1], 0.5 * np.eye(2)), r"indices \[-1\] out of range"),
+        (
+            lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [5], 0.5 * np.eye(2)),
+            r"mode index must be an integer in \[0, 1\], got 5",
+        ),
+        (
+            lambda: gw.gaussian_postselect(gw.two_mode_squeezed(0.5), [-1], 0.5 * np.eye(2)),
+            r"mode index must be an integer in \[0, 1\], got -1",
+        ),
         (
             lambda: gw.gaussian_postselect(gw.tensor([gw.vacuum(1), _BRIGHT_Q]), [1], _BRIGHT_Q.cm),
             "ill-conditioned",
@@ -450,28 +457,43 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             lambda: gw.local_activity(gw.FockDensity(np.diag([0.6, 0.6, -0.2, 0.0]), dim=2, n_modes=2)),
             r"density eigenvalue -2\.000e-01 is below",
         ),
-        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 1, 0), "at least 2"),
-        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), "nonnegative"),
-        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40.5, 20), "truncation dim must be an integer, got 40.5"),
-        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40, 20.0), "max_mn must be an integer, got 20.0"),
-        (lambda: gw.bs_matrix_element(True, 0, 1, 0, 0.5), "photon number m1 must be a nonnegative integer, got True"),
-        (lambda: gw.bs_matrix_element(1.0, 0, 1, 0, 0.5), r"photon number m1 must be a nonnegative integer, got 1\.0"),
-        (lambda: gw.FockDensity(np.eye(2) / 2, dim=2.0), r"truncation dim must be a positive integer, got 2\.0"),
-        (lambda: gw.FockDensity(np.eye(2) / 2, dim=True), "truncation dim must be a positive integer, got True"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 1, 0), r"truncation dim must be an integer in \[2, inf\), got 1"),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.0, 4, -1), r"max_mn must be an integer in \[0, 4\], got -1"),
+        (
+            lambda: gw.thermal_loss_kraus(0.8, 0.1, 40.5, 20),
+            r"truncation dim must be an integer in \[2, inf\), got 40\.5",
+        ),
+        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40, 20.0), r"max_mn must be an integer in \[0, 40\], got 20\.0"),
+        (
+            lambda: gw.bs_matrix_element(True, 0, 1, 0, 0.5),
+            r"photon number m1 must be an integer in \[0, inf\), got True",
+        ),
+        (
+            lambda: gw.bs_matrix_element(1.0, 0, 1, 0, 0.5),
+            r"photon number m1 must be an integer in \[0, inf\), got 1\.0",
+        ),
+        (lambda: gw.FockDensity(np.eye(2) / 2, dim=2.0), r"truncation dim must be an integer in \[1, inf\), got 2\.0"),
+        (
+            lambda: gw.FockDensity(np.eye(2) / 2, dim=True),
+            r"truncation dim must be an integer in \[1, inf\), got True",
+        ),
         (
             lambda: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=2.0),
-            r"number of modes must be a positive integer, got 2\.0",
+            r"number of modes must be an integer in \[1, inf\), got 2\.0",
         ),
-        (lambda: gw.FockDensity(np.eye(1), dim=2, n_modes=0), "number of modes must be a positive integer, got 0"),
-        (lambda: gw.fock_number_state(4, 4), "does not fit"),
-        (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be a positive integer, got 2\.5"),
-        (lambda: gw.fock_number_state(1.5, 4), r"photon number must be an integer, got 1\.5"),
-        (lambda: gw.fock_number_state(True, 4), "photon number must be an integer, got True"),
-        (lambda: gw.fock_thermal(0.5, 2.5), r"truncation dim must be a positive integer, got 2\.5"),
-        (lambda: gw.fock_thermal(0.5, 0), "truncation dim must be a positive integer, got 0"),
-        (lambda: gw.fock_postselect_demo(2), r"needs an integer dim >= 3 to hold \|2>, got 2"),
-        (lambda: gw.fock_postselect_demo(0), r"needs an integer dim >= 3 to hold \|2>, got 0"),
-        (lambda: gw.fock_postselect_demo(8.0), r"needs an integer dim >= 3 to hold \|2>, got 8\.0"),
+        (
+            lambda: gw.FockDensity(np.eye(1), dim=2, n_modes=0),
+            r"number of modes must be an integer in \[1, inf\), got 0",
+        ),
+        (lambda: gw.fock_number_state(4, 4), r"photon number must be an integer in \[0, 3\], got 4"),
+        (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be an integer in \[1, 2048\], got 2\.5"),
+        (lambda: gw.fock_number_state(1.5, 4), r"photon number must be an integer in \[0, 3\], got 1\.5"),
+        (lambda: gw.fock_number_state(True, 4), r"photon number must be an integer in \[0, 3\], got True"),
+        (lambda: gw.fock_thermal(0.5, 2.5), r"truncation dim must be an integer in \[1, 2048\], got 2\.5"),
+        (lambda: gw.fock_thermal(0.5, 0), r"truncation dim must be an integer in \[1, 2048\], got 0"),
+        (lambda: gw.fock_postselect_demo(2), r"truncation dim must be an integer in \[3, inf\), got 2"),
+        (lambda: gw.fock_postselect_demo(0), r"truncation dim must be an integer in \[3, inf\), got 0"),
+        (lambda: gw.fock_postselect_demo(8.0), r"truncation dim must be an integer in \[3, inf\), got 8\.0"),
     ],
 )
 def test_fock_refusals(call, message):
@@ -919,7 +941,7 @@ def test_fock_density_refuses_non_hermitian():
 
 @pytest.mark.parametrize("dim", [0, -3, 2.5, True])
 def test_fock_from_gaussian_refuses_bad_dim(dim):
-    with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"truncation dim must be an integer in [1, inf), got {dim!r}")):
         gw.fock_from_gaussian(gw.vacuum(1), dim)
 
 

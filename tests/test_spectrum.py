@@ -231,6 +231,15 @@ def test_freeness_of_a_state_calls_no_solver(monkeypatch):
     assert calls == []
 
 
+def test_relaxed_subadditivity_gap_builds_each_part_once(monkeypatch):
+    # Each part is validated once (eigh, values-only SVD); I(A:B) reads the kept spectra, and each of the two parts
+    # and the joint state takes one eigh for its activity: 7 calls.
+    state = gw.phase_space_loss_channel(gw.two_mode_squeezed(0.4), 0.9, 0.1)
+    calls = _counting(monkeypatch)
+    gw.relaxed_subadditivity_gap(state, [0])
+    assert calls == [("eigh", False, True), ("svd", False, False)] * 2 + [("eigh", False, True)] * 3
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "density"])
 def test_the_core_reads_a_state_as_its_bare_matrix(kind):
     # Bit for bit, field for field: a state's kept spectrum is the one its matrix gives.

@@ -372,15 +372,15 @@ def test_states_are_immutable():
         (lambda: gw.GaussianState([0.0, math.nan], 0.5 * np.eye(2)), "displacement vector must be finite"),
         (lambda: gw.GaussianState(np.zeros(4), 0.5 * np.eye(2)), "displacement length 4"),
         (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
-        (lambda: gw.partial_trace(gw.vacuum(2), [2]), "out of range"),
-        (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"indices \[5\] out of range for 2 modes"),
+        (lambda: gw.partial_trace(gw.vacuum(2), [2]), r"mode index must be an integer in \[0, 1\], got 2"),
+        (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"mode index must be an integer in \[0, 1\], got 5"),
         (
             lambda: gw.relative_entropy(gw.vacuum(1), gw.fock_number_state(1, 5)),
             "^relative_entropy sigma takes a GaussianState, got FockDensity$",
         ),
-        (lambda: gw.vacuum(1.5), r"number of modes must be a positive integer, got 1\.5"),
-        (lambda: gw.vacuum(0), "number of modes must be a positive integer, got 0"),
-        (lambda: gw.vacuum(2.0), r"number of modes must be a positive integer, got 2\.0"),
+        (lambda: gw.vacuum(1.5), r"number of modes must be an integer in \[1, inf\), got 1\.5"),
+        (lambda: gw.vacuum(0), r"number of modes must be an integer in \[1, inf\), got 0"),
+        (lambda: gw.vacuum(2.0), r"number of modes must be an integer in \[1, inf\), got 2\.0"),
         (lambda: gw.thermal(math.nan), "mean photon number must be finite and nonnegative, got nan"),
         (lambda: gw.thermal(math.inf), "mean photon number must be finite and nonnegative, got inf"),
         (lambda: gw.thermal(-0.1), r"mean photon number must be finite and nonnegative, got -0\.1"),

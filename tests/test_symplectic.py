@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,36 @@ def test_unitary_to_orthosymplectic_dft():
     assert np.linalg.norm(o @ omega @ o.T - omega) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gw.unitary_to_orthosymplectic(np.array([[math.nan]])), "not unitary"),
+        (lambda: gw.unitary_to_orthosymplectic(np.array([[1.0, math.inf], [0.0, 1.0]])), "not unitary"),
+        (
+            lambda: gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.PhaseShifter(math.nan, 0),))),
+            "^phase shifter angle must be finite, got nan$",
+        ),
+        (
+            lambda: gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.BeamSplitter(math.inf, (0, 1)),))),
+            "^beam splitter angle must be finite, got inf$",
+        ),
+        (
+            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(2), math.nan, [0] * 4),
+            "^beam splitter angle must be finite, got nan$",
+        ),
+        (
+            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(2), 0.3, [0, 0, -math.inf, 0]),
+            "^phase must be finite, got -inf$",
+        ),
+    ],
+    ids=["unitary-nan", "unitary-inf", "phase-shifter-nan", "beam-splitter-inf", "two-copies-theta", "two-copies-phi"],
+)
+def test_non_finite_inputs_are_refused_not_propagated(call, message):
+    # A NaN compares False with every bound, and np.cos(inf) warns: each is refused before any arithmetic.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_unitary_to_orthosymplectic_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         gw.unitary_to_orthosymplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -321,9 +353,9 @@ def test_compile_beam_splitter_inverse_pair():
 @pytest.mark.parametrize(
     "element, message",
     [
-        (gw.PhaseShifter(0.1, 5), "phase shifter mode 5 invalid"),
-        (gw.BeamSplitter(0.1, (0, 0)), r"beam splitter modes \(0, 0\) invalid"),
-        (gw.BeamSplitter(0.1, (0, 5)), r"beam splitter modes \(0, 5\) invalid"),
+        (gw.PhaseShifter(0.1, 5), r"phase shifter mode must be an integer in \[0, 1\], got 5"),
+        (gw.BeamSplitter(0.1, (0, 0)), r"beam splitter modes \(0, 0\) must differ"),
+        (gw.BeamSplitter(0.1, (0, 5)), r"beam splitter mode must be an integer in \[0, 1\], got 5"),
         ("mirror", "unknown circuit element 'mirror'"),
     ],
     ids=["phase-shifter-out-of-range", "beam-splitter-same-mode", "beam-splitter-out-of-range", "unknown-element"],
