@@ -14,8 +14,7 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import (TOL_PHYS, _check_angle, _check_int, require_valid_cm, rotation,
-                         unitary_to_orthosymplectic)
+from .symplectic import _check_angle, _check_int, require_valid_cm, rotation, unitary_to_orthosymplectic
 from .work import extractable_work
 
 
@@ -96,15 +95,3 @@ def work_swap_demo(gamma_a: np.ndarray, gamma_b: np.ndarray) -> DistillationOutc
         circuit=perm.T,
         output_state=first_pair,
     )
-
-
-def conversion_rate_bound(rho: GaussianState, sigma: GaussianState) -> float:
-    """Upper bound A(rho)/A(sigma) on the copies-out-per-copies-in rate.
-
-    Returns +inf (unbounded) when the target activity is at most TOL_PHYS = 1e-9.
-    """
-    target = local_activity(sigma).value
-    source = local_activity(rho).value
-    if target <= TOL_PHYS:
-        return math.inf
-    return source / target

@@ -24,11 +24,15 @@ stack in place.  ``operators`` is a dense view built on each access.
 ``fock_from_gaussian`` fills the Fock tensor of an N-mode Gaussian state by
 the Hermite recurrence on its Bargmann data (Quesada et al., PRA 100, 022341
 (2019); Miatto & Quesada, Quantum 4, 366 (2020)).  Nothing is padded, so the
-leak 1 - trace is exact; dim^(2N) is capped at _FOCK_ENTRY_BUDGET entries.
+leak 1 - trace is exact.  Every builder passes the entries it will allocate to
+``_check_entries``, one budget of 2^22, before its first array exists: dim <= 2048
+for a one-mode density, 45 at N = 2 and 12 at N = 3 in ``fock_from_gaussian``, and
+N <= 231 for the beam-splitter blocks (sum_{k<=N} (k + 1)^2 entries; dim 232 at max_mn 0).
 """
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -38,8 +42,13 @@ from .symplectic import _check_int, _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that a functional accepts of a FockDensity
-_FOCK_ENTRY_BUDGET = 2**22  # largest dim^(2N) fock_from_gaussian fills: a 64 MiB complex tensor
-_FOCK_DIM_CAP = math.isqrt(_FOCK_ENTRY_BUDGET)  # 2048, the largest dim of a one-mode density any constructor builds
+_FOCK_ENTRY_BUDGET = 2**22  # the most entries any Fock builder allocates: a 64 MiB complex array
+
+
+def _check_entries(count: int, what: str) -> None:
+    """The one size rule of the Fock layer: ValueError naming ``what``, ``count`` and the budget above it."""
+    if count > _FOCK_ENTRY_BUDGET:
+        raise ValueError(f"{what} needs {count} entries, above the budget of {_FOCK_ENTRY_BUDGET}")
 
 
 class _Fresh:
@@ -113,6 +122,7 @@ class KrausSet:
     @property
     def operators(self) -> Dict[Tuple[int, int], np.ndarray]:
         """Dense K_{mn} for every stored (m, n), built afresh on each access."""
+        _check_entries((self.max_mn + 1) * (self.n_max + 1) * self.dim**2, "dense Kraus view")
         k, first, _, lo, _, _ = _shift_layout(self.dim, self.max_mn, self.n_max)
         dense = np.zeros((self.max_mn + 1, self.n_max + 1, self.dim, self.dim))
         for shift, n0, a, stack in zip(k, first, lo, self.stacks):
@@ -127,7 +137,7 @@ def _check_eta(eta: float) -> None:
 
 
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
-    """Yield the blocks B_N[m1, n1] = <m1, N - m1| U_bs |n1, N - n1>, N = 0..n_max.
+    """The blocks B_N[m1, n1] = <m1, N - m1| U_bs |n1, N - n1>, N = 0..n_max, one at a time.
 
     U_bs maps a^dag -> eta a^dag + tau b^dag and b^dag -> -tau a^dag + eta b^dag
     (tau = sqrt(1 - eta^2)).  Since (a^dag a + b^dag b) / N is the identity
@@ -136,12 +146,12 @@ def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
     B_N = [(eta a^dag + tau b^dag) B_{N-1} a + (-tau a^dag + eta b^dag) B_{N-1} b] / N,
     with a^dag, b^dag acting on the output (rows) and a, b on the input
     (columns).  This step cannot amplify rounding errors, so
-    ||B_N B_N^T - I|| grows only about as fast as N eps.
+    ||B_N B_N^T - I|| grows only about as fast as N eps.  The sum_{k<=N} (k + 1)^2 entries of the blocks bound
+    the work and the peak: they pass :func:`_check_entries` at the call, before the first block is built.
     """
+    _check_entries((n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6, f"beam-splitter recurrence to N = {n_max}")
     tau = math.sqrt(1.0 - eta * eta)
-    block = np.ones((1, 1))
-    yield block
-    for n in range(1, n_max + 1):
+    def step(block, n):  # B_{N-1} -> B_N
         up = np.sqrt(np.arange(1, n + 1) / n)  # sqrt(k / N), k = 1..N; reversed, sqrt((N - k) / N), k = 0..N-1
         new, term = np.zeros((n + 1, n + 1)), np.empty((n, n))
         # Each shifted contribution of B_{N-1}: (row, column) offset, row weights, column weights.
@@ -151,8 +161,8 @@ def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
             term *= rows[:, None]
             term *= block
             np.copyto(new[i : i + n, j : j + n], np.add(term, new[i : i + n, j : j + n], out=term))
-        block = new
-        yield block
+        return new
+    return accumulate(range(1, n_max + 1), step, initial=np.ones((1, 1)))
 
 
 def _unitarity_residual(block: np.ndarray, eta: float) -> float:
@@ -194,7 +204,7 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     geometric bath weights, so photon numbers up to N = dim - 1 + max_mn are
     needed; indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
     dropped, so nbar_bath = 0 reduces to the pure-loss set).  ValueError unless dim >= 2 and 0 <= max_mn <= dim
-    are integers (:func:`_check_int`).
+    are integers (:func:`_check_int`) and the blocks and the stored entries pass :func:`_check_entries`.
     """
     dim = _check_int(dim, "truncation dim", 2)
     max_mn = _check_int(max_mn, "max_mn", 0, dim)
@@ -206,10 +216,12 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     # Each block is checked and scattered as it is produced, so only one is held at a time.  Block N feeds
     # every (m, n, n1) with n1 + n = N from B_N[m1, n1], m1 = N - m, in the stack of shift k = m1 - n1:
     # one flat-index write over the m1 and n1 in range.
+    blocks = _bs_blocks(float(eta), dim - 1 + n_max)  # checks the blocks' size first, which bounds the layout's
     _, first, rows, lo, width, start = _shift_layout(dim, max_mn, n_max)
+    _check_entries(int(start[-1]), f"Kraus set at dim {dim}, max_mn {max_mn}")
     flat = np.zeros(start[-1])
     residual = 0.0
-    for total, block in enumerate(_bs_blocks(float(eta), dim - 1 + n_max)):
+    for total, block in enumerate(blocks):
         residual = max(residual, _unitarity_residual(block, eta))
         m1 = np.arange(max(0, total - max_mn), min(dim - 1, total) + 1)[:, None]
         n1 = np.arange(max(0, total - n_max), min(dim - 1, total) + 1)
@@ -286,21 +298,20 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
 
 
 def fock_number_state(n: int, dim: int) -> FockDensity:
-    """|n><n| in dim levels; ValueError unless 0 <= n < dim <= 2048 are integers, checked before any allocation."""
-    dim = _check_int(dim, "truncation dim", 1, _FOCK_DIM_CAP)
+    """|n><n| in dim levels; ValueError unless 0 <= n < dim are integers and dim^2 passes :func:`_check_entries`."""
+    dim = _check_int(dim, "truncation dim", 1)
+    _check_entries(dim * dim, f"one-mode density at dim {dim}")
     n = _check_int(n, "photon number", 0, dim - 1)
-    weights = np.zeros(dim)
-    weights[n] = 1.0
-    return FockDensity(np.diag(weights), dim=dim)
+    return FockDensity(np.diag(np.eye(1, dim, n)[0]), dim=dim)
 
 
 def fock_thermal(nbar: float, dim: int) -> FockDensity:
-    """Thermal state cut to dim levels, not renormalised; ValueError unless dim <= 2048, checked before allocating."""
+    """Thermal state cut to dim levels, not renormalised; ValueError unless dim^2 passes :func:`_check_entries`."""
     _check_nbar(nbar, "mean photon number")
-    dim = _check_int(dim, "truncation dim", 1, _FOCK_DIM_CAP)
+    dim = _check_int(dim, "truncation dim", 1)
+    _check_entries(dim * dim, f"one-mode density at dim {dim}")
     x = nbar / (nbar + 1.0)
-    weights = (1.0 - x) * x ** np.arange(dim)
-    return FockDensity(np.diag(weights), dim=dim)
+    return FockDensity(np.diag((1.0 - x) * x ** np.arange(dim)), dim=dim)
 
 
 def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
@@ -308,13 +319,11 @@ def fock_from_gaussian(state: GaussianState, dim: int) -> FockDensity:
 
     rho_0 = c and rho_{k+e_i} = (b_i rho_k + sum_j A_ij sqrt(k_j) rho_{k-e_j}) / sqrt(k_i + 1), one
     axis of k = (m_1..m_N, n_1..n_N) at a time.  ValueError, before any allocation, unless ``state`` is a
-    GaussianState, dim >= 1 is an integer and dim^(2N) <= _FOCK_ENTRY_BUDGET.
+    GaussianState, dim >= 1 is an integer and dim^(2N) passes :func:`_check_entries`.
     """
     state = _gaussian(state, "fock_from_gaussian")
     n, dim = state.n_modes, _check_int(dim, "truncation dim", 1)
-    if dim ** (2 * n) > _FOCK_ENTRY_BUDGET:
-        raise ValueError(f"Fock conversion at dim {dim} for {n} modes needs {dim ** (2 * n)} entries, "
-                         f"above the budget of {_FOCK_ENTRY_BUDGET}")
+    _check_entries(dim ** (2 * n), f"Fock conversion at dim {dim} for {n} modes")
     # Bargmann data (A, b, c) in the order (a_1..a_N, a_1*..a_N*); W is unitary, so sigma^-1 =
     # W (cm + I/2)^-1 W^dag.  One real eigh of cm + I/2 (validation has loaded that LAPACK code) gives its
     # inverse and determinant; einsum stands in for a complex @, whose BLAS code no other Fock step loads.

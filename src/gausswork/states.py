@@ -50,7 +50,9 @@ class GaussianState:
     _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.array(self.displacement, dtype=float).reshape(-1)
+        d = np.array(self.displacement, dtype=float)
+        if d.ndim != 1:
+            raise ValueError(f"displacement vector must have rank 1, got shape {d.shape}")
         cm = np.array(self.cm, dtype=float)
         if not np.all(np.isfinite(d)):
             raise ValueError("displacement vector must be finite")
@@ -133,11 +135,9 @@ def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> G
         raise ValueError(f"symplectic matrix shape {s.shape} does not match state dimension {state.cm.shape}")
     if not is_symplectic(s):
         raise ValueError("matrix is not symplectic within tolerance")
-    if shift is None:
-        shift = np.zeros(s.shape[0])
-    shift = np.asarray(shift, dtype=float).reshape(-1)
-    if shift.size != s.shape[0]:
-        raise ValueError("shift vector has wrong length")
+    shift = np.zeros(s.shape[0]) if shift is None else np.asarray(shift, dtype=float)
+    if shift.shape != (s.shape[0],):
+        raise ValueError(f"shift vector must have shape ({s.shape[0]},), got {shift.shape}")
     cm = s @ state.cm @ s.T
     return GaussianState(s @ state.displacement + shift, 0.5 * (cm + cm.T))
 

@@ -55,7 +55,9 @@ def rotation(phi: float) -> np.ndarray:
 
 def squeezer_direct_sum(rs: Sequence[float]) -> np.ndarray:
     """Direct sum of single-mode squeezers diag(e^r, e^-r), one per mode; a scalar r gives one mode."""
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    rs = np.asarray(rs, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError(f"squeezings must be a scalar or a vector, got shape {rs.shape}")
     return np.diag(np.exp(np.outer(rs, [1.0, -1.0]).ravel()))
 
 
@@ -475,12 +477,14 @@ def compile_passive_circuit(circuit: PassiveCircuit) -> np.ndarray:
     i, j to c u_i + s u_j and c u_j - s u_i, a phase shifter multiplies row
     k by exp(i phi).  The result is the :func:`unitary_to_orthosymplectic`
     image of u, the product M_last @ ... @ M_first of the element images.
-    ValueError for a count or mode :func:`_check_int` refuses, a beam splitter on one mode or a non-finite angle.
+    ValueError for what :func:`_check_int` refuses, a beam splitter not on two distinct modes or a non-finite angle.
     """
     n = _check_int(circuit.n_modes, "number of modes", 1)
     u = np.eye(n, dtype=complex)
     for element in circuit.elements:
         if isinstance(element, BeamSplitter):
+            if np.shape(element.modes) != (2,):
+                raise ValueError(f"a beam splitter needs a pair of mode indices, got {element!r}")
             i, j = (_check_int(m, "beam splitter mode", 0, n - 1) for m in element.modes)
             if i == j:
                 raise ValueError(f"beam splitter modes {tuple(element.modes)} must differ")

@@ -244,6 +244,13 @@ def test_channel_kraus_refuses_multimode_state(capsys):
     assert "the Kraus channel acts on one mode, got 2" in err
 
 
+def test_channel_kraus_refuses_an_oversize_set_before_building_it(capsys):
+    argv = ["--state", "preset:fock:1", "--fock-dim", "2048", "--max-mn", "2048", "--eta", "0.8", "--kraus"]
+    code, out, err = run_cli(capsys, "channel", *argv)
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err == "error: beam-splitter recurrence to N = 2047 needs 2865409024 entries, above the budget of 4194304\n"
+
+
 def test_freecheck_free_state(capsys):
     code, out, _ = run_cli(capsys, "freecheck", "--state", "preset:thermal:2", "--json")
     assert code == 0
@@ -607,7 +614,7 @@ LAYERS = ("activity", "distill", "fock", "free", "states", "symplectic", "work")
 PUBLIC = set(
     """ActivityReport gaussian_coherence local_activity photon_overlap_matrix
     relaxed_subadditivity_gap DistillationOutcome activity_distillation_demo
-    conversion_rate_bound dft_unitary process_two_copies_single_mode work_swap_demo FockDensity
+    dft_unitary process_two_copies_single_mode work_swap_demo FockDensity
     KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian fock_moments
     fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
     gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
@@ -677,7 +684,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 71
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 70
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):

@@ -131,21 +131,3 @@ def test_work_swap_rejects_no_gain():
     gamma = gw.squeezed(0.5).cm
     with pytest.raises(ValueError, match="gains nothing"):
         gw.work_swap_demo(gamma, gamma)
-
-
-def test_conversion_rate_self_is_one():
-    state = gw.squeezed(0.7)
-    assert gw.conversion_rate_bound(state, state) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_conversion_rate_squeezed_to_coherent():
-    rate = gw.conversion_rate_bound(gw.squeezed(1.0), gw.coherent(1.0))
-    assert rate == pytest.approx(1.1684546502729484, abs=1e-9)
-
-
-def test_conversion_rate_free_source_is_zero():
-    assert gw.conversion_rate_bound(gw.thermal(1.0), gw.squeezed(0.5)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_conversion_rate_free_target_unbounded():
-    assert math.isinf(gw.conversion_rate_bound(gw.squeezed(0.5), gw.thermal(1.0)))

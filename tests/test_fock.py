@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import re
+import time
 import tracemalloc
 
 import mpmath
@@ -486,11 +487,11 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             r"number of modes must be an integer in \[1, inf\), got 0",
         ),
         (lambda: gw.fock_number_state(4, 4), r"photon number must be an integer in \[0, 3\], got 4"),
-        (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be an integer in \[1, 2048\], got 2\.5"),
+        (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be an integer in \[1, inf\), got 2\.5"),
         (lambda: gw.fock_number_state(1.5, 4), r"photon number must be an integer in \[0, 3\], got 1\.5"),
         (lambda: gw.fock_number_state(True, 4), r"photon number must be an integer in \[0, 3\], got True"),
-        (lambda: gw.fock_thermal(0.5, 2.5), r"truncation dim must be an integer in \[1, 2048\], got 2\.5"),
-        (lambda: gw.fock_thermal(0.5, 0), r"truncation dim must be an integer in \[1, 2048\], got 0"),
+        (lambda: gw.fock_thermal(0.5, 2.5), r"truncation dim must be an integer in \[1, inf\), got 2\.5"),
+        (lambda: gw.fock_thermal(0.5, 0), r"truncation dim must be an integer in \[1, inf\), got 0"),
         (lambda: gw.fock_postselect_demo(2), r"truncation dim must be an integer in \[3, inf\), got 2"),
         (lambda: gw.fock_postselect_demo(0), r"truncation dim must be an integer in \[3, inf\), got 0"),
         (lambda: gw.fock_postselect_demo(8.0), r"truncation dim must be an integer in \[3, inf\), got 8\.0"),
@@ -532,7 +533,7 @@ def test_single_value_tolerances_are_module_constants(monkeypatch):
     """The leak bound is fock.LEAK_TOL and the symplectic bound TOL_SYMP, each read at each call; the other
     single-value knobs are gone too."""
     for func, name in ((gw.fock_single_mode_activity, "leak_tol"), (gw.unitary_to_orthosymplectic, "tol"),
-                       (gw.conversion_rate_bound, "atol"), (gw.is_symplectic, "tol"), (gw.is_orthosymplectic, "tol")):
+                       (gw.is_symplectic, "tol"), (gw.is_orthosymplectic, "tol")):
         assert name not in inspect.signature(func).parameters
     with pytest.raises(ValueError, match=r"truncation leak 1\.00\de-01 exceeds tolerance 1\.0e-06"):
         gw.fock_single_mode_activity(_LEAKY)
@@ -888,6 +889,60 @@ def test_fock_from_gaussian_reduced_state_matches_partial_trace():
 def test_fock_from_gaussian_refuses_over_budget():
     with pytest.raises(ValueError, match=r"dim 50 for 2 modes needs 6250000 entries, above the budget of 4194304"):
         gw.fock_from_gaussian(gw.vacuum(2), 50)
+
+
+@pytest.mark.parametrize(
+    "build, edge, what, count",
+    [
+        (lambda d: gw.fock_number_state(1, d), 2048, "one-mode density at dim 2049", 2049**2),
+        (lambda d: gw.fock_thermal(0.5, d), 2048, "one-mode density at dim 2049", 2049**2),
+        (lambda d: gw.fock_from_gaussian(gw.vacuum(1), d), 2048, "Fock conversion at dim 2049 for 1 modes", 2049**2),
+        # Blocks up to N = dim - 1: sum (k + 1)^2 is 4,189,340 at N = 231 and 4,243,629 at N = 232.
+        (lambda d: gw.thermal_loss_kraus(0.8, 0.0, d, 0), 232, "beam-splitter recurrence to N = 232", 4243629),
+    ],
+    ids=["fock_number_state", "fock_thermal", "fock_from_gaussian", "thermal_loss_kraus"],
+)
+def test_the_entry_budget_accepts_its_edge_and_refuses_one_above(build, edge, what, count):
+    # 2048^2 = 2^22 is the budget itself; one level more is refused before anything is allocated.
+    assert build(edge).dim == edge
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} needs {count} entries, above the budget of 4194304$"):
+        build(edge + 1)
+
+
+def test_bs_blocks_check_their_entries_at_the_call():
+    # A generator body runs only when first read: the check is made at the call, before the first block is built.
+    with pytest.raises(ValueError, match=r"^beam-splitter recurrence to N = 232 needs 4243629 entries"):
+        _bs_blocks(0.5, 232)
+    _bs_blocks(0.5, 231)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gw.thermal_loss_kraus(0.8, 0.1, 2048, 2048), "recurrence to N = 2357 needs 4373069379 entries"),
+        (lambda: gw.bs_matrix_element(0, 3000, 3000, 0, 0.5), "recurrence to N = 3000 needs 9013506501 entries"),
+    ],
+    ids=["thermal_loss_kraus", "bs_matrix_element"],
+)
+def test_an_oversize_request_is_refused_before_it_allocates(call, message):
+    # Each once laid out gigabytes and ran the recurrence for minutes; now it is refused at once.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"^beam-splitter {message}, above the budget of 4194304$"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1e6
+
+
+def test_the_dense_kraus_view_passes_the_entry_budget():
+    # 61 x 61 operators of 60 x 60 entries, though the set stores 147,620: the view is refused, the set is not.
+    kraus = gw.thermal_loss_kraus(0.8, 5.0, 60, 60)
+    with pytest.raises(ValueError, match=r"^dense Kraus view needs 13395600 entries, above the budget of 4194304$"):
+        kraus.operators
 
 
 def test_fock_from_gaussian_peaks_at_three_tensors():

@@ -38,8 +38,8 @@ ENTRY_POINTS = [
     ("kraus-dim", lambda v: gw.thermal_loss_kraus(0.8, 0.1, v, 1), "truncation dim", 2, INF, 1),
     ("kraus-max_mn", lambda v: gw.thermal_loss_kraus(0.8, 0.1, 4, v), "max_mn", 0, 4, 5),
     ("number-n", lambda v: gw.fock_number_state(v, 4), "photon number", 0, 3, 4),
-    ("number-dim", lambda v: gw.fock_number_state(1, v), "truncation dim", 1, 2048, 2049),
-    ("thermal-dim", lambda v: gw.fock_thermal(0.5, v), "truncation dim", 1, 2048, 2049),
+    ("number-dim", lambda v: gw.fock_number_state(1, v), "truncation dim", 1, INF, 0),
+    ("thermal-dim", lambda v: gw.fock_thermal(0.5, v), "truncation dim", 1, INF, 0),
     ("fock_from_gaussian", lambda v: gw.fock_from_gaussian(gw.vacuum(1), v), "truncation dim", 1, INF, 0),
     ("postselect-demo", lambda v: gw.fock_postselect_demo(v), "truncation dim", 3, INF, 2),
     ("partial_trace", lambda v: gw.partial_trace(STATE, [0, v]), "mode index", 0, 3, 4),

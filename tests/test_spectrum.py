@@ -218,8 +218,10 @@ def test_protocol_takes_s_st_from_one_svd_with_no_williamson_factor(monkeypatch)
 
 def test_freecheck_reads_the_validated_spectrum(capsys, monkeypatch):
     # The preset's validation runs one eigh of cm and one values-only SVD of K; is_free_cm reads that spectrum.
+    from gausswork import cli  # the package binds gausswork.cli only once it is imported
+
     calls = _counting(monkeypatch)
-    assert gw.cli.main(["freecheck", "--state", "preset:tms:0.5", "--json"]) == 0
+    assert cli.main(["freecheck", "--state", "preset:tms:0.5", "--json"]) == 0
     capsys.readouterr()
     assert calls == [("eigh", False, True), ("svd", False, False)]
 

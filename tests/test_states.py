@@ -371,7 +371,17 @@ def test_states_are_immutable():
     [
         (lambda: gw.GaussianState([0.0, math.nan], 0.5 * np.eye(2)), "displacement vector must be finite"),
         (lambda: gw.GaussianState(np.zeros(4), 0.5 * np.eye(2)), "displacement length 4"),
+        # A rank-2 array is refused, not flattened into a vector of the right length.
+        (
+            lambda: gw.GaussianState(np.zeros((2, 2)), np.eye(4) / 2),
+            r"^displacement vector must have rank 1, got shape \(2, 2\)$",
+        ),
         (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
+        (
+            lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros((2, 1))),
+            r"^shift vector must have shape \(2,\), got \(2, 1\)$",
+        ),
+        (lambda: gw.squeezer_direct_sum(np.ones((2, 2))), r"^squeezings must be a scalar or a vector, got shape \("),
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), r"mode index must be an integer in \[0, 1\], got 2"),
         (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"mode index must be an integer in \[0, 1\], got 5"),
         (

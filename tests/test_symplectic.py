@@ -356,9 +356,17 @@ def test_compile_beam_splitter_inverse_pair():
         (gw.PhaseShifter(0.1, 5), r"phase shifter mode must be an integer in \[0, 1\], got 5"),
         (gw.BeamSplitter(0.1, (0, 0)), r"beam splitter modes \(0, 0\) must differ"),
         (gw.BeamSplitter(0.1, (0, 5)), r"beam splitter mode must be an integer in \[0, 1\], got 5"),
+        # Refused by name, not by Python's tuple unpacking ("too many / not enough values to unpack", TypeError).
+        (
+            gw.BeamSplitter(0.3, (0, 1, 2)),
+            r"^a beam splitter needs a pair of mode indices, got BeamSplitter\(theta=0\.3, modes=\(0, 1, 2\)\)$",
+        ),
+        (gw.BeamSplitter(0.3, (0,)), r"^a beam splitter needs a pair of mode indices, got .*modes=\(0,\)\)$"),
+        (gw.BeamSplitter(0.3, 0), r"^a beam splitter needs a pair of mode indices, got .*modes=0\)$"),
         ("mirror", "unknown circuit element 'mirror'"),
     ],
-    ids=["phase-shifter-out-of-range", "beam-splitter-same-mode", "beam-splitter-out-of-range", "unknown-element"],
+    ids=["phase-shifter-out-of-range", "beam-splitter-same-mode", "beam-splitter-out-of-range",
+         "beam-splitter-three-modes", "beam-splitter-one-mode", "beam-splitter-bare-mode", "unknown-element"],
 )
 def test_compile_rejects_bad_mode_index(element, message):
     circ = gw.PassiveCircuit(n_modes=2, elements=(element,))
