@@ -86,7 +86,7 @@ def _whole(value):
 
 def parse_state(text: str, fock_dim: int = 40, document=None):
     """Parse a state argument into a GaussianState or FockDensity; ``document`` is its state file's text, if read."""
-    from .symplectic import _check_int
+    from .symplectic import _check_array, _check_int
 
     try:
         doc = _shorthand(text) if text.startswith("preset:") else json.loads(document or _file_document(text) or text)
@@ -106,11 +106,10 @@ def parse_state(text: str, fock_dim: int = 40, document=None):
             values = [_whole(params[k]) for k in names if k in params]
             return getattr(gw, builder)(*values, *([fock_dim] if name == "fock" else []))
         modes = _check_int(_whole(doc["modes"]), "modes", 1)
-        d = np.asarray(doc.get("displacement", [0.0] * (2 * modes)), dtype=float)
-        cov = np.asarray(doc["covariance"], dtype=float)
+        cov = _check_array(doc["covariance"], "covariance", None, finite=False)  # GaussianState checks the entries
         if cov.size != 4 * modes * modes:
             raise StateParseError(f"covariance must have 4*N^2 = {4 * modes * modes} entries, got {cov.size}")
-        return gw.GaussianState(d, cov.reshape(2 * modes, 2 * modes))
+        return gw.GaussianState(doc.get("displacement", np.zeros(2 * modes)), cov.reshape(2 * modes, 2 * modes))
     except StateParseError:
         raise
     except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
@@ -238,7 +237,7 @@ def _cmd_demo(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    from .symplectic import _check_int
+    from .symplectic import _check_array, _check_int
     _check_int(args.count, "--count", 1)
     rng = np.random.default_rng(_check_int(args.seed, "--seed", 0))
     worst_activity, worst_work = -math.inf, -math.inf

@@ -14,7 +14,7 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import _check_angle, _check_int, require_valid_cm, rotation, unitary_to_orthosymplectic
+from .symplectic import _check_array, _check_int, _check_real, require_valid_cm, rotation, unitary_to_orthosymplectic
 from .work import extractable_work
 
 
@@ -31,20 +31,14 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
 
     Returns (gamma1', gamma2') with
     R1^T gamma1' R1 = cos^2(theta) R3 gamma R3^T + sin^2(theta) R4 gamma R4^T
-    and the mirrored combination for the second arm.  ValueError for an invalid gamma or an angle that is not finite.
+    and the mirrored combination for the second arm; a 2 x 2 gamma, theta and four phases pass the argument rules.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2, 2):
-        raise ValueError(f"expected a single-mode (2x2) covariance matrix, got {gamma.shape}")
-    require_valid_cm(gamma)
-    r1, r2, r3, r4 = (rotation(-_check_angle(p, "phase")) for p in phis)
-    theta = _check_angle(theta, "beam splitter angle")
+    gamma = require_valid_cm(_check_array(gamma, "single-mode covariance matrix", (2, 2))).cm
+    r1, r2, r3, r4 = (rotation(-p) for p in _check_array(phis, "phases", (4,)))
+    theta = _check_real(theta, "beam splitter angle")
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    mixed3 = r3 @ gamma @ r3.T
-    mixed4 = r4 @ gamma @ r4.T
-    gamma1 = r1 @ (c2 * mixed3 + s2 * mixed4) @ r1.T
-    gamma2 = r2 @ (s2 * mixed3 + c2 * mixed4) @ r2.T
-    return gamma1, gamma2
+    mixed3, mixed4 = (r @ gamma @ r.T for r in (r3, r4))
+    return r1 @ (c2 * mixed3 + s2 * mixed4) @ r1.T, r2 @ (s2 * mixed3 + c2 * mixed4) @ r2.T
 
 
 def dft_unitary(n: int) -> np.ndarray:

@@ -37,8 +37,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .states import GaussianState, _bipartition, _check_nbar, _gaussian, _mode_indices
-from .symplectic import _check_int, _real_form, validate_cm
+from .states import GaussianState, _bipartition, _gaussian, _mode_indices
+from .symplectic import _check_array, _check_int, _check_real, _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that a functional accepts of a FockDensity
@@ -67,15 +67,12 @@ class FockDensity:
     n_modes: int = 1
 
     def __post_init__(self):
-        _check_int(self.dim, "truncation dim", 1)
-        _check_int(self.n_modes, "number of modes", 1)
-        mat = self.matrix.array if isinstance(self.matrix, _Fresh) else np.array(self.matrix, dtype=complex)
+        fresh = isinstance(self.matrix, _Fresh)
+        mat = _check_array(self.matrix.array if fresh else self.matrix, "density matrix", "square", dtype=complex,
+                           copy=not fresh)
+        if len(mat) != _check_int(self.dim, "truncation dim", 1) ** _check_int(self.n_modes, "number of modes", 1):
+            raise ValueError(f"density matrix of size {len(mat)} does not match dim {self.dim}^{self.n_modes}")
         mat.setflags(write=False)
-        expected = self.dim**self.n_modes
-        if mat.shape != (expected, expected):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {self.dim}^{self.n_modes}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("density matrix must be finite")
         re, im = mat.real, mat.imag  # ||mat^dag - mat|| from real temporaries of half the matrix's size
         if math.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T)) > 1e-10 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("density matrix is not Hermitian")
@@ -131,9 +128,11 @@ class KrausSet:
         return {(m, n): dense[m, n] for m, n in np.ndindex(dense.shape[:2])}
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"amplitude transmittance must lie in (0, 1], got {eta}")
+def _density(rho, op: str) -> FockDensity:
+    """``rho`` if it is a FockDensity: :func:`states._gaussian`'s twin for density-only operations, naming ``op``."""
+    if not isinstance(rho, FockDensity):
+        raise ValueError(f"{op} takes a FockDensity, got {type(rho).__name__}")
+    return rho
 
 
 def _bs_blocks(eta: float, n_max: int) -> Iterator[np.ndarray]:
@@ -188,10 +187,10 @@ def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
     """Amplitude <m1, m| U_bs(eta) |n1, n>; zero unless m1 + m == n1 + n."""
     for label, idx in (("m1", m1), ("m", m), ("n1", n1), ("n", n)):
         _check_int(idx, f"photon number {label}", 0)
-    _check_eta(eta)
+    eta = _check_real(eta, "amplitude transmittance", 0.0, 1.0, low_open=True)
     if m1 + m != n1 + n:
         return 0.0
-    for block in _bs_blocks(float(eta), n1 + n):  # hold one block at a time
+    for block in _bs_blocks(eta, n1 + n):  # hold one block at a time
         pass
     _unitarity_residual(block, eta)
     return float(block[m1, n1])
@@ -203,20 +202,21 @@ def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> K
     K_{mn}[m1, n1] = sqrt(p_n) B_{n1+n}[m1, n1] (m1 = n1 + n - m) with p_n the
     geometric bath weights, so photon numbers up to N = dim - 1 + max_mn are
     needed; indices run over 0 <= m, n <= max_mn (operators with p_n = 0 are
-    dropped, so nbar_bath = 0 reduces to the pure-loss set).  ValueError unless dim >= 2 and 0 <= max_mn <= dim
-    are integers (:func:`_check_int`) and the blocks and the stored entries pass :func:`_check_entries`.
+    dropped, so nbar_bath = 0 reduces to the pure-loss set).  ValueError unless dim >= 2 and 0 <= max_mn <= dim pass
+    :func:`_check_int`, eta and nbar_bath :func:`_check_real`, and the blocks and stored entries :func:`_check_entries`.
     """
     dim = _check_int(dim, "truncation dim", 2)
     max_mn = _check_int(max_mn, "max_mn", 0, dim)
-    _check_eta(eta)
-    _check_nbar(nbar_bath, "bath mean photon number")
+    eta = _check_real(eta, "amplitude transmittance", 0.0, 1.0, low_open=True)
+    nbar_bath = _check_real(nbar_bath, "bath mean photon number", 0.0)
+    _bs_blocks(eta, dim - 1)  # sizes the blocks every n_max >= 0 needs before the max_mn + 1 bath weights exist
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1  # the weights decrease, so zeros form a tail
     # Each block is checked and scattered as it is produced, so only one is held at a time.  Block N feeds
     # every (m, n, n1) with n1 + n = N from B_N[m1, n1], m1 = N - m, in the stack of shift k = m1 - n1:
     # one flat-index write over the m1 and n1 in range.
-    blocks = _bs_blocks(float(eta), dim - 1 + n_max)  # checks the blocks' size first, which bounds the layout's
+    blocks = _bs_blocks(eta, dim - 1 + n_max)  # checks the blocks' size first, which bounds the layout's
     _, first, rows, lo, width, start = _shift_layout(dim, max_mn, n_max)
     _check_entries(int(start[-1]), f"Kraus set at dim {dim}, max_mn {max_mn}")
     flat = np.zeros(start[-1])
@@ -247,7 +247,7 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
     sub-block where the input has support (diagonal weight > 1e-12); that
     matrix is diagonal, so its norm is the largest |1 - c_i| there.
     """
-    if rho.n_modes != 1 or rho.matrix.shape[0] != kraus.dim:
+    if _density(rho, "apply_kraus_channel").n_modes != 1 or rho.dim != kraus.dim:
         raise ValueError("input dimension does not match the Kraus set")
     out = np.zeros_like(rho.matrix)
     k, _, _, lo, width, _ = _shift_layout(kraus.dim, kraus.max_mn, kraus.n_max)
@@ -262,8 +262,8 @@ def apply_kraus_channel(rho: FockDensity, kraus: KrausSet):
 def phase_space_loss_channel(state: GaussianState, eta: float, nbar_bath: float) -> GaussianState:
     """Thermal-loss map cm -> eta^2 cm + (1 - eta^2)(nbar + 1/2) I of a GaussianState; ValueError for other input."""
     state = _gaussian(state, "phase_space_loss_channel")
-    _check_eta(eta)
-    _check_nbar(nbar_bath, "bath mean photon number")
+    eta = _check_real(eta, "amplitude transmittance", 0.0, 1.0, low_open=True)
+    nbar_bath = _check_real(nbar_bath, "bath mean photon number", 0.0)
     dim = state.cm.shape[0]
     cm = eta**2 * state.cm + (1.0 - eta**2) * (nbar_bath + 0.5) * np.eye(dim)
     return GaussianState(eta * state.displacement, cm)
@@ -279,9 +279,7 @@ def gaussian_postselect(state: GaussianState, measured, gamma_meas: np.ndarray) 
     measured, keep = _bipartition(_gaussian(state, "gaussian_postselect").n_modes, measured)
     if not measured or not keep:
         raise ValueError("measurement must cover a nonempty strict subset of modes")
-    gamma_meas = np.asarray(gamma_meas, dtype=float)
-    if gamma_meas.shape != (2 * len(measured), 2 * len(measured)):
-        raise ValueError("measurement covariance has wrong dimension")
+    gamma_meas = _check_array(gamma_meas, "measurement covariance", (2 * len(measured),) * 2)
     if not validate_cm(gamma_meas).valid:
         raise ValueError("measurement covariance is unphysical")
     ia, ib = _mode_indices(keep), _mode_indices(measured)
@@ -306,8 +304,8 @@ def fock_number_state(n: int, dim: int) -> FockDensity:
 
 
 def fock_thermal(nbar: float, dim: int) -> FockDensity:
-    """Thermal state cut to dim levels, not renormalised; ValueError unless dim^2 passes :func:`_check_entries`."""
-    _check_nbar(nbar, "mean photon number")
+    """Thermal state in dim levels, not renormalised; nbar passes :func:`_check_real`, dim^2 :func:`_check_entries`."""
+    nbar = _check_real(nbar, "mean photon number", 0.0)
     dim = _check_int(dim, "truncation dim", 1)
     _check_entries(dim * dim, f"one-mode density at dim {dim}")
     x = nbar / (nbar + 1.0)
@@ -356,7 +354,7 @@ def fock_moments(rho: FockDensity):
     An X sending |k> to c(k) |k + s> (flat basis index k) has Tr(rho X) = sum_k c(k) rho[k, k + s], one weighted
     sum over a shifted diagonal: O(dim^N) per moment and no dim^N x dim^N temporary.  c(k) is zero where X leaves
     the truncation, which also drops the entries where the offset carries into another mode's digit."""
-    n, dim, mat, tr = rho.n_modes, rho.dim, rho.matrix, rho.trace
+    n, dim, mat, tr = _density(rho, "fock_moments").n_modes, rho.dim, rho.matrix, rho.trace
     occ = np.indices((dim,) * n).reshape(n, -1)  # occ[i, k]: photons in mode i of basis state k
     root, stride = np.sqrt(occ), dim ** np.arange(n - 1, -1, -1)
 
@@ -402,7 +400,7 @@ def _fock_entropy(rho: FockDensity) -> float:
 def fock_single_mode_activity(rho: FockDensity) -> float:
     """``local_activity(rho).value`` of a single-mode density."""
     from .activity import local_activity
-    if rho.n_modes != 1:
+    if _density(rho, "fock_single_mode_activity").n_modes != 1:
         raise ValueError("single-mode activity requires a single-mode density")
     return local_activity(rho).value
 

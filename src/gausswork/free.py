@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import _cm_spectrum, is_orthosymplectic, require_valid_cm
+from .symplectic import _check_array, _cm_spectrum, is_orthosymplectic, require_valid_cm
 
 # Over 123,000 exactly free free_cm(nu, O) (N = 1..8, nu - 1/2 in {0} and log-uniform on [1e-16, 1e9], random O,
 # seeds 17-19) |Tr cm - 2 sum nu| reached 2.9 n eps Tr cm (n = 2N), so 8 leaves a margin of more than 2; the
@@ -38,19 +38,14 @@ def free_cm(nu, passive=None) -> FreeCovariance:
     """Build O @ (direct sum of nu_i I_2) @ O.T from thermal occupancies.
 
     Args:
-        nu: symplectic eigenvalues, all finite and >= 1/2.
-        passive: orthosymplectic matrix; identity when omitted.
+        nu: symplectic eigenvalues, a scalar or a vector, all finite and >= 1/2.
+        passive: orthosymplectic matrix of matching size; identity when omitted.
     """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if not np.all(np.isfinite(nu)):
-        raise ValueError("thermal symplectic eigenvalues must be finite")
+    nu = _check_array(nu, "thermal symplectic eigenvalues", "vector")
     if np.any(nu < 0.5):
         raise ValueError(f"thermal symplectic eigenvalues must be >= 1/2, got min {nu.min()}")
-    if passive is None:
-        passive = np.eye(2 * nu.size)
-    passive = np.asarray(passive, dtype=float)
-    if passive.shape != (2 * nu.size, 2 * nu.size):
-        raise ValueError("passive matrix dimension does not match number of modes")
+    n = 2 * nu.size
+    passive = np.eye(n) if passive is None else _check_array(passive, "passive matrix", (n, n))
     if not is_orthosymplectic(passive):
         raise ValueError("passive matrix is not orthogonal symplectic")
     cm = (passive * np.repeat(nu, 2)) @ passive.T
@@ -72,7 +67,8 @@ def is_free_cm(cm) -> FreenessReport:
     tol = _FREE_FACTOR n eps Tr cm (n = 2N); ``structural_form`` checks the
     block structure, a necessary condition only, each block residual below tol.
     """
-    cm, spec = _cm_spectrum(cm, require_valid_cm)
+    spec = _cm_spectrum(cm, require_valid_cm)
+    cm = spec.cm
     trace = float(np.trace(cm))
     gap = trace - 2.0 * float(np.sum(spec.nu))
     tol = _FREE_FACTOR * len(cm) * np.finfo(float).eps * trace

@@ -11,19 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import _check_int, _check_magnitude, _congruence, is_symplectic, require_valid_cm, rotation
-
-
-def _check_nbar(nbar, label: str) -> None:
-    """ValueError naming ``label`` unless the mean photon number ``nbar`` is finite and nonnegative."""
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"{label} must be finite and nonnegative, got {nbar}")
-
-
-def _check_squeezing(r, phi=0.0) -> None:
-    """ValueError unless ``phi`` is finite and so is e^{4|r|}, the scale of the squared covariance entries."""
-    if not (abs(r) <= 177.0 and math.isfinite(phi)):
-        raise ValueError(f"squeezing must be finite with |r| <= 177, got r = {r}" + (f", phi = {phi}" if phi else ""))
+from .symplectic import (_MAX_SQUEEZING, _check_array, _check_int, _check_list, _check_real, _congruence, _summable,
+                         is_symplectic, require_valid_cm, rotation)
 
 
 def thermal_entropy(nu):
@@ -32,9 +21,9 @@ def thermal_entropy(nu):
     g = (x + 1) ln(x + 1) - x ln x with x = nu - 1/2, evaluated as
     log1p(x) + x log1p(1/x): the two terms of the first form grow as x ln x
     and cancel, losing every digit by x = 1e20.  g = 0 at x = 0, and nu
-    below 1/2 reads 1/2.  Accepts scalars or arrays.
+    below 1/2 reads 1/2.  Accepts finite scalars or arrays (:func:`_check_array`).
     """
-    x = np.maximum(np.asarray(nu, dtype=float) - 0.5, 0.0)
+    x = np.maximum(_check_array(nu, "symplectic eigenvalues", None) - 0.5, 0.0)
     out = np.log1p(x) + x * np.log1p(1.0 / np.maximum(x, 1e-300))  # 1e-300 stands in for x = 0 only: nu - 1/2 >= 2^-53
     return float(out) if out.ndim == 0 else out
 
@@ -50,20 +39,12 @@ class GaussianState:
     _spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.array(self.displacement, dtype=float)
-        if d.ndim != 1:
-            raise ValueError(f"displacement vector must have rank 1, got shape {d.shape}")
-        cm = np.array(self.cm, dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("displacement vector must be finite")
-        spec = require_valid_cm(cm)
-        if d.size != cm.shape[0]:
-            raise ValueError(f"displacement length {d.size} does not match matrix dimension {cm.shape[0]}")
-        _check_magnitude(d, "displacement vector")
-        for arr in (d, cm, spec.root, spec.nu):
+        spec = require_valid_cm(self.cm, copy=True)  # the array rule makes the state's own copy of each array
+        d = _check_array(self.displacement, "displacement vector", (len(spec.cm),), bound=_summable, copy=True)
+        for arr in (d, spec.cm, spec.root, spec.nu):
             arr.setflags(write=False)
         object.__setattr__(self, "displacement", d)
-        object.__setattr__(self, "cm", cm)
+        object.__setattr__(self, "cm", spec.cm)
         object.__setattr__(self, "_spectrum", spec)
 
     @property
@@ -77,19 +58,21 @@ def vacuum(n_modes: int = 1) -> GaussianState:
 
 
 def thermal(nbar: float) -> GaussianState:
-    _check_nbar(nbar, "mean photon number")
+    nbar = _check_real(nbar, "mean photon number", 0.0)
     return GaussianState(np.zeros(2), (nbar + 0.5) * np.eye(2))
 
 
 def coherent(alpha: complex) -> GaussianState:
-    alpha = complex(alpha)
-    d = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+    """Coherent state of a real or complex amplitude ``alpha``, each part passing :func:`_check_real`."""
+    parts = (alpha.real, alpha.imag) if isinstance(alpha, (complex, np.complexfloating)) else (alpha, 0.0)
+    d = math.sqrt(2.0) * np.array([_check_real(x, "each part of the coherent amplitude") for x in parts])
     return GaussianState(d, 0.5 * np.eye(2))
 
 
 def squeezed(r: float, phi: float = 0.0) -> GaussianState:
-    """Squeezed vacuum; for phi = 0 the q variance is e^{2r}/2."""
-    _check_squeezing(r, phi)
+    """Squeezed vacuum, |r| <= 177 (``symplectic._MAX_SQUEEZING``); for phi = 0 the q variance is e^{2r}/2."""
+    r = _check_real(r, "squeezing", -_MAX_SQUEEZING, _MAX_SQUEEZING)
+    phi = _check_real(phi, "squeezing angle")
     cm = 0.5 * np.diag([np.exp(2 * r), np.exp(-2 * r)])
     if phi != 0.0:
         rot = rotation(phi)
@@ -98,7 +81,7 @@ def squeezed(r: float, phi: float = 0.0) -> GaussianState:
 
 
 def two_mode_squeezed(r: float) -> GaussianState:
-    _check_squeezing(r)
+    r = _check_real(r, "squeezing", -_MAX_SQUEEZING, _MAX_SQUEEZING)
     ch, sh = np.cosh(2 * r), np.sinh(2 * r)
     z = np.diag([1.0, -1.0])
     cm = 0.5 * np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
@@ -129,38 +112,31 @@ def _gaussian(state, op: str) -> GaussianState:
 
 def apply_gaussian_unitary(state: GaussianState, s: np.ndarray, shift=None) -> GaussianState:
     """The Gaussian unitary (s, shift) on a GaussianState: d -> s d + shift, cm -> s cm s^T; s must be symplectic."""
-    state = _gaussian(state, "apply_gaussian_unitary")
-    s = np.asarray(s, dtype=float)
-    if s.shape != state.cm.shape:
-        raise ValueError(f"symplectic matrix shape {s.shape} does not match state dimension {state.cm.shape}")
+    n = len(_gaussian(state, "apply_gaussian_unitary").cm)
+    s = _check_array(s, "symplectic matrix", (n, n))
     if not is_symplectic(s):
         raise ValueError("matrix is not symplectic within tolerance")
-    shift = np.zeros(s.shape[0]) if shift is None else np.asarray(shift, dtype=float)
-    if shift.shape != (s.shape[0],):
-        raise ValueError(f"shift vector must have shape ({s.shape[0]},), got {shift.shape}")
+    shift = np.zeros(n) if shift is None else _check_array(shift, "shift vector", (n,))
     cm = s @ state.cm @ s.T
     return GaussianState(s @ state.displacement + shift, 0.5 * (cm + cm.T))
 
 
 def tensor(states) -> GaussianState:
-    """Product state of GaussianStates, modes in the given order; ValueError for an empty list or any other element."""
-    states = [_gaussian(s, "tensor") for s in states]
+    """Product state of a list of GaussianStates (:func:`_check_list`), modes in order; ValueError if it is empty."""
+    states = [_gaussian(s, "tensor") for s in _check_list(states, "tensor states")]
     if not states:
         raise ValueError("tensor requires at least one state")
-    dim = sum(2 * s.n_modes for s in states)
     d = np.concatenate([s.displacement for s in states])
-    cm = np.zeros((dim, dim))
-    at = 0
+    cm, at = np.zeros((d.size, d.size)), 0
     for s in states:
-        k = 2 * s.n_modes
-        cm[at : at + k, at : at + k] = s.cm
-        at += k
+        cm[at : at + len(s.cm), at : at + len(s.cm)] = s.cm
+        at += len(s.cm)
     return GaussianState(d, cm)
 
 
 def _modes(n_modes: int, modes) -> list:
-    """Sorted distinct mode indices; ValueError unless each is an integer in 0..n_modes - 1 (:func:`_check_int`)."""
-    return sorted({_check_int(m, "mode index", 0, n_modes - 1) for m in modes})
+    """Sorted distinct indices of a list (:func:`_check_list`) of integers in 0..n_modes - 1 (:func:`_check_int`)."""
+    return sorted({_check_int(m, "mode index", 0, n_modes - 1) for m in _check_list(modes, "mode list")})
 
 
 def _mode_indices(modes) -> np.ndarray:

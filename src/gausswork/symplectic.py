@@ -16,6 +16,7 @@ import numpy as np
 
 TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
+_MAX_SQUEEZING = 177.0  # validation squares covariance entries of about e^{2|r|}; e^{4|r|} overflows just above 177.4
 
 
 def _check_int(value, label: str, low: int, high=None) -> int:
@@ -27,6 +28,70 @@ def _check_int(value, label: str, low: int, high=None) -> int:
     raise ValueError(f"{label} must be an integer in [{low}, {top}{')' if high is None else ']'}, got {value!r}")
 
 
+def _check_real(value, label: str, low=-math.inf, high=math.inf, low_open=False) -> float:
+    """``value`` as a float: the one rule of every angle, transmittance, photon number and squeezing.  ValueError
+    naming ``label``, the range and the value for a bool, a non-number, NaN, +-inf or one outside [low, high]
+    ((low, high] if ``low_open``)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # a Python int beyond every double
+        x = math.nan
+    if math.isfinite(x) and (low < x if low_open else low <= x) and x <= high:
+        return x
+    bounds = f"{'(' if low_open or low == -math.inf else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}"
+    raise ValueError(f"{label} must be a real number in {bounds}, got {value!r}")
+
+
+def _check_list(value, label: str, size=None) -> list:
+    """``value`` as a list, of ``size`` items if given; ValueError naming ``label`` and the value for a str, bytes,
+    anything not iterable (a bare int too) or a list of another size."""
+    try:
+        items = None if isinstance(value, (str, bytes)) else list(value)
+    except TypeError:
+        items = None
+    if items is None or size not in (None, len(items)):
+        raise ValueError(f"{label} must be a list{'' if size is None else f' of {size} items'}, got {value!r}")
+    return items
+
+
+def _summable(n: int) -> float:
+    """sqrt(max double) / 2n for n entries a side: twice an entry below it squares to below max double / n^2, so the
+    sums of n^2 squares in norms and in |d|^2 stay finite.  At n = 2 it is 3.35e153."""
+    return math.sqrt(np.finfo(float).max) / (2 * n)
+
+
+def _check_array(value, label: str, shape, dtype=float, bound=math.inf, copy=False, finite=True) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex (a fresh one if ``copy``): the one rule of every matrix
+    and vector.  ``shape`` is an exact shape, "even square" (2n x 2n), "square", "vector" (a scalar or a vector,
+    returned as a vector) or None (any).  If ``finite``, each entry is finite and at most ``bound``, or
+    ``bound(len(array))``, in magnitude.  ValueError naming ``label``, what it must be and what it got: a ragged
+    input, entries of another dtype (text, None, bool; complex for a real array), a wrong shape or a bad entry."""
+    try:
+        raw = np.asarray(value)
+        found = None if raw.dtype.kind in ("iufc" if dtype is complex else "iuf") else f"entries of dtype {raw.dtype}"
+    except (ValueError, TypeError):  # numpy refuses a ragged list
+        found = "a ragged input"
+    if found is None:
+        arr = (np.atleast_1d(raw) if shape == "vector" else raw).astype(dtype, copy=copy)
+        n = len(arr) if arr.ndim else 0
+        want = {"vector": (n,), "square": (n, n), "even square": (n, n) if n % 2 == 0 else ()}.get(shape, shape)
+        found = None if shape is None or (arr.shape == want and arr.size) else f"shape {arr.shape}"
+    if found is None and finite and arr.size:
+        limit = bound(n) if callable(bound) else bound
+        # isfinite's temporary takes a byte an entry, |arr|'s eight: the magnitude is read only against a bound.
+        peak = float(np.abs(arr).max()) if limit < math.inf else 0.0 if np.isfinite(arr).all() else math.nan
+        if not peak <= limit:
+            found = (f"an entry of magnitude {peak:.3g} above {'sqrt(max double) / 2n = ' * callable(bound)}"
+                     f"{limit:.3g}" if math.isfinite(peak) else "a non-finite entry")
+    if found is None:
+        return arr
+    nouns = {"even square": "square matrix of even size", "square": "square matrix", "vector": "scalar or vector"}
+    noun = f"array of shape {shape}" if isinstance(shape, tuple) else nouns.get(shape, "array")
+    raise ValueError(f"{label} must be a {'finite ' * finite}{'complex' if dtype is complex else 'real'} {noun}, "
+                     f"got {found}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form for ``n_modes`` modes; ValueError unless ``n_modes`` is an integer >= 1."""
     n_modes = _check_int(n_modes, "number of modes", 1)
@@ -36,43 +101,26 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _check_angle(angle, label: str) -> float:
-    """``angle`` as a float; ValueError naming ``label`` unless it is finite, before np.cos reads a NaN or an inf."""
-    if not math.isfinite(angle):
-        raise ValueError(f"{label} must be finite, got {angle}")
-    return float(angle)
-
-
 def rotation(phi: float) -> np.ndarray:
     """Phase-space action of a phase shifter by ``phi`` on one mode.
 
     Matches :func:`unitary_to_orthosymplectic` applied to the 1 x 1 unitary
     ``exp(1j * phi)``.
     """
+    phi = _check_real(phi, "rotation angle")
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, -s], [s, c]])
 
 
 def squeezer_direct_sum(rs: Sequence[float]) -> np.ndarray:
-    """Direct sum of single-mode squeezers diag(e^r, e^-r), one per mode; a scalar r gives one mode."""
-    rs = np.asarray(rs, dtype=float)
-    if rs.ndim > 1:
-        raise ValueError(f"squeezings must be a scalar or a vector, got shape {rs.shape}")
+    """Direct sum of single-mode squeezers diag(e^r, e^-r), one per mode; a scalar r gives one mode, |r| <= 177."""
+    rs = _check_array(rs, "squeezings", "vector", bound=_MAX_SQUEEZING)
     return np.diag(np.exp(np.outer(rs, [1.0, -1.0]).ravel()))
-
-
-def _even_square(mat: np.ndarray, what: str) -> int:
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
-    if mat.shape[0] % 2 != 0 or mat.shape[0] == 0:
-        raise ValueError(f"{what} must have even positive dimension, got {mat.shape[0]}")
-    return mat.shape[0] // 2
 
 
 def _symplectic_residual(s: np.ndarray) -> tuple:
     """||S Omega S^T - Omega|| and the bound TOL_SYMP max(1, ||S||^2) below which S counts as symplectic."""
-    n = _even_square(s, "symplectic candidate")
+    n = len(s) // 2
     defect = _times_omega(s) @ s.T  # minus Omega, in place on its two off-diagonals
     defect.flat[1 :: 4 * n + 2] -= 1.0
     defect.flat[2 * n :: 4 * n + 2] += 1.0
@@ -80,15 +128,20 @@ def _symplectic_residual(s: np.ndarray) -> tuple:
 
 
 def is_symplectic(s: np.ndarray) -> bool:
-    residual, bound = _symplectic_residual(np.asarray(s, dtype=float))
+    s = _check_array(s, "symplectic candidate", "even square", finite=False)
+    if not np.isfinite(s).all():  # no symplectic matrix, and the products below would warn on an inf
+        return False
+    residual, bound = _symplectic_residual(s)
     return residual < bound
 
 
 def is_orthosymplectic(o: np.ndarray) -> bool:
-    n = _even_square(o, "orthosymplectic candidate")
-    gram = np.asarray(o, dtype=float) @ np.transpose(o)
-    gram.flat[:: 2 * n + 1] -= 1.0
-    return bool(np.linalg.norm(gram) < TOL_SYMP) and is_symplectic(o)
+    o = _check_array(o, "orthosymplectic candidate", "even square", finite=False)
+    if not is_symplectic(o):
+        return False
+    gram = o @ o.T
+    gram.flat[:: len(o) + 1] -= 1.0
+    return bool(np.linalg.norm(gram) < TOL_SYMP)
 
 
 # Rounding error on nu grows with kappa(cm): over pure states O1 Z(r) O2 with
@@ -114,16 +167,6 @@ _TIE = 1e-12
 _BAND_SHARE = 1.0 / 8.0
 
 
-def _check_magnitude(arr: np.ndarray, what: str) -> None:
-    """ValueError unless every entry is below sqrt(max double) / 2n, n = len(arr): twice such an entry squares to
-    below max double / n^2, so the sums of n^2 squares in norms and in |d|^2 stay finite.  At n = 2 the bound,
-    3.35e153, is above the entries of squeezed(r, phi) for every |r| <= 177, the bound on squeezing."""
-    bound, peak = math.sqrt(np.finfo(float).max) / (2 * len(arr)), float(np.max(np.abs(arr)))
-    if not peak < bound:
-        raise ValueError(f"{what} entries must be below sqrt(max double) / 2n = {bound:.3g} in magnitude for n = "
-                         f"{len(arr)}, so that n^2 squares of twice an entry sum without overflow; got {peak:.3g}")
-
-
 class _NotPositiveDefinite(ValueError):
     def __init__(self, min_eig: float):
         super().__init__(f"covariance matrix is singular or not positive definite (min eigenvalue {min_eig:.3e})")
@@ -131,6 +174,7 @@ class _NotPositiveDefinite(ValueError):
 
 
 class _Spectrum(NamedTuple):
+    cm: np.ndarray  # the matrix as the array gate returned it
     root: np.ndarray  # cm^{1/2}
     nu: np.ndarray  # symplectic eigenvalues, descending
     err: float  # min(_TOL_CAP, _KAPPA_FACTOR n eps kappa), the rounding of nu; tol = max(TOL_PHYS, err)
@@ -149,21 +193,17 @@ def _skew(root: np.ndarray) -> np.ndarray:
     return _times_omega(root) @ root
 
 
-def _spectrum(cm: np.ndarray) -> _Spectrum:
+def _spectrum(cm, copy=False) -> _Spectrum:
     """The one symplectic spectrum every layer reads.
 
     eigh(cm) gives the positive-definiteness check, cm^{1/2} and kappa; a
     values-only SVD of the real skew K = cm^{1/2} @ Omega @ cm^{1/2} gives
     each nu_k twice, and nu_k is the mean of its two copies.  Values in
     [1/2 - tol, 1/2) are set to 1/2.  No singular vectors are formed: only
-    :func:`_congruence` needs them.  ValueError unless cm is finite,
-    within :func:`_check_magnitude`, symmetric and has every eigenvalue >= 1e-12.
+    :func:`_congruence` needs them.  ValueError unless cm passes :func:`_check_array` (an even square, its entries
+    finite and within :func:`_summable`; a fresh copy if ``copy``), is symmetric and has every eigenvalue >= 1e-12.
     """
-    cm = np.asarray(cm, dtype=float)
-    n = _even_square(cm, "covariance matrix")
-    if not np.all(np.isfinite(cm)):
-        raise ValueError("covariance matrix must be finite")
-    _check_magnitude(cm, "covariance matrix")
+    cm = _check_array(cm, "covariance matrix", "even square", bound=_summable, copy=copy)
     if np.linalg.norm(cm - cm.T) >= TOL_SYMP * max(1.0, np.linalg.norm(cm)):
         raise ValueError("covariance matrix is not symmetric")
     w, v = np.linalg.eigh(cm)
@@ -171,10 +211,10 @@ def _spectrum(cm: np.ndarray) -> _Spectrum:
         raise _NotPositiveDefinite(float(w[0]))
     root = (v * np.sqrt(w)) @ v.T
     sv = np.linalg.svd(_skew(root), compute_uv=False)
-    err = min(_TOL_CAP, _KAPPA_FACTOR * 2 * n * np.finfo(float).eps * w[-1] / w[0])
+    err = min(_TOL_CAP, _KAPPA_FACTOR * len(cm) * np.finfo(float).eps * w[-1] / w[0])
     nu = 0.5 * (sv[0::2] + sv[1::2])
     nu[(nu >= 0.5 - max(TOL_PHYS, err)) & (nu < 0.5)] = 0.5
-    return _Spectrum(root, nu, err)
+    return _Spectrum(cm, root, nu, err)
 
 
 class CMValidation(NamedTuple):
@@ -192,9 +232,9 @@ def validate_cm(mat: np.ndarray) -> CMValidation:
     symplectic eigenvalue, or the smallest eigenvalue when that is < 1e-12.
 
     Raises:
-        ValueError: if the matrix has odd dimension, is not finite, has an
-            entry whose square could overflow (:func:`_check_magnitude`) or is
-            asymmetric beyond TOL_SYMP (shape errors rather than physicality).
+        ValueError: if :func:`_check_array` refuses the matrix (ragged, not an
+            even square, not finite, or an entry whose square could overflow) or
+            it is asymmetric beyond TOL_SYMP (shape errors rather than physicality).
     """
     try:
         spec = _spectrum(mat)
@@ -203,22 +243,21 @@ def validate_cm(mat: np.ndarray) -> CMValidation:
     return CMValidation(bool(spec.nu[-1] >= 0.5 - max(TOL_PHYS, spec.err)), float(spec.nu[-1]))
 
 
-def require_valid_cm(mat: np.ndarray) -> _Spectrum:
+def require_valid_cm(mat, copy=False) -> _Spectrum:
     """Spectrum of ``mat``; ValueError unless it passes :func:`validate_cm`."""
-    spec = _spectrum(mat)
+    spec = _spectrum(mat, copy)
     if spec.nu[-1] < 0.5 - max(TOL_PHYS, spec.err):
         raise ValueError(f"invalid covariance matrix (min symplectic eigenvalue {spec.nu[-1]:.6g})")
     return spec
 
 
-def _cm_spectrum(x, read=_spectrum) -> tuple:
-    """(cm, spectrum) of a matrix, its spectrum by ``read``, or of any state's moments (:func:`states._moments`) with
-    the spectrum their validation kept; a leaking FockDensity, or anything else, is refused there."""
+def _cm_spectrum(x, read=_spectrum) -> _Spectrum:
+    """Spectrum of a matrix by ``read``, or the one any state's moments (:func:`states._moments`) kept from their
+    validation; a leaking FockDensity, or anything else, is refused there."""
     if isinstance(x, (np.ndarray, list, tuple)):
-        return np.asarray(x, dtype=float), read(x)
+        return read(x)
     from .states import _moments
-    g = _moments(x)
-    return g.cm, g._spectrum
+    return _moments(x)._spectrum
 
 
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
@@ -280,11 +319,11 @@ def williamson(cm) -> WilliamsonDecomposition:
             if the symplectic residual exceeds the :func:`is_symplectic` bound, or on a FockDensity whose leak
             exceeds ``fock.LEAK_TOL``.
     """
-    cm, spec = _cm_spectrum(cm)
-    split = BlochMessiahDecomposition(*_normal_form(spec, cm))
+    spec = _cm_spectrum(cm)
+    split = BlochMessiahDecomposition(*_normal_form(spec))
     s = split.reconstruct()
-    residual = float(np.linalg.norm((s * np.repeat(spec.nu, 2)) @ s.T - cm))
-    if residual > max(TOL_PHYS, spec.err) * max(1.0, np.linalg.norm(cm)):
+    residual = float(np.linalg.norm((s * np.repeat(spec.nu, 2)) @ s.T - spec.cm))
+    if residual > max(TOL_PHYS, spec.err) * max(1.0, np.linalg.norm(spec.cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
     symplectic_residual, bound = _symplectic_residual(s)
     if symplectic_residual >= bound:
@@ -292,7 +331,7 @@ def williamson(cm) -> WilliamsonDecomposition:
     return WilliamsonDecomposition(s, spec.nu, residual, symplectic_residual, split)
 
 
-def _normal_form(spec: _Spectrum, cm: np.ndarray):
+def _normal_form(spec: _Spectrum):
     """(o_out, r, o) with cm = S diag(nu) S^T for S = o_out Z(r) o, the one route to the Williamson form.
 
     o_out and r are the :func:`_euler` split of S S^T = F F^T (:func:`_congruence`), the same for every factor S, up
@@ -302,7 +341,7 @@ def _normal_form(spec: _Spectrum, cm: np.ndarray):
     """
     o_out, r = _euler(_congruence(spec), _BAND_SHARE * max(TOL_PHYS, spec.err))
     steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
-    final = steps.T @ cm @ steps
+    final = steps.T @ spec.cm @ steps
     final += _times_omega(_times_omega(final).T).T  # Omega final Omega^T by column swaps
     return o_out, r, _canonical_pairs(np.linalg.eigh(final)[1][:, ::-1])
 
@@ -370,7 +409,7 @@ def bloch_messiah(s: np.ndarray) -> BlochMessiahDecomposition:
         ValueError: if the input is not symplectic within TOL_SYMP or
             the singular values fail to pair as (sigma, 1/sigma).
     """
-    s = np.asarray(s, dtype=float)
+    s = _check_array(s, "symplectic matrix", "even square")
     if not is_symplectic(s):
         raise ValueError("input matrix is not symplectic within tolerance")
     o_out, rs = _euler(s, 4.0 * len(s) * np.finfo(float).eps * max(1.0, np.linalg.norm(s) ** 2))
@@ -419,7 +458,6 @@ def _real_form(h: np.ndarray) -> np.ndarray:
     1j * I, which is -Omega; a Hermitian h has a symmetric image holding each
     eigenvalue of h twice.
     """
-    h = np.asarray(h)
     n = h.shape[0]
     out = np.empty((2 * n, 2 * n))
     out[0::2, 0::2] = h.real
@@ -436,11 +474,9 @@ def unitary_to_orthosymplectic(u: np.ndarray) -> np.ndarray:
     orthogonal symplectic matrix whose (i, j) block is
     ``[[Re u_ij, -Im u_ij], [Im u_ij, Re u_ij]]``.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    tol = max(TOL_SYMP, 1e3 * u.shape[0] * np.finfo(float).eps)  # a NaN or inf entry is refused before the product
-    if not (np.isfinite(u).all() and np.linalg.norm(u @ u.conj().T - np.eye(len(u))) < tol):
+    u = _check_array(u, "unitary", "square", dtype=complex)
+    tol = max(TOL_SYMP, 1e3 * len(u) * np.finfo(float).eps)
+    if not np.linalg.norm(u @ u.conj().T - np.eye(len(u))) < tol:
         raise ValueError("input matrix is not unitary within tolerance")
     return _real_form(u)
 
@@ -477,23 +513,23 @@ def compile_passive_circuit(circuit: PassiveCircuit) -> np.ndarray:
     i, j to c u_i + s u_j and c u_j - s u_i, a phase shifter multiplies row
     k by exp(i phi).  The result is the :func:`unitary_to_orthosymplectic`
     image of u, the product M_last @ ... @ M_first of the element images.
-    ValueError for what :func:`_check_int` refuses, a beam splitter not on two distinct modes or a non-finite angle.
+    ValueError for what :func:`_check_int`, :func:`_check_real` or :func:`_check_list` refuses, or a beam splitter
+    on one mode twice.
     """
     n = _check_int(circuit.n_modes, "number of modes", 1)
     u = np.eye(n, dtype=complex)
-    for element in circuit.elements:
+    for element in _check_list(circuit.elements, "circuit elements"):
         if isinstance(element, BeamSplitter):
-            if np.shape(element.modes) != (2,):
-                raise ValueError(f"a beam splitter needs a pair of mode indices, got {element!r}")
-            i, j = (_check_int(m, "beam splitter mode", 0, n - 1) for m in element.modes)
+            pair = _check_list(element.modes, "beam splitter modes", 2)
+            i, j = (_check_int(m, "beam splitter mode", 0, n - 1) for m in pair)
             if i == j:
-                raise ValueError(f"beam splitter modes {tuple(element.modes)} must differ")
-            theta = _check_angle(element.theta, "beam splitter angle")
+                raise ValueError(f"beam splitter modes {(i, j)} must differ")
+            theta = _check_real(element.theta, "beam splitter angle")
             c, s = np.cos(theta), np.sin(theta)
             u[i], u[j] = c * u[i] + s * u[j], c * u[j] - s * u[i]
         elif isinstance(element, PhaseShifter):
             k = _check_int(element.mode, "phase shifter mode", 0, n - 1)
-            u[k] *= np.exp(1j * _check_angle(element.phi, "phase shifter angle"))
+            u[k] *= np.exp(1j * _check_real(element.phi, "phase shifter angle"))
         else:
             raise ValueError(f"unknown circuit element {element!r}")
     return _real_form(u)

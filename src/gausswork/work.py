@@ -57,7 +57,7 @@ class ExtractionProtocol:
 
 def extraction_protocol(state) -> ExtractionProtocol:
     g = _moments(state)
-    o_out, r, witness = _normal_form(g._spectrum, g.cm)  # from S S^T, the same for every Williamson factor S
+    o_out, r, witness = _normal_form(g._spectrum)  # from S S^T, the same for every Williamson factor S
     report = extractable_work(g)
     return ExtractionProtocol(
         displacement_step=-g.displacement,

@@ -16,6 +16,22 @@ from gausswork.states import thermal_entropy
 from gausswork.symplectic import TOL_PHYS
 
 
+def count_solvers(monkeypatch):
+    """Record every numpy eigh, eigvalsh and svd call from now on as "<solver> <size>", with " complex" for a complex
+    input and " values" when no vectors are formed: "eigh 4", "svd 4 values"."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            vectors = kwargs.get("compute_uv", _name != "eigvalsh")
+            calls.append(f"{_name} {len(a)}{' complex' * np.iscomplexobj(a)}{'' if vectors else ' values'}")
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def quadratic_work(cm):
     """W = (Tr cm - Str cm) / 2 of a bare covariance matrix, through ``extractable_work``."""
     return gw.extractable_work(gw.GaussianState(np.zeros(len(cm)), cm)).quadratic

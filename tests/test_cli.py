@@ -293,7 +293,7 @@ def test_non_finite_covariance_exits_2_with_a_clear_message(capsys):
     code, out, err = run_cli(capsys, "work", "--state", '{"modes": 1, "covariance": [NaN, 0, 0, 1]}')
     assert code == 2
     assert out == ""
-    assert err == "error: covariance matrix must be finite\n"
+    assert err == "error: covariance matrix must be a finite real square matrix of even size, got a non-finite entry\n"
 
 
 def test_unknown_command_exits_64(capsys):

@@ -191,16 +191,3 @@ def test_structural_form_refuses_a_block_that_mixes_rotation_and_reflection():
     assert not gw.is_free_cm(cm).structural_form
     cm[0:2, 2:4] = cm[2:4, 0:2] = np.diag([0.1, -0.1])  # a scaled reflection, as in the tms state
     assert gw.is_free_cm(cm).structural_form
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: gw.free_cm([1.0, 2.0], np.eye(2)), "passive matrix dimension"),
-        (lambda: gw.free_cm([np.nan]), "^thermal symplectic eigenvalues must be finite$"),
-        (lambda: gw.free_cm([1.0, np.inf]), "^thermal symplectic eigenvalues must be finite$"),
-    ],
-)
-def test_free_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gausswork as gw
-from conftest import random_cm, random_orthosymplectic, random_unitary
+from conftest import count_solvers, random_cm, random_orthosymplectic, random_unitary
 
 R_MAX = 6.0
 
@@ -165,20 +165,6 @@ def test_protocol_at_64_modes(nu_max):
     check_protocol(gw.GaussianState(rng.normal(size=128), random_cm(rng, 64, nu_max=nu_max, r_max=2.0)))
 
 
-def _counting(monkeypatch):
-    """Record (solver, complex input?, vectors?) for every numpy eigh, eigvalsh and svd call."""
-    calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        solver = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, np.iscomplexobj(a), kwargs.get("compute_uv", _name != "eigvalsh")))
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "layer",
     [gw.validate_cm, gw.symplectic_eigenvalues, gw.is_free_cm, lambda cm: gw.GaussianState(np.zeros(len(cm)), cm)],
@@ -187,18 +173,18 @@ def _counting(monkeypatch):
 def test_validation_takes_values_only_from_the_companion(monkeypatch, layer):
     # One eigh of the real cm, one values-only SVD of the real skew K = cm^{1/2} Omega cm^{1/2}.
     cm = _pure([0.8, -0.3, 1.5], 5)[1].cm
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     layer(cm)
-    assert calls == [("eigh", False, True), ("svd", False, False)]
+    assert calls == ["eigh 6", "svd 6 values"]
 
 
 def test_relative_entropy_reads_the_gibbs_matrix_from_one_real_eigh(monkeypatch):
     # The Gibbs matrix of the kept spectrum comes from one real SVD of K with vectors.
     rho = _pure([0.8, -0.3, 1.5], 5)[1]
     sigma = _reference(rho)
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     gw.relative_entropy(rho, sigma)
-    assert calls == [("svd", False, True)]
+    assert calls == ["svd 6"]
 
 
 def test_protocol_takes_s_st_from_one_svd_with_no_williamson_factor(monkeypatch):
@@ -211,24 +197,24 @@ def test_protocol_takes_s_st_from_one_svd_with_no_williamson_factor(monkeypatch)
     for name in ("williamson", "bloch_messiah"):
         monkeypatch.setattr(gw.symplectic, name, refuse)
         monkeypatch.setattr(gw, name, refuse, raising=False)
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     gw.extraction_protocol(state)
-    assert calls == [("svd", False, True), ("eigh", False, True), ("eigh", False, True)]
+    assert calls == ["svd 6", "eigh 6", "eigh 6"]
 
 
 def test_freecheck_reads_the_validated_spectrum(capsys, monkeypatch):
     # The preset's validation runs one eigh of cm and one values-only SVD of K; is_free_cm reads that spectrum.
     from gausswork import cli  # the package binds gausswork.cli only once it is imported
 
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     assert cli.main(["freecheck", "--state", "preset:tms:0.5", "--json"]) == 0
     capsys.readouterr()
-    assert calls == [("eigh", False, True), ("svd", False, False)]
+    assert calls == ["eigh 4", "svd 4 values"]
 
 
 def test_freeness_of_a_state_calls_no_solver(monkeypatch):
     state = _pure([0.8, -0.3, 1.5], 5)[1]
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     gw.is_free_cm(state)
     assert calls == []
 
@@ -237,9 +223,9 @@ def test_relaxed_subadditivity_gap_builds_each_part_once(monkeypatch):
     # Each part is validated once (eigh, values-only SVD); I(A:B) reads the kept spectra, and each of the two parts
     # and the joint state takes one eigh for its activity: 7 calls.
     state = gw.phase_space_loss_channel(gw.two_mode_squeezed(0.4), 0.9, 0.1)
-    calls = _counting(monkeypatch)
+    calls = count_solvers(monkeypatch)
     gw.relaxed_subadditivity_gap(state, [0])
-    assert calls == [("eigh", False, True), ("svd", False, False)] * 2 + [("eigh", False, True)] * 3
+    assert calls == ["eigh 2", "svd 2 values"] * 2 + ["eigh 2", "eigh 2", "eigh 4"]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "density"])
@@ -365,11 +351,3 @@ def test_every_layer_refuses_with_one_message(cm, message):
     (text,) = messages
     assert message in text
     assert f"{value:.3e}" in text or f"{value:.6g}" in text
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_matrix_is_refused_before_any_decomposition(bad):
-    cm = np.array([[bad, 0.0], [0.0, 1.0]])
-    for layer in (gw.validate_cm, gw.symplectic_eigenvalues, lambda m: gw.GaussianState(np.zeros(2), m)):
-        with pytest.raises(ValueError, match="^covariance matrix must be finite$"):
-            layer(cm)

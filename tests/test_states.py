@@ -59,11 +59,6 @@ def test_two_squeezed_through_balanced_bs_gives_tms():
     np.testing.assert_allclose(out.cm, gw.two_mode_squeezed(r).cm, atol=1e-12)
 
 
-def test_apply_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="match"):
-        gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(4))
-
-
 def test_tensor_examples():
     np.testing.assert_allclose(gw.tensor([gw.vacuum(1), gw.vacuum(1)]).cm, 0.5 * np.eye(4))
     np.testing.assert_allclose(
@@ -369,19 +364,6 @@ def test_states_are_immutable():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: gw.GaussianState([0.0, math.nan], 0.5 * np.eye(2)), "displacement vector must be finite"),
-        (lambda: gw.GaussianState(np.zeros(4), 0.5 * np.eye(2)), "displacement length 4"),
-        # A rank-2 array is refused, not flattened into a vector of the right length.
-        (
-            lambda: gw.GaussianState(np.zeros((2, 2)), np.eye(4) / 2),
-            r"^displacement vector must have rank 1, got shape \(2, 2\)$",
-        ),
-        (lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros(3)), "shift vector"),
-        (
-            lambda: gw.apply_gaussian_unitary(gw.vacuum(1), np.eye(2), np.zeros((2, 1))),
-            r"^shift vector must have shape \(2,\), got \(2, 1\)$",
-        ),
-        (lambda: gw.squeezer_direct_sum(np.ones((2, 2))), r"^squeezings must be a scalar or a vector, got shape \("),
         (lambda: gw.partial_trace(gw.vacuum(2), [2]), r"mode index must be an integer in \[0, 1\], got 2"),
         (lambda: gw.mutual_information(gw.vacuum(2), [5]), r"mode index must be an integer in \[0, 1\], got 5"),
         (
@@ -391,36 +373,10 @@ def test_states_are_immutable():
         (lambda: gw.vacuum(1.5), r"number of modes must be an integer in \[1, inf\), got 1\.5"),
         (lambda: gw.vacuum(0), r"number of modes must be an integer in \[1, inf\), got 0"),
         (lambda: gw.vacuum(2.0), r"number of modes must be an integer in \[1, inf\), got 2\.0"),
-        (lambda: gw.thermal(math.nan), "mean photon number must be finite and nonnegative, got nan"),
-        (lambda: gw.thermal(math.inf), "mean photon number must be finite and nonnegative, got inf"),
-        (lambda: gw.thermal(-0.1), r"mean photon number must be finite and nonnegative, got -0\.1"),
-        # Refused before numpy overflows: the suite turns a RuntimeWarning into a failure.
-        (lambda: gw.two_mode_squeezed(math.inf), r"squeezing must be finite with \|r\| <= 177, got r = inf$"),
-        (lambda: gw.squeezed(0.5, phi=math.inf), r"squeezing must be finite .*, got r = 0\.5, phi = inf$"),
-        (lambda: gw.squeezed(400), r"squeezing must be finite .*, got r = 400$"),
-        (lambda: gw.two_mode_squeezed(400), r"squeezing must be finite with \|r\| <= 177, got r = 400$"),
-        (lambda: gw.squeezed(math.nan), r"squeezing must be finite .*, got r = nan$"),
         # At the bound the covariance still validates without overflow, and is refused as singular.
         (lambda: gw.squeezed(177, phi=0.3), "singular or not positive definite"),
         (lambda: gw.two_mode_squeezed(-177), "singular or not positive definite .min eigenvalue 0"),
         (lambda: gw.apply_gaussian_unitary(gw.thermal(1.0), 2 * np.eye(2)), "^matrix is not symplectic within tol"),
-        # Finite entries whose squares overflow are refused at validation, before numpy warns.
-        (
-            lambda: gw.GaussianState(np.zeros(2), np.diag([1e160, 1.0])),
-            r"^covariance matrix entries must be below sqrt\(max double\) / 2n = 3\.35e\+153 in magnitude for n = 2, "
-            r"so that n\^2 squares of twice an entry sum without overflow; got 1e\+160$",
-        ),
-        (lambda: gw.validate_cm(np.diag([1e160, 1.0])), r"^covariance matrix entries must be below .*got 1e\+160$"),
-        (lambda: gw.symplectic_eigenvalues(np.diag([1e160, 1.0])), r"covariance matrix entries .* for n = 2, "),
-        (lambda: gw.is_free_cm(np.diag([1e160, 1.0])), r"covariance matrix entries must be below sqrt\(max double\)"),
-        (lambda: gw.williamson(np.diag([-1e160, 1.0])), r"covariance matrix entries .*; got 1e\+160$"),
-        (
-            lambda: gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2)),
-            r"^displacement vector entries must be below sqrt\(max double\) / 2n = 3\.35e\+153 in magnitude for n = 2",
-        ),
-        (lambda: gw.energy(gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2))), r"^displacement vector entries must be"),
-        (lambda: gw.extractable_work(gw.GaussianState([0.0, 1e160], 0.5 * np.eye(2))), "displacement vector entries"),
-        (lambda: gw.mean_photon_numbers(gw.GaussianState([1e160, 0.0], 0.5 * np.eye(2))), "got 1e\\+160$"),
         # Passes is_symplectic (residual 2e-6 against the bound 1e-4), but 1 - 1e-6 pairs with neither sigma nor 1.
         (
             lambda: gw.bloch_messiah(np.diag([1e3, 1e-3, 1 - 1e-6, 1 - 1e-6])),
@@ -431,12 +387,6 @@ def test_states_are_immutable():
         (
             lambda: gw.bloch_messiah(np.diag([1 + 1e-11, 1 + 1e-11, 1.0, 1.0])),
             r"^singular values do not pair as \(sigma, 1/sigma\); not symplectic\?$",
-        ),
-        (lambda: gw.is_symplectic(np.ones((2, 4))), r"^symplectic candidate must be a square matrix, got shape \(2, 4"),
-        (lambda: gw.unitary_to_orthosymplectic(np.ones((1, 2))), r"^unitary must be square, got shape \(1, 2\)$"),
-        (
-            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(4), 0.1, [0, 0, 0, 0]),
-            r"^expected a single-mode \(2x2\) covariance matrix, got \(4, 4\)$",
         ),
     ],
 )

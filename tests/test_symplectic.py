@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -294,36 +292,6 @@ def test_unitary_to_orthosymplectic_dft():
     assert np.linalg.norm(o @ omega @ o.T - omega) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: gw.unitary_to_orthosymplectic(np.array([[math.nan]])), "not unitary"),
-        (lambda: gw.unitary_to_orthosymplectic(np.array([[1.0, math.inf], [0.0, 1.0]])), "not unitary"),
-        (
-            lambda: gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.PhaseShifter(math.nan, 0),))),
-            "^phase shifter angle must be finite, got nan$",
-        ),
-        (
-            lambda: gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.BeamSplitter(math.inf, (0, 1)),))),
-            "^beam splitter angle must be finite, got inf$",
-        ),
-        (
-            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(2), math.nan, [0] * 4),
-            "^beam splitter angle must be finite, got nan$",
-        ),
-        (
-            lambda: gw.process_two_copies_single_mode(0.5 * np.eye(2), 0.3, [0, 0, -math.inf, 0]),
-            "^phase must be finite, got -inf$",
-        ),
-    ],
-    ids=["unitary-nan", "unitary-inf", "phase-shifter-nan", "beam-splitter-inf", "two-copies-theta", "two-copies-phi"],
-)
-def test_non_finite_inputs_are_refused_not_propagated(call, message):
-    # A NaN compares False with every bound, and np.cos(inf) warns: each is refused before any arithmetic.
-    with pytest.raises(ValueError, match=message):
-        call()
-
-
 def test_unitary_to_orthosymplectic_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         gw.unitary_to_orthosymplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -357,12 +325,9 @@ def test_compile_beam_splitter_inverse_pair():
         (gw.BeamSplitter(0.1, (0, 0)), r"beam splitter modes \(0, 0\) must differ"),
         (gw.BeamSplitter(0.1, (0, 5)), r"beam splitter mode must be an integer in \[0, 1\], got 5"),
         # Refused by name, not by Python's tuple unpacking ("too many / not enough values to unpack", TypeError).
-        (
-            gw.BeamSplitter(0.3, (0, 1, 2)),
-            r"^a beam splitter needs a pair of mode indices, got BeamSplitter\(theta=0\.3, modes=\(0, 1, 2\)\)$",
-        ),
-        (gw.BeamSplitter(0.3, (0,)), r"^a beam splitter needs a pair of mode indices, got .*modes=\(0,\)\)$"),
-        (gw.BeamSplitter(0.3, 0), r"^a beam splitter needs a pair of mode indices, got .*modes=0\)$"),
+        (gw.BeamSplitter(0.3, (0, 1, 2)), r"^beam splitter modes must be a list of 2 items, got \(0, 1, 2\)$"),
+        (gw.BeamSplitter(0.3, (0,)), r"^beam splitter modes must be a list of 2 items, got \(0,\)$"),
+        (gw.BeamSplitter(0.3, 0), r"^beam splitter modes must be a list of 2 items, got 0$"),
         ("mirror", "unknown circuit element 'mirror'"),
     ],
     ids=["phase-shifter-out-of-range", "beam-splitter-same-mode", "beam-splitter-out-of-range",
@@ -435,8 +400,8 @@ def test_williamson_refuses_a_reconstruction_residual_above_tolerance(monkeypatc
     normal_form = gw.symplectic._normal_form
     mix = gw.compile_passive_circuit(gw.PassiveCircuit(2, (gw.BeamSplitter(0.4, (0, 1)),)))
 
-    def mixed(spec, cm):
-        o_out, r, o = normal_form(spec, cm)
+    def mixed(spec):
+        o_out, r, o = normal_form(spec)
         return o_out, r, o @ mix
 
     monkeypatch.setattr(gw.symplectic, "_normal_form", mixed)
