@@ -70,10 +70,11 @@ def activity_distillation_demo() -> DistillationOutcome:
 def work_swap_demo(gamma_a: np.ndarray, gamma_b: np.ndarray) -> DistillationOutcome:
     """Concentrate work by swapping the middle modes of two (A ⊕ B) copies.
 
-    Requires W(gamma_a) > W(gamma_b); the first output pair (A ⊕ A) then
-    holds more work than one input copy (A ⊕ B).
+    Requires 2 x 2 covariances with W(gamma_a) > W(gamma_b); the first output
+    pair (A ⊕ A) then holds more work than one input copy (A ⊕ B).
     """
-    state_a, state_b = (GaussianState(np.zeros(2), gamma) for gamma in (gamma_a, gamma_b))
+    state_a, state_b = (GaussianState(np.zeros(2), _check_array(gamma, "single-mode covariance matrix", (2, 2)))
+                        for gamma in (gamma_a, gamma_b))
     wa, wb = extractable_work(state_a).quadratic, extractable_work(state_b).quadratic
     if not wa > wb:
         raise ValueError(f"swap gains nothing: W(A) = {wa:.6g} <= W(B) = {wb:.6g}")

@@ -70,7 +70,8 @@ class FockDensity:
         fresh = isinstance(self.matrix, _Fresh)
         mat = _check_array(self.matrix.array if fresh else self.matrix, "density matrix", "square", dtype=complex,
                            copy=not fresh)
-        if len(mat) != _check_int(self.dim, "truncation dim", 1) ** _check_int(self.n_modes, "number of modes", 1):
+        dim, n_modes = _check_int(self.dim, "truncation dim", 1), _check_int(self.n_modes, "number of modes", 1)
+        if len(mat) != dim ** min(n_modes, len(mat).bit_length()):  # for dim >= 2, dim^bit_length already exceeds it
             raise ValueError(f"density matrix of size {len(mat)} does not match dim {self.dim}^{self.n_modes}")
         mat.setflags(write=False)
         re, im = mat.real, mat.imag  # ||mat^dag - mat|| from real temporaries of half the matrix's size

@@ -1,12 +1,18 @@
-"""One rule per argument kind, one row per public name.
+"""One rule per argument kind, one row per public name: the one table of every refusal.
 
 Every angle, transmittance, photon number and squeezing passes the real rule (``symplectic._check_real``), every
-matrix and vector the array rule (``symplectic._check_array``), every list the list rule (``symplectic._check_list``)
-and every density-only operation the density gate (``fock._density``).  Each row feeds its argument every wrong kind
-and requires the rule's one message: never a TypeError, an AttributeError, numpy's text or a RuntimeWarning (the
-suite turns that into an error).  A public name with no such argument names the rule or test that covers it.
+count, truncation dim, photon number and mode index the integer rule (``symplectic._check_int``), every matrix and
+vector the array rule (``symplectic._check_array``), every list the list rule (``symplectic._check_list``), every
+density-only operation the density gate (``fock._density``), every Gaussian-only operation the Gaussian gate
+(``states._gaussian``) and every moment reader the moment gate (``states._moments``).  Each row feeds its argument
+every wrong kind and requires the rule's one message: never a TypeError, an AttributeError, numpy's text or a
+RuntimeWarning (the suite turns that into an error).  A public name has a text row only when it is a record or takes
+no argument.  The command line's preset parameters meet the rows of their builders.
 """
 
+import argparse
+import collections
+import json
 import math
 import re
 
@@ -18,8 +24,10 @@ from gausswork import cli
 
 ANGLE, PHOTONS, SQUEEZING, TRANSMITTANCE = "(-inf, inf)", "[0, inf)", "[-177, 177]", "(0, 1]"
 VAC, VAC2 = gw.vacuum(1), gw.vacuum(2)
+FOUR_MODES = gw.tensor([gw.thermal(1.0), gw.thermal(2.0), gw.two_mode_squeezed(0.3)])  # modes 0..3: 2.0 fits if cast
 KRAUS = gw.thermal_loss_kraus(0.8, 0.1, 2, 1)
 HALF = 0.5 * np.eye(2)
+FOCK_DIM = 4  # the truncation of the fock_number_state rows, and so of the command line's preset rows
 
 
 def real(label, bounds, call, outside=None, others=None):
@@ -33,6 +41,12 @@ def array(label, call, valid, wrong_shape, dtype=float, finite=True, others=None
     return ("array", call, label, np.asarray(valid, dtype=dtype), wrong_shape, finite, others or {})
 
 
+def integer(label, low, high, call, outside, others=None):
+    """An integer argument in [low, high] (``high`` None: no top): ``call`` takes the value; ``outside`` is an integer
+    out of range.  ``others`` maps a kind of wrong value that the argument takes to None."""
+    return ("integer", call, label, low, high, outside, others or {})
+
+
 def listed(label, call):
     """A list argument: ``call`` takes the value."""
     return ("list", call, label)
@@ -41,6 +55,12 @@ def listed(label, call):
 def density(op, call):
     """A density-only operation: ``call`` takes the state."""
     return ("density", call, op)
+
+
+def gate(op, call):
+    """A state gate: ``call`` takes the state.  The Gaussian-only operation ``op`` refuses a density and a matrix by
+    its name; a moment reader (``op`` None) takes either state and refuses a matrix."""
+    return ("gate", call, op)
 
 
 def circuit(element):
@@ -54,8 +74,7 @@ COVARIANCE = [  # every reader of a bare covariance matrix; williamson and is_fr
                          (gw.is_free_cm, {"none": "expected a GaussianState or FockDensity, got NoneType"}))
 ]
 RECORD = "a result record, built by the library: no argument rule"
-STATE_GATE = "the state gates: tests/test_states.py"
-INTEGER = "the integer rule: tests/test_integer_rule.py"
+CIRCUIT = "a circuit record, read by compile_passive_circuit: the rows of compile_passive_circuit"
 
 RULES = {
     # symplectic
@@ -76,11 +95,16 @@ RULES = {
         real("beam splitter angle", ANGLE, lambda v: circuit(gw.BeamSplitter(v, (0, 1)))),
         real("phase shifter angle", ANGLE, lambda v: circuit(gw.PhaseShifter(v, 0))),
         listed("circuit elements", lambda v: gw.compile_passive_circuit(gw.PassiveCircuit(2, v))),
+        integer("number of modes", 1, None, lambda v: gw.compile_passive_circuit(gw.PassiveCircuit(v, ())), 0),
+        integer("beam splitter mode", 0, 2,
+                lambda v: gw.compile_passive_circuit(gw.PassiveCircuit(3, (gw.BeamSplitter(0.3, (0, v)),))), 3),
+        integer("phase shifter mode", 0, 2,
+                lambda v: gw.compile_passive_circuit(gw.PassiveCircuit(3, (gw.PhaseShifter(0.3, v),))), 3),
     ],
-    "BeamSplitter": "its angle and modes: the rows of compile_passive_circuit and tests/test_integer_rule.py",
-    "PhaseShifter": "its angle and mode: the rows of compile_passive_circuit and tests/test_integer_rule.py",
-    "PassiveCircuit": "its elements and mode count: the rows of compile_passive_circuit and the integer rule",
-    "symplectic_form": INTEGER,
+    "BeamSplitter": CIRCUIT,
+    "PhaseShifter": CIRCUIT,
+    "PassiveCircuit": CIRCUIT,
+    "symplectic_form": [integer("number of modes", 1, None, gw.symplectic_form, 0)],
     "BlochMessiahDecomposition": RECORD,
     "WilliamsonDecomposition": RECORD,
     # states
@@ -100,15 +124,28 @@ RULES = {
         array("symplectic matrix", lambda v: gw.apply_gaussian_unitary(VAC, v), np.eye(2), np.eye(4)),
         array("shift vector", lambda v: gw.apply_gaussian_unitary(VAC, np.eye(2), v), np.zeros(2), np.zeros((2, 1)),
               others={"none": None}),
+        gate("apply_gaussian_unitary", lambda x: gw.apply_gaussian_unitary(x, np.eye(4))),
     ],
-    "tensor": [listed("tensor states", gw.tensor)],
-    "partial_trace": [listed("mode list", lambda v: gw.partial_trace(VAC2, v))],
-    "mutual_information": [listed("mode list", lambda v: gw.mutual_information(VAC2, v))],
-    "vacuum": INTEGER,
-    "energy": STATE_GATE,
-    "mean_photon_numbers": STATE_GATE,
-    "von_neumann_entropy": STATE_GATE,
-    "relative_entropy": STATE_GATE,
+    "tensor": [listed("tensor states", gw.tensor), gate("tensor", lambda x: gw.tensor([VAC, x]))],
+    "partial_trace": [
+        listed("mode list", lambda v: gw.partial_trace(VAC2, v)),
+        integer("mode index", 0, 3, lambda v: gw.partial_trace(FOUR_MODES, [0, v]), 4),
+        gate("partial_trace", lambda x: gw.partial_trace(x, [0])),
+    ],
+    "mutual_information": [
+        listed("mode list", lambda v: gw.mutual_information(VAC2, v)),
+        integer("mode index", 0, 3, lambda v: gw.mutual_information(FOUR_MODES, [v]), 4),
+        integer("mode index", 0, 3, lambda v: gw.mutual_information(FOUR_MODES, [0], [1, v, 3]), 4),
+        gate("mutual_information", lambda x: gw.mutual_information(x, [0])),
+    ],
+    "vacuum": [integer("number of modes", 1, None, gw.vacuum, 0)],
+    "energy": [gate(None, gw.energy)],
+    "mean_photon_numbers": [gate(None, gw.mean_photon_numbers)],
+    "von_neumann_entropy": [gate(None, gw.von_neumann_entropy)],
+    "relative_entropy": [
+        gate(None, lambda x: gw.relative_entropy(x, VAC)),
+        gate("relative_entropy sigma", lambda x: gw.relative_entropy(VAC2, x)),
+    ],
     # free
     "free_cm": [
         array("thermal symplectic eigenvalues", gw.free_cm, [1.0], [[1.0, 1.0], [1.0, 1.0]]),
@@ -118,43 +155,71 @@ RULES = {
     "FreeCovariance": RECORD,
     "FreenessReport": RECORD,
     # work
-    "superadditivity_gap": [listed("mode list", lambda v: gw.superadditivity_gap(VAC2, v, [1]))],
-    "extractable_work": STATE_GATE,
-    "extraction_protocol": STATE_GATE,
+    "superadditivity_gap": [
+        listed("mode list", lambda v: gw.superadditivity_gap(VAC2, v, [1])),
+        integer("mode index", 0, 3, lambda v: gw.superadditivity_gap(FOUR_MODES, [v], [0, 1, 3]), 4),
+    ],
+    "extractable_work": [gate(None, gw.extractable_work)],
+    "extraction_protocol": [gate(None, gw.extraction_protocol)],
     "ExtractionProtocol": RECORD,
     "WorkReport": RECORD,
     # activity
-    "relaxed_subadditivity_gap": [listed("mode list", lambda v: gw.relaxed_subadditivity_gap(VAC2, v))],
-    "local_activity": STATE_GATE,
-    "gaussian_coherence": STATE_GATE,
-    "photon_overlap_matrix": STATE_GATE,
+    "relaxed_subadditivity_gap": [
+        listed("mode list", lambda v: gw.relaxed_subadditivity_gap(VAC2, v)),
+        integer("mode index", 0, 3, lambda v: gw.relaxed_subadditivity_gap(FOUR_MODES, [v]), 4),
+        gate("relaxed_subadditivity_gap", lambda x: gw.relaxed_subadditivity_gap(x, [0])),
+    ],
+    "local_activity": [gate(None, gw.local_activity)],
+    "gaussian_coherence": [gate(None, gw.gaussian_coherence)],
+    "photon_overlap_matrix": [gate(None, gw.photon_overlap_matrix)],
     "ActivityReport": RECORD,
     # fock
     "FockDensity": [
-        array("density matrix", lambda v: gw.FockDensity(v, dim=2), HALF, np.ones((2, 3)) / 3, dtype=complex)
+        array("density matrix", lambda v: gw.FockDensity(v, dim=2), HALF, np.ones((2, 3)) / 3, dtype=complex),
+        integer("truncation dim", 1, None, lambda v: gw.FockDensity(np.eye(2) / 2, dim=v), 0),
+        integer("number of modes", 1, None, lambda v: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=v), 0),
     ],
     "phase_space_loss_channel": [
         real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.phase_space_loss_channel(VAC, v, 0.0), 0.0),
         real("bath mean photon number", PHOTONS, lambda v: gw.phase_space_loss_channel(VAC, 0.8, v), -1.0),
+        gate("phase_space_loss_channel", lambda x: gw.phase_space_loss_channel(x, 0.8, 0.1)),
     ],
     "thermal_loss_kraus": [
         real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.thermal_loss_kraus(v, 0.1, 4, 2), 1.5),
         real("bath mean photon number", PHOTONS, lambda v: gw.thermal_loss_kraus(0.8, v, 4, 2), -0.5),
+        integer("truncation dim", 2, None, lambda v: gw.thermal_loss_kraus(0.8, 0.1, v, 1), 1),
+        integer("max_mn", 0, 4, lambda v: gw.thermal_loss_kraus(0.8, 0.1, 4, v), 5),
     ],
     "bs_matrix_element": [
-        real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.bs_matrix_element(1, 0, 1, 0, v), -0.5)
+        real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.bs_matrix_element(1, 0, 1, 0, v), -0.5),
+        integer("photon number m1", 0, None, lambda v: gw.bs_matrix_element(v, 0, 2, 0, 0.5), -1),
+        integer("photon number m", 0, None, lambda v: gw.bs_matrix_element(0, v, 2, 0, 0.5), -1),
+        integer("photon number n1", 0, None, lambda v: gw.bs_matrix_element(2, 0, v, 0, 0.5), -1),
+        integer("photon number n", 0, None, lambda v: gw.bs_matrix_element(2, 0, 0, v, 0.5), -1),
     ],
-    "fock_thermal": [real("mean photon number", PHOTONS, lambda v: gw.fock_thermal(v, 4), -1.0)],
+    "fock_thermal": [
+        real("mean photon number", PHOTONS, lambda v: gw.fock_thermal(v, 4), -1.0),
+        integer("truncation dim", 1, None, lambda v: gw.fock_thermal(0.5, v), 0),
+    ],
     "gaussian_postselect": [
         array("measurement covariance", lambda v: gw.gaussian_postselect(VAC2, [1], v), HALF, 0.5 * np.eye(4)),
         listed("mode list", lambda v: gw.gaussian_postselect(VAC2, v, HALF)),
+        integer("mode index", 0, 3, lambda v: gw.gaussian_postselect(FOUR_MODES, [v], HALF), 4),
+        gate("gaussian_postselect", lambda x: gw.gaussian_postselect(x, [1], HALF)),
     ],
     "apply_kraus_channel": [density("apply_kraus_channel", lambda v: gw.apply_kraus_channel(v, KRAUS))],
     "fock_moments": [density("fock_moments", gw.fock_moments)],
     "fock_single_mode_activity": [density("fock_single_mode_activity", gw.fock_single_mode_activity)],
-    "fock_from_gaussian": "the Gaussian-state gate (tests/test_states.py) and the integer rule",
-    "fock_number_state": INTEGER,
-    "fock_postselect_demo": INTEGER,
+    "fock_from_gaussian": [
+        integer("truncation dim", 1, None, lambda v: gw.fock_from_gaussian(VAC, v), 0),
+        gate("fock_from_gaussian", lambda x: gw.fock_from_gaussian(x, 4)),
+    ],
+    # In argument order, as the preset's parameters are: the command line's preset rows are built from them.
+    "fock_number_state": [
+        integer("photon number", 0, FOCK_DIM - 1, lambda v: gw.fock_number_state(v, FOCK_DIM), FOCK_DIM),
+        integer("truncation dim", 1, None, lambda v: gw.fock_number_state(1, v), 0),
+    ],
+    "fock_postselect_demo": [integer("truncation dim", 3, None, gw.fock_postselect_demo, 2)],
     "KrausSet": RECORD,
     # distill
     "process_two_copies_single_mode": [
@@ -163,28 +228,59 @@ RULES = {
         real("beam splitter angle", ANGLE, lambda v: gw.process_two_copies_single_mode(HALF, v, [0.0] * 4)),
         array("phases", lambda v: gw.process_two_copies_single_mode(HALF, 0.1, v), np.zeros(4), np.zeros(3)),
     ],
-    "work_swap_demo": [array("covariance matrix", lambda v: gw.work_swap_demo(v, HALF), HALF, 0.5 * np.eye(3))],
-    "dft_unitary": INTEGER,
+    "work_swap_demo": [
+        array("single-mode covariance matrix", lambda v: gw.work_swap_demo(v, HALF), HALF, 0.5 * np.eye(4)),
+        array("single-mode covariance matrix", lambda v: gw.work_swap_demo(HALF, v), HALF, 0.5 * np.eye(3)),
+    ],
+    "dft_unitary": [integer("number of modes", 1, None, gw.dft_unitary, 0)],
     "activity_distillation_demo": "takes no argument",
     "DistillationOutcome": RECORD,
+    # The command line's own integers: the sweep's options and a state document's mode count, where an integral float
+    # is read as an int (README "Command line").
+    "cli": [
+        integer("--count", 1, None, lambda v: cli._cmd_sweep(argparse.Namespace(count=v, seed=0)), 0),
+        integer("--seed", 0, None, lambda v: cli._cmd_sweep(argparse.Namespace(count=1, seed=v)), -1),
+        integer("modes", 1, None, lambda v: cli.parse_state(json.dumps({"modes": v, "covariance": [*np.eye(4).flat]})),
+                0, others={"integral-float": None}),
+    ],
 }
 
 
 def _rows(kind):
-    """(id, row) of every row of one rule."""
-    return [(f"{name}-{row[2]}", row[1:]) for name, rows in RULES.items() if not isinstance(rows, str)
-            for row in rows if row[0] == kind]
+    """(id, row) of every row of one rule.  The id names the public name and the label (a moment reader has none); a
+    name's second row of one label adds "-2"."""
+    ids = [(f"{name}-{row[2] or 'moments'}", row[1:]) for name, rows in RULES.items() if not isinstance(rows, str)
+           for row in rows if row[0] == kind]
+    seen = collections.Counter()
+    for row_id, row in ids:
+        seen[row_id] += 1
+        yield row_id + f"-{seen[row_id]}" * (seen[row_id] > 1), row
 
 
-def _real_cases():
-    """Each real row with each wrong value it can be given: (call, kind, value, the rule's message as a pattern,
-    others)."""
-    for name, (call, label, bounds, outside, others) in _rows("real"):
+def _scalar(kind, row):
+    """A real or integer row as (call, each wrong value by kind, the rule's message for a value, others)."""
+    if kind == "real":
+        call, label, bounds, outside, others = row
         values = {"bool": True, "text": "a", "none": None, "complex": 1j, "nan": math.nan, "inf": math.inf,
-                  "-inf": -math.inf, **({} if outside is None else {"outside": outside})}
-        for kind, value in values.items():
-            message = f"{label} must be a real number in {bounds}, got {value!r}"
-            yield pytest.param(call, kind, value, re.escape(message), others, id=f"{kind}-{name}")
+                  "-inf": -math.inf}
+        rule = f"{label} must be a real number in {bounds}"
+    else:  # A cast would read True, 2.0 and 2.7 as 1, 2 and 2, and pass them on silently: each is refused.
+        call, label, low, high, outside, others = row
+        values = {"bool": True, "integral-float": 2.0, "fraction": 2.7}
+        rule = f"{label} must be an integer in [{low}, {'inf)' if high is None else f'{high}]'}"
+    if outside is not None:
+        values["outside"] = outside
+    return call, values, lambda value: f"{rule}, got {value!r}", others
+
+
+def _scalar_cases():
+    """Each real and integer row with each wrong value it can be given: (call, kind, value, the rule's message as a
+    pattern, others)."""
+    for row_kind in ("real", "integer"):
+        for name, row in _rows(row_kind):
+            call, values, message, others = _scalar(row_kind, row)
+            for kind, value in values.items():
+                yield pytest.param(call, kind, value, re.escape(message(value)), others, id=f"{kind}-{name}")
 
 
 def _array_cases():
@@ -213,12 +309,14 @@ def _refused(call, value, message):
 
 
 def test_every_public_name_has_a_row():
-    # The 63 names of the export table; with the seven layer modules they are the 70 names of the namespace.
-    assert sorted(RULES) == sorted(gw._HOME) and len(gw.__all__) == 70
+    # The 63 names of the export table, and the command line's own integers; with the seven layer modules the 63 are
+    # the 70 names of the namespace.
+    assert sorted(RULES) == sorted([*gw._HOME, "cli"]) and len(gw._HOME) == 63 and len(gw.__all__) == 70
+    assert all(isinstance(rows, list) or rows in (RECORD, CIRCUIT, "takes no argument") for rows in RULES.values())
 
 
-@pytest.mark.parametrize("call, kind, value, pattern, others", [*_real_cases(), *_array_cases()])
-def test_every_real_and_array_input_follows_its_rule(call, kind, value, pattern, others):
+@pytest.mark.parametrize("call, kind, value, pattern, others", [*_scalar_cases(), *_array_cases()])
+def test_every_real_integer_and_array_input_follows_its_rule(call, kind, value, pattern, others):
     if kind not in others:
         with pytest.raises(ValueError, match=f"^{pattern}$"):
             call(value)
@@ -235,6 +333,14 @@ def test_ints_and_numpy_reals_pass_the_real_rule():
     assert gw.squeezed(np.float64(0.5), np.int32(0)).cm[0, 0] == 0.5 * math.exp(1.0)
     assert gw.thermal_loss_kraus(np.float32(0.5), np.int8(0), 4, 2).eta == 0.5
     assert gw.bs_matrix_element(1, 0, 1, 0, 1) == 1.0
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    assert gw.vacuum(np.int64(2)).n_modes == 2
+    assert gw.symplectic_form(np.int32(1)).shape == (2, 2)
+    assert gw.fock_number_state(np.int64(1), np.uint8(3)).matrix[1, 1] == 1.0
+    assert gw.thermal_loss_kraus(0.8, 0.1, np.int16(4), np.int64(2)).max_mn == 2
+    assert gw.partial_trace(gw.tensor([gw.thermal(1.0), gw.thermal(2.0)]), np.array([1])).cm[0, 0] == 2.5
 
 
 @pytest.mark.parametrize(
@@ -293,6 +399,48 @@ def test_a_ragged_beam_splitter_pair_is_refused_by_the_integer_rule():
 def test_a_density_operation_refuses_any_other_input(row, value):
     call, op = row
     _refused(call, value, f"{op} takes a FockDensity, got {type(value).__name__}")
+
+
+def _gate_cases():
+    """Each gate row with each input it refuses and the gate's message: a Gaussian-only operation refuses a density and
+    a matrix alike, a moment reader a matrix."""
+    rho = gw.fock_number_state(1, FOCK_DIM)
+    for name, (call, op) in _rows("gate"):
+        for value in (rho, 0.5 * np.eye(4)) if op else (HALF,):
+            found = type(value).__name__
+            message = f"{op} takes a GaussianState" if op else "expected a GaussianState or FockDensity"
+            yield pytest.param(call, value, f"{message}, got {found}", id=f"{found}-{name}")
+
+
+@pytest.mark.parametrize("call, value, message", _gate_cases())
+def test_a_state_gate_refuses_any_other_input(call, value, message):
+    _refused(call, value, message)
+
+
+def _preset_cases():
+    """The rows of the six preset builders through the command line.  A builder's rows come in its argument order, as
+    the preset's parameters do, and each wrong value that JSON carries meets the builder's rule on the value the CLI
+    hands it (``cli._whole``: an integral float as an int, which an integer rule takes).  A shorthand carries the
+    numbers and the text too.  Every other parameter of the preset is 0, which each builder takes."""
+    for preset, (builder, names, _) in cli._PRESETS.items():
+        for i, (param, (row_kind, *row)) in enumerate(zip(names, RULES[builder])):
+            _, values, message, _ = _scalar(row_kind, row)
+            for kind, value in values.items():
+                if kind == "complex":  # not a JSON value; the shorthand's re,im makes one, which coherent takes
+                    continue
+                given = cli._whole(value)
+                expected = None if isinstance(given, int) and kind == "integral-float" else message(given)
+                texts = {"document": json.dumps({"preset": preset, **dict.fromkeys(names[:i], 0), param: value})}
+                if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+                    texts["shorthand"] = f"preset:{preset}:" + ",".join(["0"] * i + [str(value)])
+                for form, text in texts.items():
+                    yield pytest.param(text, expected, id=f"{kind}-{preset}-{param}-{form}")
+
+
+@pytest.mark.parametrize("text, message", _preset_cases())
+def test_a_preset_value_meets_its_builders_rule_through_the_cli(capsys, text, message):
+    code = cli.main(["entropy", "--state", text, "--fock-dim", str(FOCK_DIM)])
+    assert (code, capsys.readouterr().err) == ((0, "") if message is None else (2, f"error: {message}\n"))
 
 
 @pytest.mark.parametrize(

@@ -449,6 +449,11 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             lambda: gw.FockDensity(np.eye(2), dim=2, n_modes=10**6),
             r"^density matrix of size 2 does not match dim 2\^1000000$",
         ),
+        # Refused without the power itself: 3^(10^18) has about 4.8e17 digits.
+        (
+            lambda: gw.FockDensity(np.eye(2), dim=3, n_modes=10**18),
+            r"^density matrix of size 2 does not match dim 3\^1000000000000000000$",
+        ),
         (lambda: gw.fock_single_mode_activity(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
         (
             lambda: gw.local_activity(gw.FockDensity(np.diag([1.5, -0.5]), dim=2)),

@@ -1,7 +1,8 @@
 """Source hygiene read from the syntax trees of ``src/gausswork/*.py``, since no linter runs in CI.
 
-An import the module never reads, and a module-level private name that nothing in the package reads, are what a
-consolidation leaves behind when it moves a rule to one place and forgets the old copy.
+An import its own scope (the module, or the function it sits in) never reads, and a module-level private name that
+nothing in the package reads, are what a consolidation leaves behind when it moves a rule to one place and forgets the
+old copy.
 """
 
 import ast
@@ -42,18 +43,36 @@ def test_the_package_has_sources():
     assert {"symplectic.py", "states.py", "fock.py", "cli.py"} <= set(TREES)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unused_imports(tree) -> dict:
+    """(name: line) of each import that its own scope never reads.  A module-level import may be read anywhere in the
+    module, one made in a function only in that function (and the functions nested in it)."""
+    unused = {}
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, FUNCTIONS))]:
+        loaded = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:  # the scope's own statements, not those of a function nested in it
+            node = todo.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused.update((name, node.lineno) for name in bound if name not in loaded)
+            elif not isinstance(node, FUNCTIONS):
+                todo.extend(ast.iter_child_nodes(node))
+    return unused
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_unused_import(name):
-    tree = TREES[name]
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                imported[bound] = node.lineno
-    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
-    unused = {bound: line for bound, line in imported.items() if bound not in loaded}
+    unused = _unused_imports(TREES[name])
     assert not unused, f"{name} imports names it never reads (name: line): {unused}"
+
+
+def test_the_import_check_reads_each_scope_alone():
+    # Module-wide, the module's own use of _b would hide that f never reads the _b it imports.
+    tree = ast.parse("import os\n\n\ndef f():\n    from x import _a, _b\n    return _a(os)\n\n\n_b = 1\nprint(_b)\n")
+    assert _unused_imports(tree) == {"_b": 5}
 
 
 def test_every_module_level_private_name_is_read_somewhere():
