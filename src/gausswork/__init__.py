@@ -20,7 +20,7 @@ _EXPORTS = {
     "activity": "ActivityReport gaussian_coherence local_activity photon_overlap_matrix relaxed_subadditivity_gap",
     "distill": """DistillationOutcome activity_distillation_demo dft_unitary
         process_two_copies_single_mode work_swap_demo""",
-    "fock": """FockDensity KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian
+    "fock": """FockDensity KrausSet apply_kraus_channel fock_from_gaussian
         fock_moments fock_number_state fock_postselect_demo fock_single_mode_activity
         fock_thermal gaussian_postselect phase_space_loss_channel thermal_loss_kraus""",
     "free": "FreeCovariance FreenessReport free_cm is_free_cm",

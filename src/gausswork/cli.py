@@ -49,11 +49,12 @@ class StateValidationError(ValueError):
 
 
 def _number(text: str):
-    """A shorthand value as a float; text that is no number stays text, for the builder's rule to refuse."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """A shorthand value as written: an int, else a float; text that is no number stays text, for the builder's rule."""
+    for kind in (int, float, str):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
 
 
 def _shorthand(text: str) -> dict:
@@ -80,7 +81,7 @@ def _file_document(text: str):
 
 
 def _whole(value):
-    """An integral float as an int (the shorthand parses ``preset:fock:2`` as n = 2.0); any other value as is."""
+    """An integral float as an int, for a count (fock n, vacuum modes, ``"modes": 2.0``); any other value as is."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
@@ -100,7 +101,7 @@ def parse_state(text: str, fock_dim: int = 40, document=None):
                     raise StateParseError(f"preset {name!r} takes no parameter {key!r}; it takes {', '.join(names)}")
                 if key not in params:
                     raise StateParseError(f"preset {name!r} needs parameter {key!r}")
-            values = [_whole(params[k]) for k in names if k in params]  # each meets its builder's rule
+            values = [_whole(params[k]) if k in ("n", "modes") else params[k] for k in names if k in params]
             return getattr(gw, builder)(*values, *([fock_dim] if name == "fock" else []))
         modes = _check_int(_whole(doc["modes"]), "modes", 1)
         cov = _check_array(doc["covariance"], "covariance", None, finite=False)  # GaussianState checks the entries

@@ -14,7 +14,8 @@ import numpy as np
 
 from .activity import local_activity
 from .states import GaussianState, apply_gaussian_unitary, partial_trace, tensor
-from .symplectic import _check_array, _check_int, _check_real, require_valid_cm, rotation, unitary_to_orthosymplectic
+from .symplectic import (_check_array, _check_entries, _check_int, _check_real, require_valid_cm, rotation,
+                         unitary_to_orthosymplectic)
 from .work import extractable_work
 
 
@@ -42,8 +43,9 @@ def process_two_copies_single_mode(gamma: np.ndarray, theta: float, phis) -> tup
 
 
 def dft_unitary(n: int) -> np.ndarray:
-    """Discrete-Fourier unitary u_jk = exp(-2 pi i j k / n) / sqrt(n); ValueError unless n is an integer >= 1."""
+    """DFT unitary u_jk = exp(-2 pi i j k / n) / sqrt(n); ValueError unless n >= 1 is an integer, n^2 within budget."""
     n = _check_int(n, "number of modes", 1)
+    _check_entries(n * n, f"DFT unitary of {n} modes")
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(-2j * np.pi * j * k / n) / math.sqrt(n)
 

@@ -1,4 +1,4 @@
-"""Truncated Fock-space machinery: beam-splitter amplitudes, lossy-channel
+"""Truncated Fock-space machinery: beam-splitter blocks, lossy-channel
 Kraus operators, Gaussian post-selection, and the N-mode moments and entropy
 from which every state functional reads a FockDensity.
 
@@ -6,15 +6,13 @@ from which every state functional reads a FockDensity.
 beam-splitter amplitude split (eta, sqrt(1 - eta^2)); the intensity
 transmittance is eta^2.
 
-Beam-splitter amplitudes come from one recurrence in total photon number N
-(see ``_bs_blocks``) that yields the orthogonal N-photon blocks B_N.  Their
-unitarity residual ||B_N B_N^T - I|| is checked before anything is built
-from them: a request with a block above UNITARITY_TOL (N + 1) is refused,
-and ``KrausSet.unitarity_residual`` reports the largest residual of an
-accepted Kraus set.  ``thermal_loss_kraus`` checks and scatters each block
-as the recurrence yields it, so it holds one block at a time besides the
-stored entries and one step temporary; a refused block still raises
-before any Kraus set is returned.
+Beam-splitter amplitudes have one source, the recurrence in total photon number
+N (``_bs_blocks``) that yields the orthogonal N-photon blocks B_N.  Nothing is read
+from a block before ``_unitarity_residual`` has checked ||B_N B_N^T - I|| against
+UNITARITY_TOL (N + 1).  ``thermal_loss_kraus`` checks and scatters each block as
+the recurrence yields it, so it holds one block at a time besides the stored
+entries and one step temporary, and reports the largest residual as
+``KrausSet.unitarity_residual``; ``fock_postselect_demo`` reads B_2[2, 1].
 
 Each thermal-loss Kraus operator K_mn is one shifted diagonal: it maps |n1>
 to |n1 + n - m>.  ``KrausSet`` keeps, per shift n - m, one stack of their
@@ -25,7 +23,7 @@ stack in place.  ``operators`` is a dense view built on each access.
 the Hermite recurrence on its Bargmann data (Quesada et al., PRA 100, 022341
 (2019); Miatto & Quesada, Quantum 4, 366 (2020)).  Nothing is padded, so the
 leak 1 - trace is exact.  Every builder passes the entries it will allocate to
-``_check_entries``, one budget of 2^22, before its first array exists: dim <= 2048
+``symplectic._check_entries``, one budget of 2^22, before its first array exists: dim <= 2048
 for a one-mode density, 45 at N = 2 and 12 at N = 3 in ``fock_from_gaussian``, and
 N <= 231 for the beam-splitter blocks (sum_{k<=N} (k + 1)^2 entries; dim 232 at max_mn 0).
 """
@@ -38,17 +36,11 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .states import GaussianState, _bipartition, _gaussian, _mode_indices
-from .symplectic import _check_array, _check_int, _check_real, _real_form, validate_cm
+from .symplectic import _check_array, _check_entries, _check_int, _check_real, _real_form, validate_cm
 
 UNITARITY_TOL = 1e3 * np.finfo(float).eps
 LEAK_TOL = 1e-6  # largest truncation leak |1 - trace| that a functional accepts of a FockDensity
-_FOCK_ENTRY_BUDGET = 2**22  # the most entries any Fock builder allocates: a 64 MiB complex array
-
-
-def _check_entries(count: int, what: str) -> None:
-    """The one size rule of the Fock layer: ValueError naming ``what``, ``count`` and the budget above it."""
-    if count > _FOCK_ENTRY_BUDGET:
-        raise ValueError(f"{what} needs {count} entries, above the budget of {_FOCK_ENTRY_BUDGET}")
+_MAX_MODES = 31  # numpy 1.x arrays have at most 32 axes, and fock_moments indexes N modes on N + 1 of them
 
 
 class _Fresh:
@@ -60,7 +52,7 @@ class _Fresh:
 
 @dataclass(frozen=True, eq=False)
 class FockDensity:
-    """Density matrix on a truncated Fock space (dim levels per mode); it keeps a read-only copy of the matrix."""
+    """Density matrix on a truncated Fock space (dim levels per mode, N <= 31 modes); it keeps a read-only copy."""
 
     matrix: np.ndarray
     dim: int
@@ -70,8 +62,9 @@ class FockDensity:
         fresh = isinstance(self.matrix, _Fresh)
         mat = _check_array(self.matrix.array if fresh else self.matrix, "density matrix", "square", dtype=complex,
                            copy=not fresh)
-        dim, n_modes = _check_int(self.dim, "truncation dim", 1), _check_int(self.n_modes, "number of modes", 1)
-        if len(mat) != dim ** min(n_modes, len(mat).bit_length()):  # for dim >= 2, dim^bit_length already exceeds it
+        dim = _check_int(self.dim, "truncation dim", 1)
+        n_modes = _check_int(self.n_modes, "number of modes", 1, _MAX_MODES)
+        if len(mat) != dim**n_modes:
             raise ValueError(f"density matrix of size {len(mat)} does not match dim {self.dim}^{self.n_modes}")
         mat.setflags(write=False)
         re, im = mat.real, mat.imag  # ||mat^dag - mat|| from real temporaries of half the matrix's size
@@ -182,19 +175,6 @@ def _unitarity_residual(block: np.ndarray, eta: float) -> float:
             f"tolerance {UNITARITY_TOL * size:.1e} (eta = {eta})"
         )
     return residual
-
-
-def bs_matrix_element(m1: int, m: int, n1: int, n: int, eta: float) -> float:
-    """Amplitude <m1, m| U_bs(eta) |n1, n>; zero unless m1 + m == n1 + n."""
-    for label, idx in (("m1", m1), ("m", m), ("n1", n1), ("n", n)):
-        _check_int(idx, f"photon number {label}", 0)
-    eta = _check_real(eta, "amplitude transmittance", 0.0, 1.0, low_open=True)
-    if m1 + m != n1 + n:
-        return 0.0
-    for block in _bs_blocks(eta, n1 + n):  # hold one block at a time
-        pass
-    _unitarity_residual(block, eta)
-    return float(block[m1, n1])
 
 
 def thermal_loss_kraus(eta: float, nbar_bath: float, dim: int, max_mn: int) -> KrausSet:
@@ -410,14 +390,17 @@ def fock_postselect_demo(dim: int = 8):
     """Send |1, 1> through a 50:50 beam splitter and keep vacuum on arm two.
 
     Photon number is conserved, so the only amplitude into |m1, 0> is
-    <2, 0|U|1, 1> = B_2[2, 1], one :func:`bs_matrix_element` call.  Returns the
+    <2, 0|U|1, 1> = B_2[2, 1], read from the last block of :func:`_bs_blocks` once
+    :func:`_unitarity_residual` has passed it.  Returns the
     conditional output |2>, the success probability B_2[2, 1]^2 = 1/2, and
     the activity gain A(output) - A(|1>), which is g(5/2) - g(3/2).  ``dim``
     must be an integer of at least 3, so that the truncation holds |2> (:func:`_check_int`).
     """
     from .activity import local_activity
     dim = _check_int(dim, "truncation dim", 3)
-    amplitude = bs_matrix_element(2, 0, 1, 1, 1.0 / math.sqrt(2.0))
+    eta = 1.0 / math.sqrt(2.0)
+    *_, block = _bs_blocks(eta, 2)
+    _unitarity_residual(block, eta)
     output = fock_number_state(2, dim)
     gain = local_activity(output).value - local_activity(fock_number_state(1, dim)).value
-    return output, amplitude**2, gain
+    return output, float(block[2, 1]) ** 2, gain

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import (_MAX_SQUEEZING, _check_array, _check_int, _check_list, _check_real, _congruence, _summable,
-                         is_symplectic, require_valid_cm, rotation)
+from .symplectic import (_MAX_SQUEEZING, _check_array, _check_entries, _check_int, _check_list, _check_real,
+                         _congruence, _summable, is_symplectic, require_valid_cm, rotation)
 
 
 def thermal_entropy(nu):
@@ -54,6 +54,7 @@ class GaussianState:
 
 def vacuum(n_modes: int = 1) -> GaussianState:
     n_modes = _check_int(n_modes, "number of modes", 1)
+    _check_entries(4 * n_modes * n_modes, f"vacuum of {n_modes} modes")
     return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
 
 

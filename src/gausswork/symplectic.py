@@ -17,6 +17,13 @@ import numpy as np
 TOL_SYMP = 1e-10
 TOL_PHYS = 1e-9
 _MAX_SQUEEZING = 177.0  # validation squares covariance entries of about e^{2|r|}; e^{4|r|} overflows just above 177.4
+_ENTRY_BUDGET = 2**22  # the most entries any builder of a count-sized array allocates: a 64 MiB complex array
+
+
+def _check_entries(count: int, what: str) -> None:
+    """The one size rule: ValueError naming ``what``, ``count`` and the budget above it, before any array exists."""
+    if count > _ENTRY_BUDGET:
+        raise ValueError(f"{what} needs {count} entries, above the budget of {_ENTRY_BUDGET}")
 
 
 def _check_int(value, label: str, low: int, high=None) -> int:
@@ -93,8 +100,9 @@ def _check_array(value, label: str, shape, dtype=float, bound=math.inf, copy=Fal
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2N x 2N symplectic form for ``n_modes`` modes; ValueError unless ``n_modes`` is an integer >= 1."""
+    """The 2N x 2N symplectic form; ValueError unless ``n_modes`` >= 1 is an integer and 4N^2 fits the budget."""
     n_modes = _check_int(n_modes, "number of modes", 1)
+    _check_entries(4 * n_modes * n_modes, f"symplectic form of {n_modes} modes")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     omega.flat[1 :: 4 * n_modes + 2] = 1.0  # entries (2k, 2k + 1)
     omega.flat[2 * n_modes :: 4 * n_modes + 2] = -1.0  # entries (2k + 1, 2k)
@@ -177,7 +185,9 @@ class _Spectrum(NamedTuple):
     cm: np.ndarray  # the matrix as the array gate returned it
     root: np.ndarray  # cm^{1/2}
     nu: np.ndarray  # symplectic eigenvalues, descending
-    err: float  # min(_TOL_CAP, _KAPPA_FACTOR n eps kappa), the rounding of nu; tol = max(TOL_PHYS, err)
+    err: float  # min(_TOL_CAP, _KAPPA_FACTOR n eps kappa), the rounding of nu
+    tol: float  # min(_TOL_CAP, max(TOL_PHYS, err)): the one tolerance validity, nu's snap to 1/2 and williamson read
+    valid: bool  # nu_N >= 1/2 - tol: the one validity test of a covariance matrix
 
 
 def _times_omega(mat: np.ndarray) -> np.ndarray:
@@ -212,9 +222,10 @@ def _spectrum(cm, copy=False) -> _Spectrum:
     root = (v * np.sqrt(w)) @ v.T
     sv = np.linalg.svd(_skew(root), compute_uv=False)
     err = min(_TOL_CAP, _KAPPA_FACTOR * len(cm) * np.finfo(float).eps * w[-1] / w[0])
+    tol = min(_TOL_CAP, max(TOL_PHYS, err))
     nu = 0.5 * (sv[0::2] + sv[1::2])
-    nu[(nu >= 0.5 - max(TOL_PHYS, err)) & (nu < 0.5)] = 0.5
-    return _Spectrum(cm, root, nu, err)
+    nu[(nu >= 0.5 - tol) & (nu < 0.5)] = 0.5
+    return _Spectrum(cm, root, nu, err, tol, bool(nu[-1] >= 0.5 - tol))
 
 
 class CMValidation(NamedTuple):
@@ -240,13 +251,13 @@ def validate_cm(mat: np.ndarray) -> CMValidation:
         spec = _spectrum(mat)
     except _NotPositiveDefinite as err:
         return CMValidation(False, err.min_eig)
-    return CMValidation(bool(spec.nu[-1] >= 0.5 - max(TOL_PHYS, spec.err)), float(spec.nu[-1]))
+    return CMValidation(spec.valid, float(spec.nu[-1]))
 
 
 def require_valid_cm(mat, copy=False) -> _Spectrum:
     """Spectrum of ``mat``; ValueError unless it passes :func:`validate_cm`."""
     spec = _spectrum(mat, copy)
-    if spec.nu[-1] < 0.5 - max(TOL_PHYS, spec.err):
+    if not spec.valid:
         raise ValueError(f"invalid covariance matrix (min symplectic eigenvalue {spec.nu[-1]:.6g})")
     return spec
 
@@ -323,7 +334,7 @@ def williamson(cm) -> WilliamsonDecomposition:
     split = BlochMessiahDecomposition(*_normal_form(spec))
     s = split.reconstruct()
     residual = float(np.linalg.norm((s * np.repeat(spec.nu, 2)) @ s.T - spec.cm))
-    if residual > max(TOL_PHYS, spec.err) * max(1.0, np.linalg.norm(spec.cm)):
+    if residual > spec.tol * max(1.0, np.linalg.norm(spec.cm)):
         raise ValueError(f"williamson reconstruction residual {residual:.3e} exceeds tolerance")
     symplectic_residual, bound = _symplectic_residual(s)
     if symplectic_residual >= bound:
@@ -339,7 +350,7 @@ def _normal_form(spec: _Spectrum):
     Omega-commuting part has each eigenvalue 2 nu_k on a plane Omega maps to itself, and one eigh of it, paired by
     :func:`_canonical_pairs`, gives o.
     """
-    o_out, r = _euler(_congruence(spec), _BAND_SHARE * max(TOL_PHYS, spec.err))
+    o_out, r = _euler(_congruence(spec), _BAND_SHARE * spec.tol)
     steps = o_out * np.diag(squeezer_direct_sum(-r))  # O_out Z(-r)
     final = steps.T @ spec.cm @ steps
     final += _times_omega(_times_omega(final).T).T  # Omega final Omega^T by column swaps
@@ -513,10 +524,11 @@ def compile_passive_circuit(circuit: PassiveCircuit) -> np.ndarray:
     i, j to c u_i + s u_j and c u_j - s u_i, a phase shifter multiplies row
     k by exp(i phi).  The result is the :func:`unitary_to_orthosymplectic`
     image of u, the product M_last @ ... @ M_first of the element images.
-    ValueError for what :func:`_check_int`, :func:`_check_real` or :func:`_check_list` refuses, or a beam splitter
-    on one mode twice.
+    ValueError for what :func:`_check_int`, :func:`_check_real` or :func:`_check_list` refuses, a beam splitter
+    on one mode twice, or 4N^2 entries of the image above :func:`_check_entries`.
     """
     n = _check_int(circuit.n_modes, "number of modes", 1)
+    _check_entries(4 * n * n, f"passive circuit on {n} modes")
     u = np.eye(n, dtype=complex)
     for element in _check_list(circuit.elements, "circuit elements"):
         if isinstance(element, BeamSplitter):

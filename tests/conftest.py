@@ -11,7 +11,7 @@ from scipy.special import xlogy
 from scipy.stats import unitary_group
 
 import gausswork as gw
-from gausswork.fock import _bs_blocks
+from gausswork.fock import _bs_blocks, _unitarity_residual
 from gausswork.states import thermal_entropy
 from gausswork.symplectic import TOL_PHYS
 
@@ -343,13 +343,22 @@ def dense_kraus_apply(rho: gw.FockDensity, ks: gw.KrausSet):
     return out, float(np.linalg.norm(block, 2)) if support.size else 0.0
 
 
+def bs_blocks(eta, n_max):
+    """The beam-splitter blocks B_0..B_{n_max} of ``fock._bs_blocks``, each passed by ``fock._unitarity_residual``
+    first, as the library reads them: the one way the tests read beam-splitter amplitudes."""
+    blocks = list(_bs_blocks(eta, n_max))
+    for block in blocks:
+        _unitarity_residual(block, eta)
+    return blocks
+
+
 def scatter_kraus_operators(eta, nbar_bath, dim, max_mn):
     """Dense K_mn[m1, n1] = sqrt(p_n) B_{n1+n}[m1, n1] by one scatter per
     (n, n1) column, the way the Kraus set was first built."""
     x = nbar_bath / (nbar_bath + 1.0)
     root_p = np.sqrt((1.0 - x) * x ** np.arange(max_mn + 1))
     n_max = int(np.count_nonzero(root_p)) - 1
-    blocks = list(_bs_blocks(float(eta), dim - 1 + n_max))
+    blocks = bs_blocks(float(eta), dim - 1 + n_max)
     operators = {}
     for n in range(n_max + 1):
         ops = np.zeros((max_mn + 1, dim, dim))

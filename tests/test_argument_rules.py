@@ -177,7 +177,7 @@ RULES = {
     "FockDensity": [
         array("density matrix", lambda v: gw.FockDensity(v, dim=2), HALF, np.ones((2, 3)) / 3, dtype=complex),
         integer("truncation dim", 1, None, lambda v: gw.FockDensity(np.eye(2) / 2, dim=v), 0),
-        integer("number of modes", 1, None, lambda v: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=v), 0),
+        integer("number of modes", 1, 31, lambda v: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=v), 32),
     ],
     "phase_space_loss_channel": [
         real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.phase_space_loss_channel(VAC, v, 0.0), 0.0),
@@ -189,13 +189,6 @@ RULES = {
         real("bath mean photon number", PHOTONS, lambda v: gw.thermal_loss_kraus(0.8, v, 4, 2), -0.5),
         integer("truncation dim", 2, None, lambda v: gw.thermal_loss_kraus(0.8, 0.1, v, 1), 1),
         integer("max_mn", 0, 4, lambda v: gw.thermal_loss_kraus(0.8, 0.1, 4, v), 5),
-    ],
-    "bs_matrix_element": [
-        real("amplitude transmittance", TRANSMITTANCE, lambda v: gw.bs_matrix_element(1, 0, 1, 0, v), -0.5),
-        integer("photon number m1", 0, None, lambda v: gw.bs_matrix_element(v, 0, 2, 0, 0.5), -1),
-        integer("photon number m", 0, None, lambda v: gw.bs_matrix_element(0, v, 2, 0, 0.5), -1),
-        integer("photon number n1", 0, None, lambda v: gw.bs_matrix_element(2, 0, v, 0, 0.5), -1),
-        integer("photon number n", 0, None, lambda v: gw.bs_matrix_element(2, 0, 0, v, 0.5), -1),
     ],
     "fock_thermal": [
         real("mean photon number", PHOTONS, lambda v: gw.fock_thermal(v, 4), -1.0),
@@ -309,9 +302,9 @@ def _refused(call, value, message):
 
 
 def test_every_public_name_has_a_row():
-    # The 63 names of the export table, and the command line's own integers; with the seven layer modules the 63 are
-    # the 70 names of the namespace.
-    assert sorted(RULES) == sorted([*gw._HOME, "cli"]) and len(gw._HOME) == 63 and len(gw.__all__) == 70
+    # The 62 names of the export table, and the command line's own integers; with the seven layer modules the 62 are
+    # the 69 names of the namespace.
+    assert sorted(RULES) == sorted([*gw._HOME, "cli"]) and len(gw._HOME) == 62 and len(gw.__all__) == 69
     assert all(isinstance(rows, list) or rows in (RECORD, CIRCUIT, "takes no argument") for rows in RULES.values())
 
 
@@ -332,7 +325,7 @@ def test_ints_and_numpy_reals_pass_the_real_rule():
     assert np.array_equal(gw.rotation(np.int64(0)), np.eye(2))
     assert gw.squeezed(np.float64(0.5), np.int32(0)).cm[0, 0] == 0.5 * math.exp(1.0)
     assert gw.thermal_loss_kraus(np.float32(0.5), np.int8(0), 4, 2).eta == 0.5
-    assert gw.bs_matrix_element(1, 0, 1, 0, 1) == 1.0
+    assert gw.thermal_loss_kraus(1, 0, 2, 0).eta == 1.0
 
 
 def test_numpy_integers_pass_the_integer_rule():
@@ -419,8 +412,8 @@ def test_a_state_gate_refuses_any_other_input(call, value, message):
 
 def _preset_cases():
     """The rows of the six preset builders through the command line.  A builder's rows come in its argument order, as
-    the preset's parameters do, and each wrong value that JSON carries meets the builder's rule on the value the CLI
-    hands it (``cli._whole``: an integral float as an int, which an integer rule takes).  A shorthand carries the
+    the preset's parameters do, and each wrong value that JSON carries meets the builder's rule as it was written: only
+    a count reads an integral float as an int (``cli._whole``), which its integer rule takes.  A shorthand carries the
     numbers and the text too.  Every other parameter of the preset is 0, which each builder takes."""
     for preset, (builder, names, _) in cli._PRESETS.items():
         for i, (param, (row_kind, *row)) in enumerate(zip(names, RULES[builder])):
@@ -428,8 +421,7 @@ def _preset_cases():
             for kind, value in values.items():
                 if kind == "complex":  # not a JSON value; the shorthand's re,im makes one, which coherent takes
                     continue
-                given = cli._whole(value)
-                expected = None if isinstance(given, int) and kind == "integral-float" else message(given)
+                expected = None if row_kind == "integer" and kind == "integral-float" else message(value)
                 texts = {"document": json.dumps({"preset": preset, **dict.fromkeys(names[:i], 0), param: value})}
                 if isinstance(value, (int, float, str)) and not isinstance(value, bool):
                     texts["shorthand"] = f"preset:{preset}:" + ",".join(["0"] * i + [str(value)])
@@ -454,8 +446,13 @@ def test_a_preset_value_meets_its_builders_rule_through_the_cli(capsys, text, me
                                                                           "ragged input"),
         (["work", "--state", '{"modes": 1, "covariance": [1, 0, 0, 1], "displacement": [0, "a"]}'],
          "displacement vector must be a finite real array of shape (2,), got entries of dtype <U21"),
+        # Once numpy's _ArrayMemoryError traceback with exit 1: the size rule is refused like any other.
+        (["entropy", "--state", "preset:vacuum:1000000"],
+         "vacuum of 1000000 modes needs 4000000000000 entries, above the budget of 4194304"),
+        (["entropy", "--state", '{"preset": "vacuum", "modes": 1e6}'],
+         "vacuum of 1000000 modes needs 4000000000000 entries, above the budget of 4194304"),
     ],
-    ids=["eta-nan", "nbar-negative", "ragged-covariance", "text-displacement"],
+    ids=["eta-nan", "nbar-negative", "ragged-covariance", "text-displacement", "vacuum-budget", "vacuum-budget-doc"],
 )
 def test_the_cli_exits_2_with_the_rules_message(capsys, argv, message):
     assert cli.main(argv) == 2

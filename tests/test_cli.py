@@ -480,6 +480,23 @@ def test_a_count_that_is_not_an_integer_exits_2(capsys, state, message):
 
 
 @pytest.mark.parametrize(
+    "state, message",
+    [
+        ('{"preset": "squeezed", "r": 400.0}', "squeezing must be a real number in [-177, 177], got 400.0"),
+        ('{"preset": "squeezed", "r": 400}', "squeezing must be a real number in [-177, 177], got 400"),
+        ("preset:squeezed:400", "squeezing must be a real number in [-177, 177], got 400"),
+        ("preset:squeezed:400.0", "squeezing must be a real number in [-177, 177], got 400.0"),
+        ("preset:thermal:-1", "mean photon number must be a real number in [0, inf), got -1"),
+        ('{"preset": "tms", "r": -4e2}', "squeezing must be a real number in [-177, 177], got -400.0"),
+    ],
+)
+def test_a_refused_real_preset_value_is_echoed_as_written(capsys, state, message):
+    # Only a count reads an integral float as an int: a real parameter meets its rule, and is named, as written.
+    code, out, err = run_cli(capsys, "entropy", "--state", state)
+    assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "state, n_modes",
     [
         ("preset:vacuum:2", 2),
@@ -615,7 +632,7 @@ PUBLIC = set(
     """ActivityReport gaussian_coherence local_activity photon_overlap_matrix
     relaxed_subadditivity_gap DistillationOutcome activity_distillation_demo
     dft_unitary process_two_copies_single_mode work_swap_demo FockDensity
-    KrausSet apply_kraus_channel bs_matrix_element fock_from_gaussian fock_moments
+    KrausSet apply_kraus_channel fock_from_gaussian fock_moments
     fock_number_state fock_postselect_demo fock_single_mode_activity fock_thermal
     gaussian_postselect phase_space_loss_channel thermal_loss_kraus FreeCovariance
     FreenessReport free_cm is_free_cm GaussianState apply_gaussian_unitary coherent
@@ -663,8 +680,15 @@ def run_probe(probe):
             None,
             {"gausswork.fock", "gausswork.distill"},
         ),
+        # The entry budget sits with the argument rules: a Gaussian builder checks its size without the Fock layer.
+        (
+            "import gausswork as gw\ngw.vacuum(2), gw.symplectic_form(2), gw.dft_unitary(2)\n"
+            "gw.compile_passive_circuit(gw.PassiveCircuit(2))",
+            None,
+            {"gausswork.fock"},
+        ),
     ],
-    ids=["every-layer", "namespace", "parser", "entropy", "activity"],
+    ids=["every-layer", "namespace", "parser", "entropy", "activity", "count-sized-builders"],
 )
 def test_import_loads_no_scipy(probe, package, absent):
     """Each call loads the gausswork modules ``package`` (when given) and no ``absent`` module."""
@@ -684,7 +708,7 @@ def test_namespace_matches_layer_exports():
         "print(json.dumps([names, gausswork.__all__, sorted(set(star) - {'__builtins__'})]))"
     )
     names, exported, star = json.loads(run_probe(probe))
-    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 70
+    assert set(names) == PUBLIC and len(names) == len(PUBLIC) == 69
     assert sorted(exported) == sorted(PUBLIC)
     assert set(star) == PUBLIC
     for name in PUBLIC - set(LAYERS):
@@ -693,5 +717,6 @@ def test_namespace_matches_layer_exports():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
     for layer in LAYERS:
         assert getattr(gw, layer) is importlib.import_module(f"gausswork.{layer}")
-    with pytest.raises(AttributeError, match=r"^module 'gausswork' has no attribute 'no_such_name'$"):
-        gw.no_such_name
+    for gone in ("no_such_name", "bs_matrix_element"):  # the checked beam-splitter blocks are read in fock alone
+        with pytest.raises(AttributeError, match=f"^module 'gausswork' has no attribute '{gone}'$"):
+            getattr(gw, gone)

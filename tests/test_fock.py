@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import gausswork as gw
 from gausswork.fock import _bs_blocks
 from conftest import (
+    bs_blocks,
     dense_kraus_apply,
     expm_fock_from_gaussian,
     fock_entropy,
@@ -40,73 +41,57 @@ def mp_bs_amplitude(m1, m, n1, n, eta):
         return float(acc * pref)
 
 
-def test_bs_element_vacuum_fixed_point():
-    assert gw.bs_matrix_element(0, 0, 0, 0, 0.7) == pytest.approx(1.0)
+def test_bs_block_vacuum_fixed_point():
+    assert bs_blocks(0.7, 0)[0][0, 0] == pytest.approx(1.0)
 
 
-def test_bs_element_single_photon_transmission():
-    assert gw.bs_matrix_element(1, 0, 1, 0, 0.7) == pytest.approx(0.7)
+def test_bs_block_single_photon_transmission():
+    assert bs_blocks(0.7, 1)[1][1, 1] == pytest.approx(0.7)
 
 
-def test_bs_element_hong_ou_mandel_amplitude():
-    val = gw.bs_matrix_element(2, 0, 1, 1, 1 / math.sqrt(2))
-    assert abs(val) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_bs_element_rejects_negative_index():
-    with pytest.raises(ValueError, match=r"photon number m1 must be an integer in \[0, inf\), got -1"):
-        gw.bs_matrix_element(-1, 0, 0, 0, 0.5)
-
-
-def test_bs_element_rejects_bad_eta():
-    with pytest.raises(ValueError, match="transmittance"):
-        gw.bs_matrix_element(0, 0, 0, 0, 1.5)
-
-
-def test_bs_element_photon_number_conservation():
-    rng = np.random.default_rng(90)
-    for _ in range(50):
-        m1, m, n1, n = rng.integers(0, 8, size=4)
-        if m1 + m != n1 + n:
-            assert gw.bs_matrix_element(int(m1), int(m), int(n1), int(n), 0.6) == 0.0
+def test_bs_block_hong_ou_mandel_amplitude():
+    # <2, 0| U |1, 1> = B_2[2, 1] at 50:50.
+    assert abs(bs_blocks(1 / math.sqrt(2), 2)[2][2, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_bs_blocks_are_unitary():
-    eta = 0.73
-    for k in range(7):
-        block = np.array(
-            [
-                [gw.bs_matrix_element(m1, k - m1, n1, k - n1, eta) for n1 in range(k + 1)]
-                for m1 in range(k + 1)
-            ]
-        )
+    for k, block in enumerate(bs_blocks(0.73, 6)):
         np.testing.assert_allclose(block @ block.T, np.eye(k + 1), atol=1e-10)
     for eta in (0.3, 0.5, 0.73, 0.9):
-        blocks = list(_bs_blocks(eta, 100))
+        blocks = bs_blocks(eta, 100)
         for k in (40, 60, 80, 100):
             np.testing.assert_allclose(blocks[k] @ blocks[k].T, np.eye(k + 1), atol=1e-10)
 
 
-def test_bs_element_eta_one_is_identity():
-    assert gw.bs_matrix_element(3, 2, 3, 2, 1.0) == pytest.approx(1.0)
-    assert gw.bs_matrix_element(2, 3, 3, 2, 1.0) == 0.0
+def test_bs_blocks_at_eta_one_are_the_identity():
+    for block in bs_blocks(1.0, 5):
+        assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
+        assert np.diag(block) == pytest.approx(1.0)
 
 
 def test_bs_amplitudes_match_mpmath():
     rng = np.random.default_rng(96)
     for eta in (0.3, 0.5, 0.8, 0.9):
+        blocks = bs_blocks(eta, 200)
         for total in [100, 200] + list(rng.integers(1, 101, size=10)):
             m1, n1 = (int(v) for v in rng.integers(0, total + 1, size=2))
             expected = mp_bs_amplitude(m1, total - m1, n1, total - n1, eta)
-            got = gw.bs_matrix_element(m1, total - m1, n1, total - n1, eta)
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert blocks[total][m1, n1] == pytest.approx(expected, abs=1e-12)
 
 
-def test_bs_element_refuses_nonunitary_blocks(monkeypatch):
-    # With a zero tolerance every rounding error counts as lost unitarity.
+def test_the_demo_reads_b2_from_the_checked_blocks():
+    # The probability is B_2[2, 1]^2 of the block the recurrence yields, as a Python float.
+    _, probability, _ = gw.fock_postselect_demo()
+    assert type(probability) is float and probability == float(bs_blocks(1 / math.sqrt(2), 2)[2][2, 1]) ** 2
+
+
+def test_a_nonunitary_block_is_refused(monkeypatch):
+    # With a zero tolerance every rounding error counts as lost unitarity; the demo reads B_2 only once it passed.
     monkeypatch.setattr("gausswork.fock.UNITARITY_TOL", 0.0)
-    with pytest.raises(ValueError, match=r"block N = 200 has unitarity residual \d"):
-        gw.bs_matrix_element(100, 100, 100, 100, 0.8)
+    with pytest.raises(ValueError, match=r"^beam-splitter block N = \d+ has unitarity residual \d"):
+        bs_blocks(0.8, 200)
+    with pytest.raises(ValueError, match=r"^beam-splitter block N = 2 has unitarity residual \d.* \(eta = 0\.7071"):
+        gw.fock_postselect_demo()
 
 
 def test_kraus_refuses_nonunitary_blocks(monkeypatch):
@@ -444,15 +429,16 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             "ill-conditioned",
         ),
         (lambda: gw.FockDensity(np.eye(4), dim=3), r"^density matrix of size 4 does not match dim 3\^1$"),
-        # Named by dim and mode count, not by a dim^N of 300,000 digits that Python would refuse to print.
-        (
-            lambda: gw.FockDensity(np.eye(2), dim=2, n_modes=10**6),
-            r"^density matrix of size 2 does not match dim 2\^1000000$",
-        ),
-        # Refused without the power itself: 3^(10^18) has about 4.8e17 digits.
+        (lambda: gw.FockDensity(np.eye(2), dim=2, n_modes=31), r"^density matrix of size 2 does not match dim 2\^31$"),
+        # Refused by the mode bound before any power: 3^(10^18) has about 4.8e17 digits.
         (
             lambda: gw.FockDensity(np.eye(2), dim=3, n_modes=10**18),
-            r"^density matrix of size 2 does not match dim 3\^1000000000000000000$",
+            r"^number of modes must be an integer in \[1, 31\], got 1000000000000000000$",
+        ),
+        # One level matches every mode count; fock_moments indexes N modes on N + 1 numpy axes.
+        (
+            lambda: gw.FockDensity(np.eye(1), dim=1, n_modes=100),
+            r"^number of modes must be an integer in \[1, 31\], got 100$",
         ),
         (lambda: gw.fock_single_mode_activity(gw.fock_from_gaussian(gw.vacuum(2), 4)), "single-mode"),
         (
@@ -474,14 +460,6 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
             r"truncation dim must be an integer in \[2, inf\), got 40\.5",
         ),
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 40, 20.0), r"max_mn must be an integer in \[0, 40\], got 20\.0"),
-        (
-            lambda: gw.bs_matrix_element(True, 0, 1, 0, 0.5),
-            r"photon number m1 must be an integer in \[0, inf\), got True",
-        ),
-        (
-            lambda: gw.bs_matrix_element(1.0, 0, 1, 0, 0.5),
-            r"photon number m1 must be an integer in \[0, inf\), got 1\.0",
-        ),
         (lambda: gw.FockDensity(np.eye(2) / 2, dim=2.0), r"truncation dim must be an integer in \[1, inf\), got 2\.0"),
         (
             lambda: gw.FockDensity(np.eye(2) / 2, dim=True),
@@ -489,11 +467,11 @@ _LEAKY = gw.fock_from_gaussian(gw.thermal(3.0), 8)  # truncation leak 0.100, ref
         ),
         (
             lambda: gw.FockDensity(np.eye(4) / 4, dim=2, n_modes=2.0),
-            r"number of modes must be an integer in \[1, inf\), got 2\.0",
+            r"number of modes must be an integer in \[1, 31\], got 2\.0",
         ),
         (
             lambda: gw.FockDensity(np.eye(1), dim=2, n_modes=0),
-            r"number of modes must be an integer in \[1, inf\), got 0",
+            r"number of modes must be an integer in \[1, 31\], got 0",
         ),
         (lambda: gw.fock_number_state(4, 4), r"photon number must be an integer in \[0, 3\], got 4"),
         (lambda: gw.fock_number_state(1, 2.5), r"truncation dim must be an integer in \[1, inf\), got 2\.5"),
@@ -557,6 +535,22 @@ def test_single_value_tolerances_are_module_constants(monkeypatch):
     assert not gw.is_symplectic(nearly) and not gw.is_orthosymplectic(nearly)
 
 
+@pytest.mark.parametrize(
+    "read, value",
+    [
+        (gw.energy, 15.5),
+        (lambda rho: gw.mean_photon_numbers(rho).max(), 0.0),
+        (gw.von_neumann_entropy, 0.0),
+        (lambda rho: gw.local_activity(rho).value, 0.0),
+        (lambda rho: gw.extractable_work(rho).total, 0.0),
+    ],
+    ids=["energy", "mean_photon_numbers", "von_neumann_entropy", "local_activity", "extractable_work"],
+)
+def test_a_one_level_density_reads_at_the_mode_bound(read, value):
+    # The 31-mode vacuum in one level per mode: every moment reader indexes it and reads the vacuum, energy N / 2.
+    assert read(gw.FockDensity(np.eye(1), dim=1, n_modes=31)) == pytest.approx(value, abs=1e-12)
+
+
 def test_fock_activity_rejects_leaky_truncation():
     leaky = gw.fock_from_gaussian(gw.squeezed(1.8), 10)
     with pytest.raises(ValueError, match="leak"):
@@ -583,15 +577,19 @@ def test_fock_activity_matches_the_gaussian_route(n_modes, dims, count, sampler)
 
 
 def test_two_photon_pair_activity_is_invariant_under_a_beam_splitter():
-    """A(|1,1>) = 2 g(3/2), and a 50:50 beam splitter from bs_matrix_element, which is passive, keeps it."""
+    """A(|1,1>) = 2 g(3/2), and a beam splitter, which is passive, keeps it: the dense two-mode unitary on
+    |m1, m2>, m1, m2 < dim, holds B_N[m1, n1] where m1 + m2 = n1 + n2 = N, and 0 elsewhere."""
     dim = 4
     pair = np.zeros(dim * dim)
     pair[dim + 1] = 1.0
     rho = gw.FockDensity(np.outer(pair, pair), dim=dim, n_modes=2)
     assert gw.local_activity(rho).value == pytest.approx(2.0 * gw.thermal_entropy(1.5), abs=1e-15)
     for eta in (1.0 / math.sqrt(2.0), 0.3):
-        unitary = np.array([[gw.bs_matrix_element(*divmod(k, dim), *divmod(col, dim), eta) for col in range(dim**2)]
-                            for k in range(dim**2)])
+        unitary = np.zeros((dim**2, dim**2))
+        m1, m2 = np.divmod(np.arange(dim**2), dim)  # the flat index is m1 dim + m2
+        for total, block in enumerate(bs_blocks(eta, 2 * dim - 2)):
+            k = np.flatnonzero(m1 + m2 == total)
+            unitary[np.ix_(k, k)] = block[np.ix_(m1[k], m1[k])]
         out = gw.FockDensity(unitary @ rho.matrix @ unitary.T, dim=dim, n_modes=2)
         assert out.trace == pytest.approx(1.0, abs=1e-14)
         report = gw.local_activity(out)
@@ -932,9 +930,9 @@ def test_bs_blocks_check_their_entries_at_the_call():
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 2048, 2048), "recurrence to N = 2047 needs 2865409024 entries"),
         (lambda: gw.thermal_loss_kraus(0.8, 0.1, 10**6, 10**6), "recurrence to N = 999999 needs 333333833333500000 "
                                                                  "entries"),
-        (lambda: gw.bs_matrix_element(0, 3000, 3000, 0, 0.5), "recurrence to N = 3000 needs 9013506501 entries"),
+        (lambda: gw.thermal_loss_kraus(0.5, 0.0, 3001, 0), "recurrence to N = 3000 needs 9013506501 entries"),
     ],
-    ids=["thermal_loss_kraus", "thermal_loss_kraus-max_mn", "bs_matrix_element"],
+    ids=["thermal_loss_kraus", "thermal_loss_kraus-max_mn", "thermal_loss_kraus-dim"],
 )
 def test_an_oversize_request_is_refused_before_it_allocates(call, message):
     # Each once laid out gigabytes and ran the recurrence for minutes; now it is refused at once.

@@ -2,15 +2,20 @@
 
 An import its own scope (the module, or the function it sits in) never reads, and a module-level private name that
 nothing in the package reads, are what a consolidation leaves behind when it moves a rule to one place and forgets the
-old copy.
+old copy.  A call the docs name after its public name is deleted is what it leaves behind in the docs.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gausswork").glob("*.py"))
+import gausswork
+import gausswork.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gausswork").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 
 
@@ -84,3 +89,22 @@ def test_every_module_level_private_name_is_read_somewhere():
 def test_the_private_name_check_sees_an_orphan():
     tree = ast.parse("def _orphan():\n    return 1\n\n\ndef _used():\n    return 2\n\n\nVALUE = _used()\n")
     assert _defined_privates(tree) - _read_names(tree) == {"_orphan"}
+
+
+def _missing_names(readme: str, workflow: str) -> list:
+    """Each ``name(`` the README spells in backticks and each ``gw.name`` the workflow runs that neither
+    ``gausswork`` nor ``gausswork.cli`` has."""
+    names = {*re.findall(r"`([A-Za-z_]\w*)\(", readme), *re.findall(r"\bgw\.([A-Za-z_]\w*)", workflow)}
+    return sorted(name for name in names if not any(hasattr(module, name) for module in (gausswork, gausswork.cli)))
+
+
+def test_the_docs_name_only_public_names():
+    readme, workflow = (ROOT / "README.md", ROOT / ".github" / "workflows" / "tests.yml")
+    missing = _missing_names(readme.read_text(encoding="utf-8"), workflow.read_text(encoding="utf-8"))
+    assert not missing, f"README.md or tests.yml names what gausswork and gausswork.cli lack: {missing}"
+
+
+def test_the_docs_check_sees_a_missing_name():
+    found = _missing_names("`bs_matrix_element(2, 0, 1, 1, eta)`, `np.diag([1, 2])`, `squeezed(r)`",
+                           "python -c 'import gausswork as gw; gw.diag(1); gw.vacuum(2)'")
+    assert found == ["bs_matrix_element", "diag"]

@@ -79,7 +79,6 @@ LEDGER = {
     "fock_moments": (lambda: gw.fock_moments(RHO), []),
     "thermal_loss_kraus": (lambda: gw.thermal_loss_kraus(0.8, 0.1, 8, 4), []),
     "apply_kraus_channel": (lambda: gw.apply_kraus_channel(RHO8, KRAUS), []),
-    "bs_matrix_element": (lambda: gw.bs_matrix_element(2, 0, 1, 1, 0.7), []),
     "phase_space_loss_channel": (lambda: gw.phase_space_loss_channel(STATE, 0.9, 0.1), VALIDATE),
     "gaussian_postselect": (lambda: gw.gaussian_postselect(STATE, [1], 0.5 * np.eye(2)), VALIDATE_1 + ["eigh 2"]
                             + VALIDATE_1),

@@ -10,6 +10,7 @@ follow the physicality tolerance max(1e-9, 2 n eps kappa(cm)), n = 2N (its
 import ast
 import inspect
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import gausswork as gw
 from conftest import count_solvers, random_cm, random_orthosymplectic, random_unitary
+from gausswork.symplectic import TOL_PHYS, _spectrum, require_valid_cm
 
 R_MAX = 6.0
 
@@ -351,3 +353,24 @@ def test_every_layer_refuses_with_one_message(cm, message):
     (text,) = messages
     assert message in text
     assert f"{value:.3e}" in text or f"{value:.6g}" in text
+
+
+@pytest.mark.parametrize("r", [0.0, 6.0, 12.0], ids=["TOL_PHYS", "err", "cap"])
+@pytest.mark.parametrize("share, valid", [(0.9, True), (1.1, False)], ids=["inside", "outside"])
+def test_every_validity_verdict_reads_the_spectrums_one_tolerance(r, share, valid):
+    # tol = min(1e-3, max(TOL_PHYS, err)) depends on kappa alone, so diag(e^2r, e^-2r) scaled to nu = 1/2 - share tol
+    # keeps it up to the rounding of kappa: validate_cm, require_valid_cm and the snap of nu to 1/2 read that one tol.
+    squeeze = np.diag([math.exp(2 * r), math.exp(-2 * r)])
+    pure = _spectrum(0.5 * squeeze)
+    tol = pure.tol
+    assert tol == {0.0: TOL_PHYS, 6.0: pure.err, 12.0: 1e-3}[r]  # the floor, the rounding of nu, its cap
+    cm = (0.5 - share * tol) * squeeze
+    spec = _spectrum(cm)
+    assert spec.tol == pytest.approx(tol, rel=1e-12) and spec.valid is gw.validate_cm(cm).valid is valid
+    assert bool(spec.nu[-1] == 0.5) is valid
+    if valid:
+        assert require_valid_cm(cm).nu[-1] == 0.5
+    else:
+        message = f"invalid covariance matrix (min symplectic eigenvalue {spec.nu[-1]:.6g})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_valid_cm(cm)

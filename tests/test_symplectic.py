@@ -1,3 +1,7 @@
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,43 @@ def test_symplectic_form_orthogonal():
     for n in (1, 2, 5):
         omega = gw.symplectic_form(n)
         np.testing.assert_allclose(omega @ omega.T, np.eye(2 * n), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build, edge, what",
+    [
+        (gw.vacuum, 1024, "vacuum of {} modes"),
+        (gw.symplectic_form, 1024, "symplectic form of {} modes"),
+        (gw.dft_unitary, 2048, "DFT unitary of {} modes"),
+        (lambda n: gw.compile_passive_circuit(gw.PassiveCircuit(n)), 1024, "passive circuit on {} modes"),
+    ],
+    ids=["vacuum", "symplectic_form", "dft_unitary", "compile_passive_circuit"],
+)
+@pytest.mark.parametrize("huge", [False, True], ids=["edge+1", "1e6"])
+def test_a_count_sized_gaussian_builder_passes_the_entry_budget(build, edge, what, huge):
+    # (2N)^2 real entries, or n^2 complex ones for the DFT unitary, against the one entry budget of 2^22: one mode
+    # past the edge, and 10^6 modes (29 TiB, which numpy once tried to allocate), are refused before any array exists.
+    n = 10**6 if huge else edge + 1
+    count = (n if build is gw.dft_unitary else 2 * n) ** 2
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(what.format(n))} needs {count} entries, above the budget "
+                                             f"of 4194304$"):
+            build(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 1e5
+
+
+@pytest.mark.parametrize(
+    "build", [gw.symplectic_form, lambda n: gw.compile_passive_circuit(gw.PassiveCircuit(n))],
+    ids=["symplectic_form", "compile_passive_circuit"],
+)
+def test_the_entry_budget_itself_is_accepted(build):
+    # 1024 modes: 2048^2 = 2^22 entries.
+    assert build(1024).shape == (2048, 2048)
 
 
 def test_symplectic_form_rejects_zero_modes():
